@@ -49,6 +49,7 @@ from .datapath import (
     check_layer_capacity,
     compute_out_shape,
     layer_command,
+    layer_report,
     run_layer,
 )
 from .controller import (

@@ -20,6 +20,7 @@ from .controller import (
     ExecutionError,
     NetParseError,
     compile_network,
+    default_padding,
     execute,
     load_net,
     pack_weights,
@@ -28,11 +29,11 @@ from .controller import (
     reference_composition,
     segnet_basic_preset,
 )
-from .datapath import COMPUTE_OPS, CapacityError, layer_command, run_layer
+from .datapath import COMPUTE_OPS, CapacityError, layer_command, layer_report
 from .linebuffer import PaddingMode
 from .oracle import OpCounters
 from .pearray import HwConfig, RequantOverflow
-from .qtensor import AccumulatorOverflow, QTensor, identity_kernel_set
+from .qtensor import AccumulatorOverflow, QTensor
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -270,8 +271,7 @@ def _parse_layer_spec(text: str):
     except (KeyError, ValueError):
         raise NetParseError("--layer needs at least op=...,in=HxWxC")
     out_c = int(kv.get("out", c))
-    default_pad = "TBLR" if op == "conv3x3" else "TL" if op == "deconv2x" else "-"
-    pad = PaddingMode.of(kv.get("pad", default_pad))
+    pad = PaddingMode.of(kv["pad"]) if "pad" in kv else default_padding(op)
     return op, (h, w, c), out_c, pad, kv.get("act", "none"), kv.get("pool", "none")
 
 
@@ -297,12 +297,7 @@ def cmd_bench(args) -> int:
         op, in_shape, out_c, pad, act, pool = _parse_layer_spec(args.layer)
         cmd = layer_command(op, in_shape, out_c, pad, cfg,
                             activation=act, pool=pool, out_scale_exp=-7)
-        zeros = QTensor(np.zeros(in_shape, np.int8), -7)
-        ks = None
-        if op in COMPUTE_OPS:
-            ks = identity_kernel_set(in_shape[2], out_c,
-                                     rotated=(op == "deconv2x"))
-        _, rep = run_layer(cmd, zeros, ks, cfg)
+        rep = layer_report(cmd, cfg)
         print(f"{op} {in_shape[0]}x{in_shape[1]}x{in_shape[2]} ->"
               f" {cmd.out_shape[0]}x{cmd.out_shape[1]}x{cmd.out_shape[2]}"
               f" pad={pad.short_name()}")

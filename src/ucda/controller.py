@@ -25,7 +25,10 @@ import numpy as np
 
 from . import oracle
 from .datapath import (
+    ACTIVATIONS,
     COMPUTE_OPS,
+    LAYER_OPS,
+    POOLS,
     CycleReport,
     LayerCommand,
     PaddingMode,
@@ -46,7 +49,7 @@ from .qtensor import (
     round_half_away,
 )
 
-KIND_CODES = {"conv3x3": 0, "deconv2x": 1, "maxpool": 2, "avgpool": 3, "identity": 4}
+KIND_CODES = {kind: code for code, kind in enumerate(LAYER_OPS)}
 _CODE_KINDS = {v: k for k, v in KIND_CODES.items()}
 
 WEIGHT_MAGIC = b"UCDW"
@@ -73,9 +76,9 @@ class LayerSpec:
             raise NetParseError(f"unknown layer kind {self.kind!r}")
         if self.out_channels < 1:
             raise NetParseError("out_channels must be positive")
-        if self.activation not in ("none", "relu", "leaky"):
+        if self.activation not in ACTIVATIONS:
             raise NetParseError(f"unknown activation {self.activation!r}")
-        if self.pool not in ("none", "max", "avg"):
+        if self.pool not in POOLS:
             raise NetParseError(f"unknown pool {self.pool!r}")
         if self.pool != "none" and self.kind not in COMPUTE_OPS:
             raise NetParseError("pool attachments only follow conv/deconv stages")
@@ -106,7 +109,7 @@ class NetDescription:
         shape = self.input_shape
         scale = self.input_scale_exp
         for i, spec in enumerate(self.layers):
-            mode = _layer_mode(spec.kind)
+            mode = default_padding(spec.kind)
             try:
                 nxt = compute_out_shape(spec.kind, shape, mode,
                                         spec.out_channels, spec.pool)
@@ -122,7 +125,8 @@ class NetDescription:
         return links[-1][1] if links else self.input_shape
 
 
-def _layer_mode(kind: str) -> PaddingMode:
+def default_padding(kind: str) -> PaddingMode:
+    """Edge padding a net stage (and `ucda bench --layer`) uses for a kind."""
     if kind == "conv3x3":
         return PaddingMode.all_edges()
     if kind == "deconv2x":
@@ -276,7 +280,7 @@ def compile_network(net: NetDescription, cfg: HwConfig | None = None) -> Program
             slot = wslot
             wslot += 1
         cmd = layer_command(
-            spec.kind, in_shape, spec.out_channels, _layer_mode(spec.kind),
+            spec.kind, in_shape, spec.out_channels, default_padding(spec.kind),
             cfg, activation=spec.activation, pool=spec.pool,
             out_scale_exp=out_scale, weight_slot=slot,
             if_bank=i % 2, of_bank=(i + 1) % 2)
@@ -388,29 +392,39 @@ def weight_image(kinds, kernel_sets) -> bytes:
 
 
 def parse_weight_image(blob: bytes):
-    """Inverse of weight_image: returns (kinds, kernel_sets)."""
+    """Inverse of weight_image: returns (kinds, kernel_sets).
+
+    Raises ValueError naming the byte offset when the image ends early.
+    """
     if blob[:4] != WEIGHT_MAGIC:
         raise ValueError("bad magic: not a weight image")
-    version, count = struct.unpack_from("<II", blob, 4)
+    pos = 4
+
+    def take(size: int, what: str) -> int:
+        nonlocal pos
+        if len(blob) - pos < size:
+            raise ValueError(
+                f"weight image truncated at byte {pos}: {what} needs {size}"
+                f" bytes, {len(blob) - pos} left")
+        pos += size
+        return pos - size
+
+    version, count = struct.unpack_from("<II", blob, take(8, "header"))
     if version != WEIGHT_VERSION:
         raise ValueError(f"unsupported weight image version {version}")
-    pos = 12
     kinds, sets = [], []
-    for _ in range(count):
-        code, cin, cout, scale_exp = struct.unpack_from("<IIIi", blob, pos)
-        pos += 16
+    for i in range(count):
+        code, cin, cout, scale_exp = struct.unpack_from(
+            "<IIIi", blob, take(16, f"entry {i} header"))
         kind = _CODE_KINDS.get(code)
         if kind not in COMPUTE_OPS:
             raise ValueError(f"weight entry with non-compute kind code {code}")
         nw = cout * cin * 9
-        weights = np.frombuffer(blob, dtype=np.int8, count=nw, offset=pos)
-        pos += nw
-        bias = np.frombuffer(blob, dtype="<i4", count=cout, offset=pos)
-        pos += 4 * cout
-        mult = np.frombuffer(blob, dtype="<i2", count=cout, offset=pos)
-        pos += 2 * cout
-        shift = np.frombuffer(blob, dtype=np.uint8, count=cout, offset=pos)
-        pos += cout
+        weights = np.frombuffer(blob, np.int8, nw, take(nw, f"entry {i} weights"))
+        bias = np.frombuffer(blob, "<i4", cout, take(4 * cout, f"entry {i} biases"))
+        mult = np.frombuffer(blob, "<i2", cout,
+                             take(2 * cout, f"entry {i} bn multipliers"))
+        shift = np.frombuffer(blob, np.uint8, cout, take(cout, f"entry {i} bn shifts"))
         kinds.append(kind)
         sets.append(KernelSet(
             weights=weights.reshape(cout, cin, 3, 3).copy(),
@@ -582,7 +596,7 @@ def reference_composition(net: NetDescription, kernel_sets, input: QTensor):
             ks = kernel_sets[slot]
             slot += 1
             if spec.kind == "conv3x3":
-                acc = oracle.conv2d_ref(x, ks, _layer_mode("conv3x3"))
+                acc = oracle.conv2d_ref(x, ks, default_padding("conv3x3"))
             else:
                 acc = oracle.deconv_naive(x, ks, exact_double=True)
             x = oracle.bn_act_ref(acc, ks.bn_multiplier, ks.bn_shift,

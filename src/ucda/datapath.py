@@ -2,18 +2,21 @@
 
 run_layer executes one register-file command: window generation over the
 padded input, depth-tiled multiply-accumulate on the PE array, the folded
-batch-norm/activation tail, and the optional pooling stage, everything
-bit-exact against the straight-line reference implementations.
+batch-norm/activation tail (qtensor.apply_activation, qtensor.pool2x2), and
+the optional pooling stage, everything bit-exact against the straight-line
+reference implementations. layer_report gives the same command's capacity
+check and cycle report from its shapes alone, without running any data.
 
 Two engines produce identical results. 'fast' extracts windows by padding
 and slicing and evaluates whole layers as exact integer matrix products
-(int8 operands keep every float64 partial sum below 2**53). 'cells' drives
+(int8 operands keep every float64 partial sum below 2**53); deconvolution
+uses the shared patch kernel, patchdeconv.patch_accumulate. 'cells' drives
 the FIFO line buffer and one process element at a time; it is the
 cycle-faithful route and is used at small scale to validate the fast one.
 
 Cycle model per layer:
     priming  = (K - 1) * padded_width + K          (line-buffer fill)
-    compute  = passes_in * passes_out * windows * beats   (beats: conv 1, deconv 4)
+    compute  = passes_in * passes_out * windows * beats   (PeMode.beats)
     drain    = attached-pool priming (one stream row + 2 slots), else 0
     weight   = ceil(weight_image_bits / stream_bits), never overlapped
     transfer = ceil(in_bits / stream) + ceil(out_bits / stream), overlapped
@@ -22,17 +25,26 @@ Cycle model per layer:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .linebuffer import LineBuffer, PaddingMode
+from .patchdeconv import interleave_patches, patch_accumulate
 from .pearray import HwConfig, PeArray, PeMode
-from .qtensor import KernelSet, QTensor, check_accum, requantize_array
+from .qtensor import (
+    KernelSet,
+    QTensor,
+    apply_activation,
+    check_accum,
+    pool2x2,
+    requantize_array,
+)
 
 COMPUTE_OPS = ("conv3x3", "deconv2x")
-LAYER_OPS = COMPUTE_OPS + ("maxpool", "avgpool", "identity")
+POOL_OPS = {"maxpool": "max", "avgpool": "avg"}   # stand-alone op -> pool kind
+LAYER_OPS = COMPUTE_OPS + tuple(POOL_OPS) + ("identity",)
 ACTIVATIONS = ("none", "relu", "leaky")
 POOLS = ("none", "max", "avg")
 
@@ -93,6 +105,10 @@ class LayerCommand:
     def window(self) -> int:
         return 3 if self.op == "conv3x3" else 2
 
+    @property
+    def pe_mode(self) -> PeMode:
+        return PeMode.CONV if self.op == "conv3x3" else PeMode.DECONV
+
 
 @dataclass
 class CycleReport:
@@ -112,34 +128,6 @@ class CycleReport:
     def merge(self, other: "CycleReport") -> None:
         for name in self.__dataclass_fields__:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-
-
-@dataclass
-class BufferModel:
-    """Occupancy tracking for the double-buffered IF banks, OF and weights."""
-
-    cfg: HwConfig
-    if_bank_bits: list = field(default_factory=lambda: [0, 0])
-    of_bits: int = 0
-    weight_bits: int = 0
-
-    def fill_if(self, bank: int, bits: int, label: str = "input") -> None:
-        cap = self.cfg.if_capacity_bits
-        if cap is not None and bits > cap:
-            raise CapacityError(f"{label}: IF bank needs {bits} bits, capacity {cap}")
-        self.if_bank_bits[bank] = bits
-
-    def fill_of(self, bits: int, label: str = "output") -> None:
-        cap = self.cfg.of_capacity_bits
-        if cap is not None and bits > cap:
-            raise CapacityError(f"{label}: OF buffer needs {bits} bits, capacity {cap}")
-        self.of_bits = bits
-
-    def fill_weights(self, bits: int, label: str = "weights") -> None:
-        cap = self.cfg.weight_capacity_bits
-        if cap is not None and bits > cap:
-            raise CapacityError(f"{label}: weight buffer needs {bits} bits, capacity {cap}")
-        self.weight_bits = bits
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -163,7 +151,7 @@ def compute_out_shape(op: str, in_shape, mode: PaddingMode, out_channels: int,
         if ph < 2 or pw < 2:
             raise ShapeMismatch(f"padded {ph}x{pw} too small for a 2x2 window")
         oh, ow = 2 * (ph - 1), 2 * (pw - 1)
-    elif op in ("maxpool", "avgpool"):
+    elif op in POOL_OPS:
         if out_channels != c:
             raise ShapeMismatch("pooling keeps the channel count")
         if h % 2 or w % 2:
@@ -200,28 +188,6 @@ def layer_command(op: str, in_shape, out_channels: int, mode: PaddingMode,
         weight_slot=weight_slot, if_bank=if_bank, of_bank=of_bank, post=post)
 
 
-def _activation(q: np.ndarray, act: str, leaky_shift: int) -> np.ndarray:
-    if act == "none":
-        return q
-    if act == "relu":
-        return np.maximum(q, 0)
-    if act == "leaky":
-        # arithmetic shift: negatives round away from zero
-        neg = q.astype(np.int64) >> leaky_shift
-        return np.where(q < 0, neg, q).astype(q.dtype)
-    raise ValueError(f"unknown activation {act!r}")
-
-
-def _pool2x2(x: np.ndarray, kind: str) -> np.ndarray:
-    h, w, c = x.shape
-    blocks = x.reshape(h // 2, 2, w // 2, 2, c)
-    if kind == "max":
-        return blocks.max(axis=(1, 3)).astype(np.int8)
-    s = blocks.astype(np.int64).sum(axis=(1, 3))
-    mag = np.abs(s) >> 2
-    return np.where(s >= 0, mag, -mag).astype(np.int8)
-
-
 def pool_act(data: np.ndarray, pool: str = "none", act: str = "none",
              leaky_shift: int = 3) -> np.ndarray:
     """Activation-then-pool tail on a q8 stream; both stages bypassable."""
@@ -229,12 +195,12 @@ def pool_act(data: np.ndarray, pool: str = "none", act: str = "none",
         raise ValueError(f"unknown activation {act!r}")
     if pool not in POOLS:
         raise ValueError(f"unknown pool {pool!r}")
-    out = _activation(np.asarray(data), act, leaky_shift)
+    out = apply_activation(np.asarray(data), act, leaky_shift)
     if pool != "none":
-        h, w, _ = out.shape
-        if h % 2 or w % 2:
-            raise ShapeMismatch(f"pooling needs even dims, got {h}x{w}")
-        out = _pool2x2(out, pool)
+        try:
+            out = pool2x2(out, pool)
+        except ValueError as e:
+            raise ShapeMismatch(str(e)) from e
     return out.astype(np.int8)
 
 
@@ -258,51 +224,14 @@ def _conv_fast(padded: np.ndarray, ks: KernelSet, tile_depth: int) -> np.ndarray
     return acc.reshape(oh, ow, cout)
 
 
-def _deconv_fast(padded: np.ndarray, ks: KernelSet, tile_depth: int) -> np.ndarray:
-    hp, wp, cin = padded.shape
-    cout = ks.out_channels
-    wh, ww = hp - 1, wp - 1
-    n = wh * ww
-    corners = (
-        padded[:-1, :-1, :], padded[:-1, 1:, :],
-        padded[1:, :-1, :], padded[1:, 1:, :],
-    )
-    # per output-patch slot: contributing window corners and kernel taps
-    plan = (
-        ((0, 1, 2, 3), ((0, 0), (0, 2), (2, 0), (2, 2))),
-        ((1, 3), ((0, 1), (2, 1))),
-        ((2, 3), ((1, 0), (1, 2))),
-        ((3,), ((1, 1),)),
-    )
-    slots = np.zeros((4, n, cout), dtype=np.int64)
-    for ci0 in range(0, cin, tile_depth):
-        ct = min(tile_depth, cin - ci0)
-        for si, (corner_ids, taps) in enumerate(plan):
-            ops = np.stack(
-                [corners[i][:, :, ci0:ci0 + ct].reshape(n, ct) for i in corner_ids],
-                axis=2).reshape(n, ct * len(corner_ids)).astype(np.float64)
-            km = np.stack(
-                [ks.weights[:, ci0:ci0 + ct, u, v] for (u, v) in taps],
-                axis=2).reshape(cout, ct * len(taps)).astype(np.float64)
-            slots[si] += (ops @ km.T).astype(np.int64)
-        check_accum(slots)
-    out = np.empty((2 * wh, 2 * ww, cout), dtype=np.int64)
-    p = slots.reshape(4, wh, ww, cout)
-    out[0::2, 0::2] = p[0]
-    out[0::2, 1::2] = p[1]
-    out[1::2, 0::2] = p[2]
-    out[1::2, 1::2] = p[3]
-    return out
-
-
 def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
                    cfg: HwConfig) -> np.ndarray:
     """Cycle-faithful route: FIFO line buffer feeding the PE array."""
     h, w, cin = input.shape
     cout = ks.out_channels
-    mode = PeMode.CONV if cmd.op == "conv3x3" else PeMode.DECONV
+    mode = cmd.pe_mode
     k = cmd.window
-    beats = 1 if mode is PeMode.CONV else 4
+    beats = mode.beats
     pe = PeArray(cfg)
     psum = None
     for ci0 in range(0, cin, cmd.tile_depth):
@@ -327,13 +256,7 @@ def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
     ww = lb.padded_width - k + 1
     if mode is PeMode.CONV:
         return psum[:, :, 0].reshape(wh, ww, cout)
-    out = np.empty((2 * wh, 2 * ww, cout), dtype=np.int64)
-    p = psum.reshape(wh, ww, cout, 4)
-    out[0::2, 0::2] = p[..., 0]
-    out[0::2, 1::2] = p[..., 1]
-    out[1::2, 0::2] = p[..., 2]
-    out[1::2, 1::2] = p[..., 3]
-    return out
+    return interleave_patches(np.moveaxis(psum.reshape(wh, ww, cout, beats), 3, 0))
 
 
 def _compute_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
@@ -341,14 +264,10 @@ def _compute_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
     cout = cmd.out_shape[2]
     ph, pw = padded_dims(h, w, cmd.padding)
     k = cmd.window
-    if cmd.op == "conv3x3":
-        windows = (ph - 2) * (pw - 2)
-        beats = 1
-        pre_pool_w = pw - 2
-    else:
-        windows = (ph - 1) * (pw - 1)
-        beats = 4
-        pre_pool_w = 2 * (pw - 1)
+    ww = pw - k + 1
+    windows = (ph - k + 1) * ww
+    beats = cmd.pe_mode.beats
+    pre_pool_w = ww if cmd.op == "conv3x3" else 2 * ww
     passes_in = _ceil_div(cin, cmd.tile_depth)
     passes_out = _ceil_div(cout, cmd.unroll[1])
     r = CycleReport()
@@ -381,7 +300,7 @@ def _compute_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
 def _move_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
     h, w, c = cmd.in_shape
     r = CycleReport()
-    if cmd.op in ("maxpool", "avgpool"):
+    if cmd.op in POOL_OPS:
         r.priming_cycles = w + 2
     r.compute_cycles = _ceil_div(c, cfg.tn) * h * w
     in_xfer = _ceil_div(h * w * c * 8, cfg.stream_bits)
@@ -432,21 +351,33 @@ def check_layer_capacity(cmd: LayerCommand, cfg: HwConfig,
     """Working-set bits per buffer; raises CapacityError on finite overrun."""
     h, w, cin = cmd.in_shape
     ph, pw = padded_dims(h, w, cmd.padding)
-    bufs = BufferModel(cfg)
     if_bits = ph * pw * min(cmd.tile_depth, cin) * 8
-    bufs.fill_if(cmd.if_bank, if_bits, label)
     if cmd.op in COMPUTE_OPS:
         k = cmd.window
-        wh, ww = ph - k + 1, pw - k + 1
-        beats = 1 if cmd.op == "conv3x3" else 4
-        of_bits = wh * ww * beats * cmd.out_shape[2] * 32
+        windows = (ph - k + 1) * (pw - k + 1)
+        of_bits = windows * cmd.pe_mode.beats * cmd.out_shape[2] * 32
         weight_bits = _weight_image_bits(cin, cmd.out_shape[2])
     else:
         of_bits = int(np.prod(cmd.out_shape)) * 8
         weight_bits = 0
-    bufs.fill_of(of_bits, label)
-    bufs.fill_weights(weight_bits, label)
-    return {"if_bits": if_bits, "of_bits": of_bits, "weight_bits": weight_bits}
+    need = {"if_bits": if_bits, "of_bits": of_bits, "weight_bits": weight_bits}
+    for key, buf, cap in (("if_bits", "IF bank", cfg.if_capacity_bits),
+                          ("of_bits", "OF buffer", cfg.of_capacity_bits),
+                          ("weight_bits", "weight buffer", cfg.weight_capacity_bits)):
+        if cap is not None and need[key] > cap:
+            raise CapacityError(f"{label}: {buf} needs {need[key]} bits, capacity {cap}")
+    return need
+
+
+def layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
+    """Cycle report of one command from its shapes alone; runs no data.
+
+    Raises CapacityError when a working set overruns a finite buffer.
+    """
+    check_layer_capacity(cmd, cfg)
+    if cmd.op in COMPUTE_OPS:
+        return _compute_layer_report(cmd, cfg)
+    return _move_layer_report(cmd, cfg)
 
 
 def run_layer(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,
@@ -455,7 +386,7 @@ def run_layer(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,
     if engine not in ("fast", "cells"):
         raise ValueError(f"unknown engine {engine!r}")
     _validate(cmd, input, weights, cfg)
-    check_layer_capacity(cmd, cfg)
+    report = layer_report(cmd, cfg)
     if cmd.op in COMPUTE_OPS:
         if engine == "cells":
             acc = _compute_cells(cmd, input, weights, cfg)
@@ -467,19 +398,15 @@ def run_layer(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,
             if cmd.op == "conv3x3":
                 acc = _conv_fast(padded, weights, cmd.tile_depth)
             else:
-                acc = _deconv_fast(padded, weights, cmd.tile_depth)
+                acc = patch_accumulate(padded, weights.weights, cmd.tile_depth)
         acc = check_accum(acc + weights.bias.astype(np.int64))
         q = requantize_array(acc, weights.bn_multiplier, weights.bn_shift)
         q = pool_act(q, cmd.post.pool, cmd.post.activation, cmd.post.leaky_shift)
         out = QTensor(q, cmd.post.out_scale_exp)
-        report = _compute_layer_report(cmd, cfg)
-    elif cmd.op in ("maxpool", "avgpool"):
-        kind = "max" if cmd.op == "maxpool" else "avg"
-        out = QTensor(pool_act(input.data, kind, "none"), input.scale_exp)
-        report = _move_layer_report(cmd, cfg)
+    elif cmd.op in POOL_OPS:
+        out = QTensor(pool_act(input.data, POOL_OPS[cmd.op]), input.scale_exp)
     else:  # identity
         out = QTensor(input.data.copy(), input.scale_exp)
-        report = _move_layer_report(cmd, cfg)
     if tuple(out.shape) != tuple(cmd.out_shape):
         raise ShapeMismatch(f"produced {out.shape}, command says {cmd.out_shape}")
     return out, report

@@ -4,7 +4,9 @@ These functions are the ground truth the streaming datapath is tested
 against: plain padded 3x3 convolution, zero-insertion transposed
 convolution, 2x2 pooling and the batch-norm/activation tail. They favour
 clarity over speed and stay at accumulator precision (int32) until the
-requantization step narrows back to q8.
+requantization step narrows back to q8. The pooling and activation
+arithmetic itself is shared with the datapath (qtensor.pool2x2 and
+qtensor.apply_activation); tests/reference_impls.py checks it on its own.
 
 Counter bookkeeping is part of the contract: every kernel tap counts one
 multiplication even when an operand is an injected zero, because the
@@ -19,7 +21,9 @@ import numpy as np
 from .qtensor import (
     KernelSet,
     QTensor,
+    apply_activation,
     check_accum,
+    pool2x2,
     requantize_array,
 )
 
@@ -43,12 +47,6 @@ class OpCounters:
         self.additions += additions
         self.loads += loads
         self.stores += stores
-
-    def reset(self) -> None:
-        self.multiplications = 0
-        self.additions = 0
-        self.loads = 0
-        self.stores = 0
 
 
 def _edge_set(pad) -> frozenset:
@@ -133,52 +131,20 @@ def deconv_naive(input: QTensor, weights: KernelSet, exact_double: bool = True,
     return _valid_conv3x3(exp, weights.weights, weights.bias, counters)
 
 
-def _trunc_div4(s: np.ndarray) -> np.ndarray:
-    """Integer division by 4 truncating toward zero (not toward -inf)."""
-    mag = np.abs(s) >> 2
-    return np.where(s >= 0, mag, -mag)
-
-
 def maxpool_ref(input: QTensor, counters: OpCounters | None = None) -> QTensor:
     """2x2/stride-2 max pooling; needs even spatial dims."""
-    h, w, c = input.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"pooling needs even dims, got {h}x{w}")
-    blocks = input.data.reshape(h // 2, 2, w // 2, 2, c)
-    out = blocks.max(axis=(1, 3))
+    out = pool2x2(input.data, "max")
     if counters is not None:
-        counters.add(loads=h * w * c, stores=out.size)
-    return QTensor(out.astype(np.int8), input.scale_exp)
+        counters.add(loads=input.data.size, stores=out.size)
+    return QTensor(out, input.scale_exp)
 
 
 def avgpool_ref(input: QTensor, counters: OpCounters | None = None) -> QTensor:
     """2x2/stride-2 average pooling, quotient truncated toward zero."""
-    h, w, c = input.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"pooling needs even dims, got {h}x{w}")
-    blocks = input.data.reshape(h // 2, 2, w // 2, 2, c).astype(np.int64)
-    sums = blocks.sum(axis=(1, 3))
-    out = _trunc_div4(sums)
+    out = pool2x2(input.data, "avg")
     if counters is not None:
-        counters.add(additions=3 * out.size, loads=h * w * c, stores=out.size)
-    return QTensor(out.astype(np.int8), input.scale_exp)
-
-
-def apply_activation(q: np.ndarray, act: str, leaky_shift: int = 3) -> np.ndarray:
-    """Elementwise activation on q8 data.
-
-    'leaky' multiplies negative values by 2**-leaky_shift using an
-    arithmetic right shift; for negative operands that shift rounds away
-    from zero, matching the stated rule.
-    """
-    if act == "none":
-        return q
-    if act == "relu":
-        return np.maximum(q, 0)
-    if act == "leaky":
-        neg = q.astype(np.int64) >> leaky_shift
-        return np.where(q < 0, neg, q).astype(q.dtype)
-    raise ValueError(f"unknown activation {act!r}")
+        counters.add(additions=3 * out.size, loads=input.data.size, stores=out.size)
+    return QTensor(out, input.scale_exp)
 
 
 def bn_act_ref(acc, multiplier, shift, act: str = "none",

@@ -23,6 +23,19 @@ import numpy as np
 from .oracle import OpCounters
 from .qtensor import KernelSet, QTensor, check_accum
 
+# The routing of one 2x2 window onto the 9 multipliers. Per output-patch
+# slot, in raster order (top-left, top-right, bottom-left, bottom-right),
+# the (window corner, kernel tap) pairs whose products the adder tree sums:
+# 4/2/2/1 products. Every deconvolution path derives from this table.
+PATCH_ROUTING = (
+    (((0, 0), (0, 0)), ((0, 1), (0, 2)), ((1, 0), (2, 0)), ((1, 1), (2, 2))),
+    (((0, 1), (0, 1)), ((1, 1), (2, 1))),
+    (((1, 0), (1, 0)), ((1, 1), (1, 2))),
+    (((1, 1), (1, 1)),),
+)
+
+_CHANNEL_TILE = 8  # deconv_full's input-channel tile: the default Tn
+
 
 @dataclass(frozen=True)
 class Window2x2:
@@ -82,24 +95,55 @@ def deconv_patch(win: Window2x2, kernel, counters: OpCounters | None = None) -> 
     k = np.asarray(kernel)
     if k.shape != (3, 3):
         raise ValueError(f"expected a single 3x3 kernel, got {k.shape}")
-    tl, tr = int(win.top_left), int(win.top_right)
-    bl, br = int(win.bottom_left), int(win.bottom_right)
-    p = [
-        tl * int(k[0, 0]), tr * int(k[0, 2]), bl * int(k[2, 0]), br * int(k[2, 2]),
-        tr * int(k[0, 1]), br * int(k[2, 1]),
-        bl * int(k[1, 0]), br * int(k[1, 2]),
-        br * int(k[1, 1]),
-    ]
-    out = Patch2x2(
-        top_left=p[0] + p[1] + p[2] + p[3],
-        top_right=p[4] + p[5],
-        bottom_left=p[6] + p[7],
-        bottom_right=p[8],
-    )
+    w = ((int(win.top_left), int(win.top_right)),
+         (int(win.bottom_left), int(win.bottom_right)))
+    out = Patch2x2(*(sum(w[r][c] * int(k[t]) for (r, c), t in route)
+                     for route in PATCH_ROUTING))
     check_accum(out.as_array())
     if counters is not None:
         counters.add(multiplications=9, additions=5, loads=4, stores=4)
     return out
+
+
+def interleave_patches(slots: np.ndarray) -> np.ndarray:
+    """Place slot maps (4, h, w, c) as the 2x2 patches of a (2h, 2w, c) map.
+
+    Slot i of window (y, x) lands at (2y + i // 2, 2x + i % 2), the raster
+    order of PATCH_ROUTING.
+    """
+    _, h, w, c = slots.shape
+    return slots.reshape(2, 2, h, w, c).transpose(2, 0, 3, 1, 4).reshape(2 * h, 2 * w, c)
+
+
+def patch_accumulate(padded: np.ndarray, weights: np.ndarray,
+                     tile_depth: int) -> np.ndarray:
+    """Patch sums of every 2x2 window of a padded (hp, wp, cin) int8 map.
+
+    weights: (cout, cin, 3, 3), pre-rotated. Returns the int64
+    (2*(hp-1), 2*(wp-1), cout) map without bias. Input channels run in
+    tiles of tile_depth; per tile each slot is one GEMM over its stacked
+    (corner, tap) pairs, added in place into the slot accumulators, which
+    are range-checked after every tile. int8 operands keep every float64
+    partial sum below 2**53, so the products are exact.
+    """
+    hp, wp, cin = padded.shape
+    cout = weights.shape[0]
+    wh, ww = hp - 1, wp - 1
+    n = wh * ww
+    slots = np.zeros((len(PATCH_ROUTING), n, cout), dtype=np.int64)
+    for ci0 in range(0, cin, tile_depth):
+        ct = min(tile_depth, cin - ci0)
+        tile = padded[:, :, ci0:ci0 + ct]
+        for acc, route in zip(slots, PATCH_ROUTING):
+            ops = np.stack(
+                [tile[r:r + wh, c:c + ww].reshape(n, ct) for (r, c), _ in route],
+                axis=2).reshape(n, ct * len(route)).astype(np.float64)
+            km = np.stack(
+                [weights[:, ci0:ci0 + ct, u, v] for _, (u, v) in route],
+                axis=2).reshape(cout, ct * len(route)).astype(np.float64)
+            acc += (ops @ km.T).astype(np.int64)
+        check_accum(slots)
+    return interleave_patches(slots.reshape(-1, wh, ww, cout))
 
 
 def deconv_full(input: QTensor, weights: KernelSet,
@@ -116,21 +160,8 @@ def deconv_full(input: QTensor, weights: KernelSet,
         raise ValueError(
             f"weights expect {weights.in_channels} input channels, map has {cin}")
     cout = weights.out_channels
-    padded = pad_for_patches(input).data.astype(np.int64)
-    tl = padded[:-1, :-1, :]
-    tr = padded[:-1, 1:, :]
-    bl = padded[1:, :-1, :]
-    br = padded[1:, 1:, :]
-    k = weights.weights.astype(np.int64)
-
-    def tap(img, u, v):
-        return np.einsum("hwc,oc->hwo", img, k[:, :, u, v])
-
-    out = np.empty((2 * h, 2 * w, cout), dtype=np.int64)
-    out[0::2, 0::2] = tap(tl, 0, 0) + tap(tr, 0, 2) + tap(bl, 2, 0) + tap(br, 2, 2)
-    out[0::2, 1::2] = tap(tr, 0, 1) + tap(br, 2, 1)
-    out[1::2, 0::2] = tap(bl, 1, 0) + tap(br, 1, 2)
-    out[1::2, 1::2] = tap(br, 1, 1)
+    out = patch_accumulate(pad_for_patches(input).data, weights.weights,
+                           _CHANNEL_TILE)
     out += weights.bias.astype(np.int64)
     check_accum(out)
     if counters is not None:

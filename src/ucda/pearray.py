@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patchdeconv import Patch2x2
+from .patchdeconv import PATCH_ROUTING
 from .qtensor import (
     ACC_MAX,
     ACC_MIN,
@@ -33,6 +33,11 @@ from .qtensor import (
 class PeMode(enum.Enum):
     CONV = "convolution"
     DECONV = "deconvolution"
+
+    @property
+    def beats(self) -> int:
+        """Accumulators one evaluation drains: conv 1, deconv one per patch slot."""
+        return 1 if self is PeMode.CONV else len(PATCH_ROUTING)
 
 
 def _is_pow2(n: int) -> bool:
@@ -90,17 +95,11 @@ class PeOutput:
     mode: PeMode
     values: tuple
 
-    def as_patch(self) -> Patch2x2:
-        if self.mode is not PeMode.DECONV:
-            raise ValueError("only deconvolution outputs form a patch")
-        return Patch2x2(*self.values)
 
-
-# Deconvolution routing: window slot and kernel tap feeding each of the 9
-# multipliers, grouped 4/2/2/1 by the adder tree.
-_DECONV_PIX = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 1), (1, 1), (1, 0), (1, 1), (1, 1))
-_DECONV_TAP = ((0, 0), (0, 2), (2, 0), (2, 2), (0, 1), (2, 1), (1, 0), (1, 2), (1, 1))
-_DECONV_GROUPS = (4, 2, 2, 1)
+# PATCH_ROUTING laid out on the 9 multipliers, slot by slot, and the adder
+# tree's 4/2/2/1 grouping of their products.
+_DECONV_ROUTE = tuple(pair for route in PATCH_ROUTING for pair in route)
+_DECONV_GROUPS = tuple(len(route) for route in PATCH_ROUTING)
 
 
 def conv_operands(window, kernel) -> tuple:
@@ -118,8 +117,7 @@ def deconv_operands(window, kernel) -> tuple:
     k = np.asarray(kernel)
     if w.shape != (2, 2) or k.shape != (3, 3):
         raise ValueError(f"deconv mode pairs 2x2 with 3x3, got {w.shape} and {k.shape}")
-    return tuple(
-        (int(w[p]), int(k[t])) for p, t in zip(_DECONV_PIX, _DECONV_TAP))
+    return tuple((int(w[p]), int(k[t])) for p, t in _DECONV_ROUTE)
 
 
 class PeArray:
@@ -173,7 +171,7 @@ class PeArray:
             raise ValueError("one kernel slice per driven channel")
         if m > self.cfg.tm:
             raise ValueError(f"at most {self.cfg.tm} output channels per array, got {m}")
-        width = 1 if mode is PeMode.CONV else 4
+        width = mode.beats
         out = np.zeros((m, width), dtype=np.int64)
         build = conv_operands if mode is PeMode.CONV else deconv_operands
         for mi in range(m):

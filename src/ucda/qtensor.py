@@ -125,6 +125,42 @@ def requantize_array(acc, multiplier, shift) -> np.ndarray:
     return np.clip(q, Q8_MIN, Q8_MAX).astype(np.int8)
 
 
+def apply_activation(q: np.ndarray, act: str, leaky_shift: int = 3) -> np.ndarray:
+    """Elementwise activation on q8 data.
+
+    'leaky' multiplies negative values by 2**-leaky_shift using an
+    arithmetic right shift; for negative operands that shift rounds away
+    from zero, matching the stated rule.
+    """
+    if act == "none":
+        return q
+    if act == "relu":
+        return np.maximum(q, 0)
+    if act == "leaky":
+        neg = q.astype(np.int64) >> leaky_shift
+        return np.where(q < 0, neg, q).astype(q.dtype)
+    raise ValueError(f"unknown activation {act!r}")
+
+
+def pool2x2(x: np.ndarray, kind: str) -> np.ndarray:
+    """2x2/stride-2 pooling of an (h, w, c) q8 map with even dims; int8.
+
+    'max' keeps the block maximum; 'avg' divides the block sum by 4 with
+    the quotient truncated toward zero (not toward -inf).
+    """
+    h, w, c = x.shape
+    if h % 2 or w % 2:
+        raise ValueError(f"pooling needs even dims, got {h}x{w}")
+    blocks = x.reshape(h // 2, 2, w // 2, 2, c)
+    if kind == "max":
+        return blocks.max(axis=(1, 3)).astype(np.int8)
+    if kind == "avg":
+        s = blocks.astype(np.int64).sum(axis=(1, 3))
+        mag = np.abs(s) >> 2
+        return np.where(s >= 0, mag, -mag).astype(np.int8)
+    raise ValueError(f"unknown pool {kind!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class QTensor:
     """A quantized feature map: int8 data (height, width, channels) plus scale."""

@@ -81,6 +81,24 @@ def windows_by_slicing(data, pads, k, stride=1):
     return out
 
 
+def activation_loops(data, act, leaky_shift=3):
+    """Elementwise activation over Python ints.
+
+    'leaky' divides negatives by 2**leaky_shift rounding toward -inf (away
+    from zero), the arithmetic-shift rule.
+    """
+    data = np.asarray(data)
+    out = np.zeros(data.shape, dtype=np.int64)
+    for idx in np.ndindex(*data.shape):
+        v = int(data[idx])
+        if act == "relu":
+            v = max(v, 0)
+        elif act == "leaky" and v < 0:
+            v = v // (2 ** leaky_shift)
+        out[idx] = v
+    return out
+
+
 def maxpool_loops(data):
     data = np.asarray(data)
     h, w, c = data.shape

@@ -65,6 +65,16 @@ class TestBench:
         assert "conv3x3 8x8x4 -> 8x8x4 pad=TBLR" in out
         assert "total" in out
 
+    def test_layer_over_capacity_is_infeasible(self, capsys):
+        assert _run(["bench", "--layer", "op=conv3x3,in=8x8x4",
+                     "--hw", "if_capacity_bits=8"]) == 2
+        assert capsys.readouterr().err.startswith("infeasible:")
+
+    def test_scenario_over_capacity_is_infeasible(self, capsys):
+        assert _run(["bench", "--scenario", "paper-latency",
+                     "--hw", "if_capacity_bits=8"]) == 2
+        assert capsys.readouterr().err.startswith("infeasible:")
+
     def test_bad_layer_spec(self, capsys):
         assert _run(["bench", "--layer", "op=conv3x3"]) == 1
         assert "op=...,in=HxWxC" in capsys.readouterr().err
@@ -260,6 +270,33 @@ class TestWeightFiles:
                      "--out-perf", tmp_path / "p.json"])
         assert code == 1
         assert "does not match" in capsys.readouterr().err
+
+
+    def test_truncated_image_is_a_parse_error(self, small_net, tmp_path,
+                                              capsys):
+        from ucda.controller import net_from_json, pack_weights
+
+        net = net_from_json(small_net.read_text())
+        rng = np.random.default_rng(52)
+        blob, _ = pack_weights(net, [rng.normal(0, 0.2, (4, 2, 3, 3)),
+                                     rng.normal(0, 0.2, (3, 4, 3, 3))])
+        # entry 0: header 12..28, weights ..100, biases ..116, multipliers
+        # ..124, shifts ..128; entry 1: header ..144, weights ..252, ...
+        cuts = (0, 2, 4, 8, 12, 20, 28, 64, 100, 108, 116, 120, 124, 126,
+                128, 136, 144, 200, 252, 260, 264, 267, 270, 272)
+        wpath = tmp_path / "weights.bin"
+        for cut in cuts:
+            wpath.write_bytes(blob[:cut])
+            for command in ("run", "compare"):
+                args = [command, "--net", small_net, "--weights", wpath,
+                        "--random-input"]
+                if command == "run":
+                    args += ["--out-tensor", tmp_path / "o.tensor",
+                             "--out-perf", tmp_path / "p.json"]
+                assert _run(args) == 1, (command, cut)
+                err = capsys.readouterr().err
+                assert err.startswith("error:"), (command, cut, err)
+                assert "Traceback" not in err
 
 
 class TestConvert:

@@ -269,6 +269,23 @@ class TestWeightImage:
         with pytest.raises(ValueError, match="version"):
             parse_weight_image(blob[:4] + struct.pack("<II", 9, 1) + blob[12:])
 
+    def test_truncated_image_names_the_offset(self):
+        blob = self.golden_blob()
+        # the magic, the image header, the entry header, then each array
+        for cut, at in ((2, 0), (4, 4), (11, 4), (12, 12), (27, 12),
+                        (28, 28), (36, 28), (37, 37), (40, 37), (41, 41),
+                        (42, 41), (43, 43)):
+            with pytest.raises(ValueError, match=f"byte {at}|magic"):
+                parse_weight_image(blob[:cut])
+
+    def test_every_prefix_is_a_value_error(self):
+        net = _net([LayerSpec("conv3x3", 4, pool="max"),
+                    LayerSpec("deconv2x", 2, scale_exp=-6)])
+        blob, _ = pack_weights(net, *_rand_params(net, 22))
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                parse_weight_image(blob[:cut])
+
     def test_trailing_bytes(self):
         with pytest.raises(ValueError, match="trailing"):
             parse_weight_image(self.golden_blob() + b"\x00")

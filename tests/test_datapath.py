@@ -19,6 +19,8 @@ from ucda.oracle import bn_act_ref, conv2d_ref, deconv_naive, maxpool_ref
 from ucda.pearray import HwConfig
 from ucda.qtensor import KernelSet, QTensor, identity_kernel_set
 
+import reference_impls as ref
+
 CFG = HwConfig()
 
 
@@ -259,6 +261,21 @@ class TestPoolAct:
         data = np.array([[[-1], [2]], [[3], [-4]]], np.int8)
         out = pool_act(data, pool="max", act="relu")
         assert out[0, 0, 0] == 3
+
+    @pytest.mark.parametrize("act", ["none", "relu", "leaky"])
+    @pytest.mark.parametrize("pool", ["none", "max", "avg"])
+    @pytest.mark.parametrize("leaky_shift", [0, 1, 3, 7])
+    def test_matches_loop_reference(self, act, pool, leaky_shift):
+        # every odd negative and every residue mod 2**shift occurs
+        data = np.arange(-128, 128, dtype=np.int8)[::-1].reshape(8, 8, 4)
+        want = ref.activation_loops(data, act, leaky_shift)
+        if pool == "max":
+            want = ref.maxpool_loops(want)
+        elif pool == "avg":
+            want = ref.avgpool_loops(want)
+        got = pool_act(data, pool=pool, act=act, leaky_shift=leaky_shift)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want)
 
     def test_odd_dims_with_pool_rejected(self):
         with pytest.raises(ShapeMismatch):
