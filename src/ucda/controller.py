@@ -320,53 +320,69 @@ def program_to_text(p: Program) -> str:
     return out.getvalue()
 
 
-def _parse_kv(tokens):
-    kv = {}
-    for tok in tokens:
-        key, _, val = tok.partition("=")
-        kv[key] = val
-    return kv
+def _ints(key: str, val: str, n: int = 1):
+    """A dump field as n integers joined by 'x' (one integer when n is 1)."""
+    try:
+        vals = tuple(int(v) for v in val.split("x"))
+    except ValueError:
+        vals = ()
+    if len(vals) != n:
+        raise ValueError(f"field {key}={val!r} is not {'x'.join('N' * n)}")
+    return vals if n > 1 else vals[0]
+
+
+def _command_from_tokens(tokens) -> LayerCommand:
+    kv = dict(tok.partition("=")[::2] for tok in tokens)
+
+    def get(key, n=0):   # the field's text, or with n > 0 its n integers
+        if key not in kv:
+            raise ValueError(f"missing field {key!r}")
+        return _ints(key, kv[key], n) if n else kv[key]
+
+    return LayerCommand(
+        op=get("op"),
+        padding=PaddingMode.of(get("pad")),
+        in_shape=get("in", 3),
+        out_shape=get("out", 3),
+        tile_depth=get("tile_depth", 1),
+        unroll=get("unroll", 2),
+        weight_slot=get("wslot", 1),
+        if_bank=get("if_bank", 1),
+        of_bank=get("of_bank", 1),
+        post=PostOps(
+            activation=get("act"), pool=get("pool"),
+            requant=bool(get("requant", 1)),
+            out_scale_exp=get("scale_exp", 1),
+            leaky_shift=get("leaky_shift", 1)),
+    )
 
 
 def program_from_text(text: str) -> Program:
+    """Parse a program dump; a bad or missing field raises ValueError naming it."""
     header = {}
     commands = []
-    for line in text.splitlines():
+    for no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("cmd "):
-            _, rest = line.split(":", 1)
-            kv = _parse_kv(rest.split())
-            ih, iw, ic = (int(v) for v in kv["in"].split("x"))
-            oh, ow, oc = (int(v) for v in kv["out"].split("x"))
-            tn, tm = (int(v) for v in kv["unroll"].split("x"))
-            commands.append(LayerCommand(
-                op=kv["op"],
-                padding=PaddingMode.of(kv["pad"]),
-                in_shape=(ih, iw, ic),
-                out_shape=(oh, ow, oc),
-                tile_depth=int(kv["tile_depth"]),
-                unroll=(tn, tm),
-                weight_slot=int(kv["wslot"]),
-                if_bank=int(kv["if_bank"]),
-                of_bank=int(kv["of_bank"]),
-                post=PostOps(
-                    activation=kv["act"], pool=kv["pool"],
-                    requant=bool(int(kv["requant"])),
-                    out_scale_exp=int(kv["scale_exp"]),
-                    leaky_shift=int(kv["leaky_shift"])),
-            ))
-        else:
-            key, _, val = line.partition(":")
-            header[key.strip()] = int(val.strip())
-    return Program(
-        commands=tuple(commands),
-        stages=header["stages"],
-        if_bits_required=header["budget_if_bits"],
-        of_bits_required=header["budget_of_bits"],
-        weight_bits_required=header["budget_weight_bits"],
-    )
+        key, _, val = line.partition(":")
+        try:
+            if line.startswith("cmd "):
+                commands.append(_command_from_tokens(val.split()))
+            else:
+                header[key.strip()] = _ints(key.strip(), val.strip())
+        except ValueError as e:
+            raise ValueError(f"program dump line {no}: {e}") from e
+    try:
+        return Program(
+            commands=tuple(commands),
+            stages=header["stages"],
+            if_bits_required=header["budget_if_bits"],
+            of_bits_required=header["budget_of_bits"],
+            weight_bits_required=header["budget_weight_bits"],
+        )
+    except KeyError as e:
+        raise ValueError(f"program dump: missing header field {e}") from None
 
 
 # ------------------------------------------------------------ weight image

@@ -7,11 +7,11 @@ the optional pooling stage, everything bit-exact against the straight-line
 reference implementations. layer_report gives the same command's capacity
 check and cycle report from its shapes alone, without running any data.
 
-Two engines produce identical results. 'fast' extracts windows by padding
-and slicing and evaluates whole layers as exact integer matrix products
-(int8 operands keep every float64 partial sum below 2**53); deconvolution
-uses the shared patch kernel, patchdeconv.patch_accumulate. 'cells' drives
-the FIFO line buffer and one process element at a time; it is the
+A compute op is its PE mode (PE_MODES); window, patch side and beats come
+from the mode's routing table. Two engines produce identical slot maps,
+which pearray.place_slots places. 'fast' runs pearray.accumulate_map, exact
+float64 GEMMs per routing slot over the padded input. 'cells' drives the
+FIFO line buffer and one process element at a time; it is the
 cycle-faithful route and is used at small scale to validate the fast one.
 
 Cycle model per layer:
@@ -28,11 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .linebuffer import LineBuffer, PaddingMode
-from .patchdeconv import interleave_patches, patch_accumulate
-from .pearray import HwConfig, PeArray, PeMode
+from .pearray import HwConfig, PeArray, PeMode, accumulate_map, place_slots
 from .qtensor import (
     KernelSet,
     QTensor,
@@ -42,7 +40,8 @@ from .qtensor import (
     requantize_array,
 )
 
-COMPUTE_OPS = ("conv3x3", "deconv2x")
+PE_MODES = {"conv3x3": PeMode.CONV, "deconv2x": PeMode.DECONV}
+COMPUTE_OPS = tuple(PE_MODES)
 POOL_OPS = {"maxpool": "max", "avgpool": "avg"}   # stand-alone op -> pool kind
 LAYER_OPS = COMPUTE_OPS + tuple(POOL_OPS) + ("identity",)
 ACTIVATIONS = ("none", "relu", "leaky")
@@ -102,12 +101,8 @@ class LayerCommand:
             raise ValueError("banks are double-buffered: 0 or 1")
 
     @property
-    def window(self) -> int:
-        return 3 if self.op == "conv3x3" else 2
-
-    @property
     def pe_mode(self) -> PeMode:
-        return PeMode.CONV if self.op == "conv3x3" else PeMode.DECONV
+        return PE_MODES[self.op]
 
 
 @dataclass
@@ -143,14 +138,11 @@ def compute_out_shape(op: str, in_shape, mode: PaddingMode, out_channels: int,
     """Final output shape of a command, pooling included."""
     h, w, c = in_shape
     ph, pw = padded_dims(h, w, mode)
-    if op == "conv3x3":
-        oh, ow = ph - 2, pw - 2
-        if oh < 1 or ow < 1:
-            raise ShapeMismatch(f"padded {ph}x{pw} too small for a 3x3 window")
-    elif op == "deconv2x":
-        if ph < 2 or pw < 2:
-            raise ShapeMismatch(f"padded {ph}x{pw} too small for a 2x2 window")
-        oh, ow = 2 * (ph - 1), 2 * (pw - 1)
+    if op in PE_MODES:
+        k, side = PE_MODES[op].window, PE_MODES[op].patch
+        if ph < k or pw < k:
+            raise ShapeMismatch(f"padded {ph}x{pw} too small for a {k}x{k} window")
+        oh, ow = side * (ph - k + 1), side * (pw - k + 1)
     elif op in POOL_OPS:
         if out_channels != c:
             raise ShapeMismatch("pooling keeps the channel count")
@@ -209,28 +201,13 @@ def _weight_image_bits(cin: int, cout: int) -> int:
     return cout * cin * 9 * 8 + cout * 32 + cout * 16 + cout * 8
 
 
-def _conv_fast(padded: np.ndarray, ks: KernelSet, tile_depth: int) -> np.ndarray:
-    hp, wp, cin = padded.shape
-    cout = ks.out_channels
-    oh, ow = hp - 2, wp - 2
-    acc = np.zeros((oh * ow, cout), dtype=np.int64)
-    for ci0 in range(0, cin, tile_depth):
-        ct = min(tile_depth, cin - ci0)
-        sw = sliding_window_view(padded[:, :, ci0:ci0 + ct], (3, 3), axis=(0, 1))
-        flat = sw.reshape(oh * ow, ct * 9).astype(np.float64)
-        kfl = ks.weights[:, ci0:ci0 + ct].reshape(cout, ct * 9).astype(np.float64)
-        acc += (flat @ kfl.T).astype(np.int64)
-        check_accum(acc)
-    return acc.reshape(oh, ow, cout)
-
-
 def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
                    cfg: HwConfig) -> np.ndarray:
-    """Cycle-faithful route: FIFO line buffer feeding the PE array."""
+    """Cycle-faithful route: FIFO line buffer feeding the PE array; slot maps."""
     h, w, cin = input.shape
     cout = ks.out_channels
     mode = cmd.pe_mode
-    k = cmd.window
+    k = mode.window
     beats = mode.beats
     pe = PeArray(cfg)
     psum = None
@@ -252,48 +229,35 @@ def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
         assert lb.first_window_slot == lb.priming_slots
         tile = np.stack(tile_out)          # (windows, cout, beats)
         psum = tile if psum is None else check_accum(psum + tile)
-    wh = lb.padded_height - k + 1
-    ww = lb.padded_width - k + 1
-    if mode is PeMode.CONV:
-        return psum[:, :, 0].reshape(wh, ww, cout)
-    return interleave_patches(np.moveaxis(psum.reshape(wh, ww, cout, beats), 3, 0))
+    wh, ww = lb.padded_height - k + 1, lb.padded_width - k + 1
+    return np.moveaxis(psum.reshape(wh, ww, cout, beats), 3, 0)
 
 
 def _compute_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
     h, w, cin = cmd.in_shape
     cout = cmd.out_shape[2]
     ph, pw = padded_dims(h, w, cmd.padding)
-    k = cmd.window
-    ww = pw - k + 1
-    windows = (ph - k + 1) * ww
+    k = cmd.pe_mode.window
+    windows = (ph - k + 1) * (pw - k + 1)
     beats = cmd.pe_mode.beats
-    pre_pool_w = ww if cmd.op == "conv3x3" else 2 * ww
     passes_in = _ceil_div(cin, cmd.tile_depth)
     passes_out = _ceil_div(cout, cmd.unroll[1])
     r = CycleReport()
     r.priming_cycles = (k - 1) * pw + k
     r.compute_cycles = passes_in * passes_out * windows * beats
-    r.drain_cycles = (pre_pool_w + 2) if cmd.post.pool != "none" else 0
+    # the pool's pre-pool stream is twice its output width in either mode
+    r.drain_cycles = (2 * cmd.out_shape[1] + 2) if cmd.post.pool != "none" else 0
     r.weight_cycles = _ceil_div(_weight_image_bits(cin, cout), cfg.stream_bits)
-    in_xfer = _ceil_div(h * w * cin * 8, cfg.stream_bits)
-    out_elems = int(np.prod(cmd.out_shape))
-    out_xfer = _ceil_div(out_elems * 8, cfg.stream_bits)
-    r.transfer_cycles = in_xfer + out_xfer
-    overlapped = min(in_xfer, r.compute_cycles) + min(out_xfer, r.compute_cycles)
-    r.total_cycles = (r.priming_cycles + r.compute_cycles + r.drain_cycles
-                      + r.weight_cycles + max(0, r.transfer_cycles - overlapped))
-    r.multiplications = 9 * windows * cin * cout
-    if cmd.op == "conv3x3":
-        r.additions = 9 * cin * windows * cout
-    else:
-        r.additions = windows * cout * (5 * cin + 4 * (cin - 1) + 4)
+    # one addition per product: per window and output channel, conv 8*cin tree
+    # + (cin - 1) channel + 1 bias, deconv 5*cin + 4*(cin - 1) + 4; both 9*cin
+    r.multiplications = r.additions = 9 * windows * cin * cout
     if cmd.post.pool == "avg":
         r.additions += 3 * windows * beats * cout // 4
     acc_elems = windows * beats * cout
     r.buffer_reads = passes_out * windows * k * cin + (passes_in - 1) * acc_elems
     r.buffer_writes = h * w * cin + passes_in * acc_elems
     if cmd.post.pool != "none":
-        r.buffer_writes += out_elems
+        r.buffer_writes += int(np.prod(cmd.out_shape))
     return r
 
 
@@ -303,17 +267,23 @@ def _move_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
     if cmd.op in POOL_OPS:
         r.priming_cycles = w + 2
     r.compute_cycles = _ceil_div(c, cfg.tn) * h * w
-    in_xfer = _ceil_div(h * w * c * 8, cfg.stream_bits)
     out_elems = int(np.prod(cmd.out_shape))
-    out_xfer = _ceil_div(out_elems * 8, cfg.stream_bits)
-    r.transfer_cycles = in_xfer + out_xfer
-    overlapped = min(in_xfer, r.compute_cycles) + min(out_xfer, r.compute_cycles)
-    r.total_cycles = (r.priming_cycles + r.compute_cycles
-                      + max(0, r.transfer_cycles - overlapped))
     if cmd.op == "avgpool":
         r.additions = 3 * out_elems
     r.buffer_reads = h * w * c
     r.buffer_writes = h * w * c + out_elems
+    return r
+
+
+def _add_transfer(r: CycleReport, cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
+    """Feature-stream transfer, its overlap with compute, and the total."""
+    h, w, c = cmd.in_shape
+    in_xfer = _ceil_div(h * w * c * 8, cfg.stream_bits)
+    out_xfer = _ceil_div(int(np.prod(cmd.out_shape)) * 8, cfg.stream_bits)
+    r.transfer_cycles = in_xfer + out_xfer
+    overlapped = min(in_xfer, r.compute_cycles) + min(out_xfer, r.compute_cycles)
+    r.total_cycles = (r.priming_cycles + r.compute_cycles + r.drain_cycles
+                      + r.weight_cycles + max(0, r.transfer_cycles - overlapped))
     return r
 
 
@@ -352,10 +322,9 @@ def check_layer_capacity(cmd: LayerCommand, cfg: HwConfig,
     h, w, cin = cmd.in_shape
     ph, pw = padded_dims(h, w, cmd.padding)
     if_bits = ph * pw * min(cmd.tile_depth, cin) * 8
-    if cmd.op in COMPUTE_OPS:
-        k = cmd.window
-        windows = (ph - k + 1) * (pw - k + 1)
-        of_bits = windows * cmd.pe_mode.beats * cmd.out_shape[2] * 32
+    if cmd.op in COMPUTE_OPS:   # the OF buffer holds the pre-pool int32 map
+        of_bits = int(np.prod(compute_out_shape(
+            cmd.op, cmd.in_shape, cmd.padding, cmd.out_shape[2]))) * 32
         weight_bits = _weight_image_bits(cin, cmd.out_shape[2])
     else:
         of_bits = int(np.prod(cmd.out_shape)) * 8
@@ -375,9 +344,8 @@ def layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
     Raises CapacityError when a working set overruns a finite buffer.
     """
     check_layer_capacity(cmd, cfg)
-    if cmd.op in COMPUTE_OPS:
-        return _compute_layer_report(cmd, cfg)
-    return _move_layer_report(cmd, cfg)
+    build = _compute_layer_report if cmd.op in COMPUTE_OPS else _move_layer_report
+    return _add_transfer(build(cmd, cfg), cmd, cfg)
 
 
 def run_layer(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,
@@ -395,11 +363,10 @@ def run_layer(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,
                 (cmd.padding.pad_top, cmd.padding.pad_bottom),
                 (cmd.padding.pad_left, cmd.padding.pad_right),
                 (0, 0)))
-            if cmd.op == "conv3x3":
-                acc = _conv_fast(padded, weights, cmd.tile_depth)
-            else:
-                acc = patch_accumulate(padded, weights.weights, cmd.tile_depth)
-        acc = check_accum(acc + weights.bias.astype(np.int64))
+            acc = accumulate_map(cmd.pe_mode, padded, weights.weights, cmd.tile_depth)
+        acc = place_slots(acc)   # rebound so the slot maps are freed before the tail
+        acc += weights.bias.astype(np.int64)
+        check_accum(acc)
         q = requantize_array(acc, weights.bn_multiplier, weights.bn_shift)
         q = pool_act(q, cmd.post.pool, cmd.post.activation, cmd.post.leaky_shift)
         out = QTensor(q, cmd.post.out_scale_exp)

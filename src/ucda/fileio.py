@@ -43,6 +43,7 @@ def ppm_to_tensor(path, scale_exp: int = -7) -> QTensor:
     """Load a binary PPM (P6) or PGM (P5); pixels shift from 0..255 to q8."""
     with open(path, "rb") as f:
         blob = f.read()
+    names = ("magic", "width", "height", "maxval")
     fields = []
     pos = 0
     while len(fields) < 4:
@@ -52,19 +53,31 @@ def ppm_to_tensor(path, scale_exp: int = -7) -> QTensor:
             while pos < len(blob) and blob[pos] != 0x0A:
                 pos += 1
             continue
+        if pos == len(blob):
+            raise ValueError(f"{path}: header ends at byte {pos}, "
+                             f"before its {names[len(fields)]} field")
         start = pos
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
-        fields.append(blob[start:pos])
-    magic = fields[0].decode()
+        fields.append((start, blob[start:pos]))
+    magic = fields[0][1].decode(errors="replace")
     if magic not in ("P5", "P6"):
         raise ValueError(f"{path}: expected binary PGM/PPM, got {magic}")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    for name, (start, value) in zip(names[1:], fields[1:]):
+        if not value.isdigit():
+            raise ValueError(f"{path}: {name} field at byte {start} is not a number: "
+                             f"{value.decode(errors='replace')!r}")
+    w, h, maxval = (int(value) for _, value in fields[1:])
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported")
     pos += 1  # single whitespace after maxval
     channels = 3 if magic == "P6" else 1
-    raw = np.frombuffer(blob, dtype=np.uint8, count=h * w * channels, offset=pos)
+    need = h * w * channels
+    have = max(0, len(blob) - pos)
+    if have < need:
+        raise ValueError(
+            f"{path}: payload holds {have} bytes from byte {pos}, header says {need}")
+    raw = np.frombuffer(blob, dtype=np.uint8, count=need, offset=pos)
     data = (raw.astype(np.int16) - 128).astype(np.int8).reshape(h, w, channels)
     return QTensor(data, scale_exp)
 

@@ -113,7 +113,7 @@ def all_padding_modes() -> List[PaddingMode]:
 class LineBuffer:
     """Stateful window generator for one frame.
 
-    configure with the unpadded frame geometry, a padding mode and the
+    Construct with the unpadded frame geometry, a padding mode and the
     window size, then push real pixels in raster order. Each push returns
     the windows that became complete; in steady state that is one window
     per padded slot, and the final push flushes any trailing padding.
@@ -228,12 +228,6 @@ class LineBuffer:
         return out
 
 
-def configure(width: int, height: int, mode: PaddingMode, window: int,
-              stride: int = 1) -> LineBuffer:
-    """Pre-load geometry and padding mode; returns a fresh stream state."""
-    return LineBuffer(width, height, mode, window, stride)
-
-
 def window_stream(input: QTensor, mode: PaddingMode, window: int,
                   stride: int = 1) -> List[np.ndarray]:
     """Run a whole frame through the line buffer; windows in raster order."""
@@ -241,7 +235,7 @@ def window_stream(input: QTensor, mode: PaddingMode, window: int,
     if data.ndim != 3:
         raise ValueError("expected (h, w, c) input")
     h, w, _ = data.shape
-    lb = configure(w, h, mode, window, stride)
+    lb = LineBuffer(w, h, mode, window, stride)
     out: List[np.ndarray] = []
     for y in range(h):
         for x in range(w):

@@ -13,6 +13,9 @@ from a fixed subset of kernel taps:
 That is 9 multiplications and 5 additions per window per channel pair,
 against 36 multiplications for the zero-insertion route over the same four
 outputs; kernels arrive already rotated 180 degrees from pack time.
+The equations are the table pearray.PATCH_ROUTING: deconv_patch evaluates
+one window from it, and deconv_full runs whole maps through the shared
+kernel pearray.accumulate_map.
 """
 from __future__ import annotations
 
@@ -21,18 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import OpCounters
+from .pearray import PATCH_ROUTING, PeMode, accumulate_map, place_slots
 from .qtensor import KernelSet, QTensor, check_accum
-
-# The routing of one 2x2 window onto the 9 multipliers. Per output-patch
-# slot, in raster order (top-left, top-right, bottom-left, bottom-right),
-# the (window corner, kernel tap) pairs whose products the adder tree sums:
-# 4/2/2/1 products. Every deconvolution path derives from this table.
-PATCH_ROUTING = (
-    (((0, 0), (0, 0)), ((0, 1), (0, 2)), ((1, 0), (2, 0)), ((1, 1), (2, 2))),
-    (((0, 1), (0, 1)), ((1, 1), (2, 1))),
-    (((1, 0), (1, 0)), ((1, 1), (1, 2))),
-    (((1, 1), (1, 1)),),
-)
 
 _CHANNEL_TILE = 8  # deconv_full's input-channel tile: the default Tn
 
@@ -105,47 +98,6 @@ def deconv_patch(win: Window2x2, kernel, counters: OpCounters | None = None) -> 
     return out
 
 
-def interleave_patches(slots: np.ndarray) -> np.ndarray:
-    """Place slot maps (4, h, w, c) as the 2x2 patches of a (2h, 2w, c) map.
-
-    Slot i of window (y, x) lands at (2y + i // 2, 2x + i % 2), the raster
-    order of PATCH_ROUTING.
-    """
-    _, h, w, c = slots.shape
-    return slots.reshape(2, 2, h, w, c).transpose(2, 0, 3, 1, 4).reshape(2 * h, 2 * w, c)
-
-
-def patch_accumulate(padded: np.ndarray, weights: np.ndarray,
-                     tile_depth: int) -> np.ndarray:
-    """Patch sums of every 2x2 window of a padded (hp, wp, cin) int8 map.
-
-    weights: (cout, cin, 3, 3), pre-rotated. Returns the int64
-    (2*(hp-1), 2*(wp-1), cout) map without bias. Input channels run in
-    tiles of tile_depth; per tile each slot is one GEMM over its stacked
-    (corner, tap) pairs, added in place into the slot accumulators, which
-    are range-checked after every tile. int8 operands keep every float64
-    partial sum below 2**53, so the products are exact.
-    """
-    hp, wp, cin = padded.shape
-    cout = weights.shape[0]
-    wh, ww = hp - 1, wp - 1
-    n = wh * ww
-    slots = np.zeros((len(PATCH_ROUTING), n, cout), dtype=np.int64)
-    for ci0 in range(0, cin, tile_depth):
-        ct = min(tile_depth, cin - ci0)
-        tile = padded[:, :, ci0:ci0 + ct]
-        for acc, route in zip(slots, PATCH_ROUTING):
-            ops = np.stack(
-                [tile[r:r + wh, c:c + ww].reshape(n, ct) for (r, c), _ in route],
-                axis=2).reshape(n, ct * len(route)).astype(np.float64)
-            km = np.stack(
-                [weights[:, ci0:ci0 + ct, u, v] for _, (u, v) in route],
-                axis=2).reshape(cout, ct * len(route)).astype(np.float64)
-            acc += (ops @ km.T).astype(np.int64)
-        check_accum(slots)
-    return interleave_patches(slots.reshape(-1, wh, ww, cout))
-
-
 def deconv_full(input: QTensor, weights: KernelSet,
                 counters: OpCounters | None = None) -> np.ndarray:
     """Whole-map patch deconvolution: (h, w, cin) -> (2h, 2w, cout) int32.
@@ -160,8 +112,8 @@ def deconv_full(input: QTensor, weights: KernelSet,
         raise ValueError(
             f"weights expect {weights.in_channels} input channels, map has {cin}")
     cout = weights.out_channels
-    out = patch_accumulate(pad_for_patches(input).data, weights.weights,
-                           _CHANNEL_TILE)
+    out = place_slots(accumulate_map(PeMode.DECONV, pad_for_patches(input).data,
+                                     weights.weights, _CHANNEL_TILE))
     out += weights.bias.astype(np.int64)
     check_accum(out)
     if counters is not None:

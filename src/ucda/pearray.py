@@ -1,12 +1,14 @@
 """Process-element model: a 9-multiplier array with a reconfigurable adder tree.
 
-Every process element multiplies 9 operand pairs per cycle. In convolution
-mode the tree sums all 9 products into one accumulator. In deconvolution
-mode the same multipliers evaluate one 2x2 input window against the 9
-kernel taps and the tree regroups the products 4/2/2/1 into the four
-output-patch values; window operands are duplicated across slots rather
-than gating idle multipliers off. A Tn x Tm grid of these elements reduces
-over Tn input channels and computes Tm output channels in parallel.
+Every process element multiplies 9 operand pairs per cycle. Convolution and
+deconvolution differ only in a routing table (CONV_ROUTING, PATCH_ROUTING):
+which window position and kernel tap each multiplier takes, and how the
+adder tree groups the products into accumulator slots. Convolution sums the
+9 products of a 3x3 window into one slot; deconvolution evaluates a 2x2
+window against the 9 kernel taps and groups the products 4/2/2/1 into a 2x2
+output patch. operands, PeArray, the whole-map kernel accumulate_map and
+place_slots all run the mode's table. A Tn x Tm grid of these elements
+reduces over Tn input channels and computes Tm output channels in parallel.
 
 fuse_bn folds inference batch-norm into the per-channel requantization
 (multiplier/shift) plus a 32-bit bias at accumulator scale.
@@ -14,12 +16,12 @@ fuse_bn folds inference batch-norm into the per-channel requantization
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .patchdeconv import PATCH_ROUTING
 from .qtensor import (
     ACC_MAX,
     ACC_MIN,
@@ -29,15 +31,50 @@ from .qtensor import (
     round_half_away,
 )
 
+# Per accumulator slot, in raster order of the output patch the slots fill,
+# the (window position, kernel tap) pairs whose products the adder tree sums.
+# Every convolution and deconvolution path derives from these two tables.
+CONV_ROUTING = (tuple(((u, v), (u, v)) for u in range(3) for v in range(3)),)
+# 4/2/2/1 products of a 2x2 window; deconv kernels arrive rotated 180 degrees
+PATCH_ROUTING = (
+    (((0, 0), (0, 0)), ((0, 1), (0, 2)), ((1, 0), (2, 0)), ((1, 1), (2, 2))),
+    (((0, 1), (0, 1)), ((1, 1), (2, 1))),
+    (((1, 0), (1, 0)), ((1, 1), (1, 2))),
+    (((1, 1), (1, 1)),),
+)
+
 
 class PeMode(enum.Enum):
     CONV = "convolution"
     DECONV = "deconvolution"
 
     @property
+    def routing(self) -> tuple:
+        """The mode's routing table: CONV_ROUTING or PATCH_ROUTING."""
+        return _ROUTING[self]
+
+    @property
     def beats(self) -> int:
-        """Accumulators one evaluation drains: conv 1, deconv one per patch slot."""
-        return 1 if self is PeMode.CONV else len(PATCH_ROUTING)
+        """Accumulators one evaluation drains: one per routing slot."""
+        return len(_ROUTING[self])
+
+    @property
+    def window(self) -> int:
+        """Side of the input window: conv 3, deconv 2."""
+        return _WINDOW[self]
+
+    @property
+    def patch(self) -> int:
+        """Side of the output patch one window fills: conv 1, deconv 2."""
+        return math.isqrt(self.beats)
+
+
+# Derived once per mode: the table flattened onto the 9 multipliers, the
+# adder tree's group sizes and the window side.
+_ROUTING = {PeMode.CONV: CONV_ROUTING, PeMode.DECONV: PATCH_ROUTING}
+_FLAT = {m: tuple(pair for slot in r for pair in slot) for m, r in _ROUTING.items()}
+_GROUPS = {m: tuple(len(slot) for slot in r) for m, r in _ROUTING.items()}
+_WINDOW = {m: 1 + max(max(pos) for pos, _ in flat) for m, flat in _FLAT.items()}
 
 
 def _is_pow2(n: int) -> bool:
@@ -96,28 +133,15 @@ class PeOutput:
     values: tuple
 
 
-# PATCH_ROUTING laid out on the 9 multipliers, slot by slot, and the adder
-# tree's 4/2/2/1 grouping of their products.
-_DECONV_ROUTE = tuple(pair for route in PATCH_ROUTING for pair in route)
-_DECONV_GROUPS = tuple(len(route) for route in PATCH_ROUTING)
-
-
-def conv_operands(window, kernel) -> tuple:
-    """Pair a 3x3 window with a 3x3 kernel in raster order."""
+def operands(mode: PeMode, window, kernel) -> tuple:
+    """Route one window onto the 9 multiplier slots against a 3x3 kernel."""
     w = np.asarray(window)
     k = np.asarray(kernel)
-    if w.shape != (3, 3) or k.shape != (3, 3):
-        raise ValueError(f"conv mode pairs 3x3 with 3x3, got {w.shape} and {k.shape}")
-    return tuple((int(w[u, v]), int(k[u, v])) for u in range(3) for v in range(3))
-
-
-def deconv_operands(window, kernel) -> tuple:
-    """Route a 2x2 window onto the 9 multiplier slots against a 3x3 kernel."""
-    w = np.asarray(window)
-    k = np.asarray(kernel)
-    if w.shape != (2, 2) or k.shape != (3, 3):
-        raise ValueError(f"deconv mode pairs 2x2 with 3x3, got {w.shape} and {k.shape}")
-    return tuple((int(w[p]), int(k[t])) for p, t in _DECONV_ROUTE)
+    side = mode.window
+    if w.shape != (side, side) or k.shape != (3, 3):
+        raise ValueError(f"{mode.value} pairs a {side}x{side} window with 3x3 taps, "
+                         f"got {w.shape} and {k.shape}")
+    return tuple((int(w[p]), int(k[t])) for p, t in _FLAT[mode])
 
 
 class PeArray:
@@ -136,17 +160,8 @@ class PeArray:
         products = [int(p) * int(w) for p, w in ops]
         self.multiplications += 9
         self.evaluations += 1
-        if mode is PeMode.CONV:
-            values = (sum(products),)
-        elif mode is PeMode.DECONV:
-            values = []
-            at = 0
-            for g in _DECONV_GROUPS:
-                values.append(sum(products[at:at + g]))
-                at += g
-            values = tuple(values)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        tree = iter(products)
+        values = tuple(sum(itertools.islice(tree, g)) for g in _GROUPS[mode])
         check_accum(np.array(values, dtype=np.int64))
         return PeOutput(mode, values)
 
@@ -173,15 +188,57 @@ class PeArray:
             raise ValueError(f"at most {self.cfg.tm} output channels per array, got {m}")
         width = mode.beats
         out = np.zeros((m, width), dtype=np.int64)
-        build = conv_operands if mode is PeMode.CONV else deconv_operands
         for mi in range(m):
             for ni in range(n):
-                res = self.pe_eval(mode, build(windows[ni], kern[mi, ni]))
+                res = self.pe_eval(mode, operands(mode, windows[ni], kern[mi, ni]))
                 out[mi] += np.asarray(res.values, dtype=np.int64)
         if psum is not None:
             out += np.asarray(psum, dtype=np.int64).reshape(m, width)
         check_accum(out)
-        return out if mode is PeMode.DECONV else out[:, 0]
+        return out[:, 0] if width == 1 else out
+
+
+def accumulate_map(mode: PeMode, padded: np.ndarray, weights: np.ndarray,
+                   tile_depth: int) -> np.ndarray:
+    """Slot sums of every window of a padded (hp, wp, cin) int8 map.
+
+    weights: (cout, cin, 3, 3), pre-rotated for deconvolution. Returns int64
+    slot maps (beats, hp - k + 1, wp - k + 1, cout), k the window side, no
+    bias. Per tile of tile_depth input channels, each routing slot is one
+    float64 GEMM over its stacked (position, tap) pairs, exact because int8
+    operands keep partial sums below 2**53, added into the slot
+    accumulators, which are range-checked after every tile.
+    """
+    hp, wp, cin = padded.shape
+    cout = weights.shape[0]
+    wh, ww = hp - mode.window + 1, wp - mode.window + 1
+    n = wh * ww
+    slots = np.zeros((mode.beats, n, cout), dtype=np.int64)
+    for ci0 in range(0, cin, tile_depth):
+        ct = min(tile_depth, cin - ci0)
+        tile = padded[:, :, ci0:ci0 + ct]
+        for acc, route in zip(slots, mode.routing):
+            ops = np.stack(
+                [tile[r:r + wh, c:c + ww].reshape(n, ct) for (r, c), _ in route],
+                axis=2).reshape(n, ct * len(route)).astype(np.float64)
+            km = np.stack(
+                [weights[:, ci0:ci0 + ct, u, v] for _, (u, v) in route],
+                axis=2).reshape(cout, ct * len(route)).astype(np.float64)
+            acc += (ops @ km.T).astype(np.int64)
+        check_accum(slots)
+    return slots.reshape(-1, wh, ww, cout)
+
+
+def place_slots(slots: np.ndarray) -> np.ndarray:
+    """Place slot maps (s*s, h, w, c) as the s x s patches of an (s*h, s*w, c) map.
+
+    Slot i of window (y, x) lands at (s*y + i // s, s*x + i % s), the
+    raster order of the routing tables. A single slot is the map itself,
+    returned as a view.
+    """
+    n, h, w, c = slots.shape
+    s = math.isqrt(n)
+    return slots.reshape(s, s, h, w, c).transpose(2, 0, 3, 1, 4).reshape(s * h, s * w, c)
 
 
 class RequantOverflow(ValueError):

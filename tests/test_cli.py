@@ -322,6 +322,20 @@ class TestConvert:
         assert _run(["convert", pgm, raw, "--scale-exp", "-3"]) == 0
         assert read_tensor(raw).scale_exp == -3
 
+    @pytest.mark.parametrize("blob, message", [
+        (b"P6\n4 ", "header ends at byte 5, before its height field"),
+        (b"P6\n4 x4\n255\n", "height field at byte 5 is not a number"),
+        (b"P6\n4 4\n255\n" + bytes(10),
+         "payload holds 10 bytes from byte 11, header says 48"),
+    ], ids=["header-cut-short", "non-numeric-field", "payload-short"])
+    def test_malformed_ppm_is_a_parse_error(self, tmp_path, capsys, blob, message):
+        ppm = tmp_path / "t.ppm"
+        ppm.write_bytes(blob)
+        assert _run(["convert", ppm, tmp_path / "o.tensor"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
     def test_needs_an_image_side(self, tmp_path, capsys):
         a = tmp_path / "a.tensor"
         write_tensor(a, QTensor(np.zeros((2, 2, 1), np.int8), -7))

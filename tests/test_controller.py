@@ -218,6 +218,18 @@ class TestProgramText:
         text = "# leading note\n\n" + self.GOLDEN
         assert program_from_text(text) == program_from_text(self.GOLDEN)
 
+    @pytest.mark.parametrize("text, match", [
+        (GOLDEN.split("cmd")[0] + "cmd 00: op=conv3x3\n",
+         r"line 7: missing field 'pad'"),
+        (GOLDEN.split("budget_if_bits")[0],
+         r"missing header field 'budget_if_bits'"),
+        (GOLDEN.replace("in=4x4x2", "in=4x4"),
+         r"line 7: field in='4x4' is not NxNxN"),
+    ], ids=["command-fields-missing", "header-cut-short", "shape-too-short"])
+    def test_malformed_dump_names_line_and_field(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            program_from_text(text)
+
 
 class TestWeightImage:
     def golden_blob(self):

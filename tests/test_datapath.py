@@ -169,6 +169,20 @@ class TestBitExactness:
             assert np.array_equal(fast.data, cells.data)
             assert rep_f.total_cycles == rep_c.total_cycles
 
+    @pytest.mark.parametrize("op", ["conv3x3", "deconv2x"])
+    @pytest.mark.parametrize("mode", all_padding_modes(), ids=lambda m: m.short_name())
+    def test_engines_agree_every_padding_mode(self, op, mode):
+        """cin = cout = 9 at Tn = Tm = 8: one partial Tn tile and one partial Tm tile."""
+        rng = np.random.default_rng(5)
+        x = QTensorInt8(rng, 4, 5, 9)
+        ks = _rand_ks(rng, 9, 9, rotated=op == "deconv2x")
+        cmd = layer_command(op, (4, 5, 9), 9, mode, CFG, activation="leaky",
+                            out_scale_exp=-6)
+        fast, rep_f = run_layer(cmd, x, ks, CFG, engine="fast")
+        cells, rep_c = run_layer(cmd, x, ks, CFG, engine="cells")
+        assert np.array_equal(fast.data, cells.data)
+        assert rep_f == rep_c
+
     @given(st.integers(3, 10), st.integers(3, 10), st.integers(1, 12),
            st.integers(1, 12), st.sampled_from(all_padding_modes()),
            st.sampled_from(["none", "relu", "leaky"]),

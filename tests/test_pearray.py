@@ -11,9 +11,8 @@ from ucda.pearray import (
     PeArray,
     PeMode,
     RequantOverflow,
-    conv_operands,
-    deconv_operands,
     fuse_bn,
+    operands,
 )
 from ucda.qtensor import KernelSet, QTensor, Requant
 
@@ -44,28 +43,28 @@ class TestHwConfig:
 class TestPeEval:
     def test_conv_all_ones(self):
         pe = PeArray(HwConfig())
-        ops = conv_operands(np.ones((3, 3), np.int8), np.ones((3, 3), np.int8))
+        ops = operands(PeMode.CONV, np.ones((3, 3), np.int8), np.ones((3, 3), np.int8))
         out = pe.pe_eval(PeMode.CONV, ops)
         assert out.values == (9,)
 
     def test_deconv_worked_example(self):
         pe = PeArray(HwConfig())
         win = np.array([[1, 2], [3, 4]], np.int8)
-        out = pe.pe_eval(PeMode.DECONV, deconv_operands(win, K123))
+        out = pe.pe_eval(PeMode.DECONV, operands(PeMode.DECONV, win, K123))
         assert out.values == (64, 36, 36, 20)
 
     def test_deconv_zero_window(self):
         pe = PeArray(HwConfig())
         win = np.zeros((2, 2), np.int8)
-        out = pe.pe_eval(PeMode.DECONV, deconv_operands(win, K123))
+        out = pe.pe_eval(PeMode.DECONV, operands(PeMode.DECONV, win, K123))
         assert out.values == (0, 0, 0, 0)
 
     def test_always_9_multiplications(self):
         pe = PeArray(HwConfig())
-        pe.pe_eval(PeMode.CONV, conv_operands(np.zeros((3, 3), np.int8), K123))
+        pe.pe_eval(PeMode.CONV, operands(PeMode.CONV, np.zeros((3, 3), np.int8), K123))
         assert pe.multiplications == 9
         win = np.ones((2, 2), np.int8)
-        pe.pe_eval(PeMode.DECONV, deconv_operands(win, K123))
+        pe.pe_eval(PeMode.DECONV, operands(PeMode.DECONV, win, K123))
         assert pe.multiplications == 18
         assert pe.evaluations == 2
 
@@ -81,11 +80,21 @@ class TestPeEval:
         win = rng.integers(-128, 128, (2, 2)).astype(np.int8)
         k = rng.integers(-128, 128, (3, 3)).astype(np.int8)
         pe = PeArray(HwConfig())
-        got = pe.pe_eval(PeMode.DECONV, deconv_operands(win, k))
+        got = pe.pe_eval(PeMode.DECONV, operands(PeMode.DECONV, win, k))
         from ucda.patchdeconv import Window2x2
         want = deconv_patch(Window2x2.from_array(win), k)
         assert got.values == (want.top_left, want.top_right,
                               want.bottom_left, want.bottom_right)
+
+
+@pytest.mark.parametrize("mode", list(PeMode))
+def test_routing_table_structure(mode):
+    """One window on exactly the 9 multipliers, every tap once, in a square patch."""
+    pairs = [pair for slot in mode.routing for pair in slot]
+    assert len(pairs) == 9
+    assert sorted(tap for _, tap in pairs) == [(u, v) for u in range(3) for v in range(3)]
+    assert mode.beats == len(mode.routing) == mode.patch ** 2
+    assert all(0 <= r < mode.window and 0 <= c < mode.window for (r, c), _ in pairs)
 
 
 class TestArrayCycle:
