@@ -358,7 +358,11 @@ def _command_from_tokens(tokens) -> LayerCommand:
 
 
 def program_from_text(text: str) -> Program:
-    """Parse a program dump; a bad or missing field raises ValueError naming it."""
+    """Parse a program dump; a bad or missing field raises ValueError naming it.
+
+    Command lines must be numbered 0, 1, 2, ... and their number must
+    equal the `commands:` header, so a dump that lost a line is an error.
+    """
     header = {}
     commands = []
     for no, line in enumerate(text.splitlines(), 1):
@@ -368,21 +372,30 @@ def program_from_text(text: str) -> Program:
         key, _, val = line.partition(":")
         try:
             if line.startswith("cmd "):
+                index = _ints("cmd", key[4:].strip())
+                if index != len(commands):
+                    raise ValueError(f"command index {index} where {len(commands)} "
+                                     "was expected")
                 commands.append(_command_from_tokens(val.split()))
             else:
                 header[key.strip()] = _ints(key.strip(), val.strip())
         except ValueError as e:
             raise ValueError(f"program dump line {no}: {e}") from e
     try:
-        return Program(
+        program = Program(
             commands=tuple(commands),
             stages=header["stages"],
             if_bits_required=header["budget_if_bits"],
             of_bits_required=header["budget_of_bits"],
             weight_bits_required=header["budget_weight_bits"],
         )
+        declared = header["commands"]
     except KeyError as e:
         raise ValueError(f"program dump: missing header field {e}") from None
+    if declared != len(commands):
+        raise ValueError(f"program dump: header says commands: {declared}, "
+                         f"found {len(commands)} command lines")
+    return program
 
 
 # ------------------------------------------------------------ weight image

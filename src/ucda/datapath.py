@@ -1,7 +1,7 @@
 """Per-layer streaming pipeline with cycle accounting.
 
 run_layer executes one register-file command: window generation over the
-padded input, depth-tiled multiply-accumulate on the PE array, the folded
+padded input, multiply-accumulate on the PE array, the folded
 batch-norm/activation tail (qtensor.apply_activation, qtensor.pool2x2), and
 the optional pooling stage, everything bit-exact against the straight-line
 reference implementations. layer_report gives the same command's capacity
@@ -9,10 +9,17 @@ check and cycle report from its shapes alone, without running any data.
 
 A compute op is its PE mode (PE_MODES); window, patch side and beats come
 from the mode's routing table. Two engines produce identical slot maps,
-which pearray.place_slots places. 'fast' runs pearray.accumulate_map, exact
-float64 GEMMs per routing slot over the padded input. 'cells' drives the
-FIFO line buffer and one process element at a time; it is the
-cycle-faithful route and is used at small scale to validate the fast one.
+which pearray.place_slots places and one tail narrows: bias added in
+float64 (exact: |acc| + |bias| < 2**33) and qtensor.requantize_array to q8.
+'fast' runs pearray.accumulate_bands: pearray.accumulate_map over bands of
+window rows of the padded input (a few MiB of operands and float64 output
+each), every band narrowed to int8 at once. The kernel proves the int32
+bound from the weights and then runs one exact GEMM per routing slot over
+all input channels, or falls back to Tn-tiled, range-checked passes.
+Pooling runs once, on the whole int8 pre-pool map. 'cells' drives the FIFO
+line buffer and one process element at a time; it is the cycle-faithful
+route and is used at small scale to validate the fast one. Its whole slot
+map goes through the same tail as one band.
 
 Cycle model per layer:
     priming  = (K - 1) * padded_width + K          (line-buffer fill)
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linebuffer import LineBuffer, PaddingMode
-from .pearray import HwConfig, PeArray, PeMode, accumulate_map, place_slots
+from .pearray import HwConfig, PeArray, PeMode, accumulate_bands, place_slots
 from .qtensor import (
     KernelSet,
     QTensor,
@@ -201,6 +208,25 @@ def _weight_image_bits(cin: int, cout: int) -> int:
     return cout * cin * 9 * 8 + cout * 32 + cout * 16 + cout * 8
 
 
+def _narrow(acc: np.ndarray, ks: KernelSet) -> np.ndarray:
+    """Placed accumulators -> biased (float64, exact) and requantized q8 rows."""
+    return requantize_array(acc + ks.bias.astype(np.float64),
+                            ks.bn_multiplier, ks.bn_shift)
+
+
+def _compute_fast(cmd: LayerCommand, input: QTensor, ks: KernelSet) -> np.ndarray:
+    """Pre-pool q8 map, each band of pearray.accumulate_bands narrowed at once."""
+    padded = np.pad(input.data, (
+        (cmd.padding.pad_top, cmd.padding.pad_bottom),
+        (cmd.padding.pad_left, cmd.padding.pad_right),
+        (0, 0)))
+    out = np.empty(compute_out_shape(cmd.op, cmd.in_shape, cmd.padding,
+                                     ks.out_channels), dtype=np.int8)
+    for y, acc in accumulate_bands(cmd.pe_mode, padded, ks.weights, cmd.tile_depth):
+        out[y:y + len(acc)] = _narrow(acc, ks)
+    return out
+
+
 def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
                    cfg: HwConfig) -> np.ndarray:
     """Cycle-faithful route: FIFO line buffer feeding the PE array; slot maps."""
@@ -357,17 +383,9 @@ def run_layer(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,
     report = layer_report(cmd, cfg)
     if cmd.op in COMPUTE_OPS:
         if engine == "cells":
-            acc = _compute_cells(cmd, input, weights, cfg)
+            q = _narrow(place_slots(_compute_cells(cmd, input, weights, cfg)), weights)
         else:
-            padded = np.pad(input.data, (
-                (cmd.padding.pad_top, cmd.padding.pad_bottom),
-                (cmd.padding.pad_left, cmd.padding.pad_right),
-                (0, 0)))
-            acc = accumulate_map(cmd.pe_mode, padded, weights.weights, cmd.tile_depth)
-        acc = place_slots(acc)   # rebound so the slot maps are freed before the tail
-        acc += weights.bias.astype(np.int64)
-        check_accum(acc)
-        q = requantize_array(acc, weights.bn_multiplier, weights.bn_shift)
+            q = _compute_fast(cmd, input, weights)
         q = pool_act(q, cmd.post.pool, cmd.post.activation, cmd.post.leaky_shift)
         out = QTensor(q, cmd.post.out_scale_exp)
     elif cmd.op in POOL_OPS:

@@ -15,7 +15,7 @@ against 36 multiplications for the zero-insertion route over the same four
 outputs; kernels arrive already rotated 180 degrees from pack time.
 The equations are the table pearray.PATCH_ROUTING: deconv_patch evaluates
 one window from it, and deconv_full runs whole maps through the shared
-kernel pearray.accumulate_map.
+kernel, in pearray.accumulate_bands' bands of window rows.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import OpCounters
-from .pearray import PATCH_ROUTING, PeMode, accumulate_map, place_slots
+from .pearray import PATCH_ROUTING, PeMode, accumulate_bands
 from .qtensor import KernelSet, QTensor, check_accum
 
 _CHANNEL_TILE = 8  # deconv_full's input-channel tile: the default Tn
@@ -112,10 +112,10 @@ def deconv_full(input: QTensor, weights: KernelSet,
         raise ValueError(
             f"weights expect {weights.in_channels} input channels, map has {cin}")
     cout = weights.out_channels
-    out = place_slots(accumulate_map(PeMode.DECONV, pad_for_patches(input).data,
-                                     weights.weights, _CHANNEL_TILE))
-    out += weights.bias.astype(np.int64)
-    check_accum(out)
+    out = np.empty((2 * h, 2 * w, cout), dtype=np.int32)
+    for y, acc in accumulate_bands(PeMode.DECONV, pad_for_patches(input).data,
+                                   weights.weights, _CHANNEL_TILE):
+        out[y:y + len(acc)] = check_accum(acc + weights.bias.astype(np.float64))
     if counters is not None:
         windows = h * w
         counters.add(
@@ -124,4 +124,4 @@ def deconv_full(input: QTensor, weights: KernelSet,
             loads=4 * windows * cin,
             stores=4 * windows * cout,
         )
-    return out.astype(np.int32)
+    return out

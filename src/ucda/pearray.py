@@ -6,9 +6,16 @@ which window position and kernel tap each multiplier takes, and how the
 adder tree groups the products into accumulator slots. Convolution sums the
 9 products of a 3x3 window into one slot; deconvolution evaluates a 2x2
 window against the 9 kernel taps and groups the products 4/2/2/1 into a 2x2
-output patch. operands, PeArray, the whole-map kernel accumulate_map and
-place_slots all run the mode's table. A Tn x Tm grid of these elements
-reduces over Tn input channels and computes Tm output channels in parallel.
+output patch. operands, PeArray, the whole-map kernel accumulate_map (and
+its banded form accumulate_bands) and place_slots all run the mode's
+table. A Tn x Tm grid of these elements reduces over Tn input channels and
+computes Tm output channels in parallel.
+
+accumulate_map proves the int32 accumulator bound from a layer's weights
+(b = 128 * max_co sum|w[co]|, the largest partial sum int8 inputs can
+reach) and, when it holds, reduces all input channels in one exact GEMM
+per slot (float32 up to 2**24, float64 above); only a layer whose bound
+fails runs the array's Tn-tiled schedule with a range check per tile.
 
 fuse_bn folds inference batch-norm into the per-channel requantization
 (multiplier/shift) plus a 32-bit bias at accumulator scale.
@@ -68,6 +75,9 @@ class PeMode(enum.Enum):
         """Side of the output patch one window fills: conv 1, deconv 2."""
         return math.isqrt(self.beats)
 
+
+# accumulate_bands: bytes of one band's gathered operands plus float64 output
+BAND_BYTES = 4 << 20
 
 # Derived once per mode: the table flattened onto the 9 multipliers, the
 # adder tree's group sizes and the window side.
@@ -202,31 +212,70 @@ def accumulate_map(mode: PeMode, padded: np.ndarray, weights: np.ndarray,
                    tile_depth: int) -> np.ndarray:
     """Slot sums of every window of a padded (hp, wp, cin) int8 map.
 
-    weights: (cout, cin, 3, 3), pre-rotated for deconvolution. Returns int64
+    weights: (cout, cin, 3, 3), pre-rotated for deconvolution. Returns float
     slot maps (beats, hp - k + 1, wp - k + 1, cout), k the window side, no
-    bias. Per tile of tile_depth input channels, each routing slot is one
-    float64 GEMM over its stacked (position, tap) pairs, exact because int8
-    operands keep partial sums below 2**53, added into the slot
-    accumulators, which are range-checked after every tile.
+    bias; every value is an exact integer. Each routing slot is one GEMM
+    over its stacked (position, tap) pairs.
+
+    The accumulator bound is proven from the weights first: with int8
+    inputs (|x| <= 128) every partial sum of any subset of one output
+    channel's products lies within b = 128 * max_co sum|w[co]|. When
+    b <= ACC_MAX no partial sum can leave int32, so all of cin goes in one
+    pass with no range check; the GEMM runs in float32 when b <= 2**24
+    (every partial sum in any summation order, fused or not, is then an
+    integer float32 holds exactly) and in float64 otherwise (b < 2**53).
+    When the proof fails, the array's schedule is followed: tiles of
+    tile_depth input channels in float64, the slot accumulators
+    range-checked after every tile, which raises AccumulatorOverflow on
+    the first tile that leaves int32.
     """
     hp, wp, cin = padded.shape
     cout = weights.shape[0]
     wh, ww = hp - mode.window + 1, wp - mode.window + 1
     n = wh * ww
-    slots = np.zeros((mode.beats, n, cout), dtype=np.int64)
-    for ci0 in range(0, cin, tile_depth):
-        ct = min(tile_depth, cin - ci0)
+    per_channel = np.abs(weights, dtype=np.int64).reshape(cout, -1).sum(axis=1)
+    bound = 128 * int(per_channel.max(initial=0))
+    proven = bound <= ACC_MAX
+    dtype = np.float32 if bound <= 1 << 24 else np.float64
+    depth = cin if proven else tile_depth
+    slots = np.empty((mode.beats, n, cout), dtype=dtype)
+    for ci0 in range(0, cin, depth):
+        ct = min(depth, cin - ci0)
         tile = padded[:, :, ci0:ci0 + ct]
         for acc, route in zip(slots, mode.routing):
-            ops = np.stack(
-                [tile[r:r + wh, c:c + ww].reshape(n, ct) for (r, c), _ in route],
-                axis=2).reshape(n, ct * len(route)).astype(np.float64)
-            km = np.stack(
-                [weights[:, ci0:ci0 + ct, u, v] for _, (u, v) in route],
-                axis=2).reshape(cout, ct * len(route)).astype(np.float64)
-            acc += (ops @ km.T).astype(np.int64)
-        check_accum(slots)
+            ops = np.empty((wh, ww, len(route), ct), dtype=dtype)
+            for j, ((r, c), _) in enumerate(route):
+                ops[:, :, j, :] = tile[r:r + wh, c:c + ww]
+            us, vs = zip(*(tap for _, tap in route))
+            km = weights[:, ci0:ci0 + ct, us, vs].transpose(0, 2, 1).astype(dtype)
+            a, b = ops.reshape(n, -1), km.reshape(cout, -1).T
+            if ci0:
+                acc += a @ b
+            else:
+                np.matmul(a, b, out=acc)
+        if not proven:
+            check_accum(slots)
     return slots.reshape(-1, wh, ww, cout)
+
+
+def accumulate_bands(mode: PeMode, padded: np.ndarray, weights: np.ndarray,
+                     tile_depth: int):
+    """accumulate_map over bands of window rows, each band placed.
+
+    Yields (first output row, placed band (rows, wp', cout)). A band's
+    working set, its gathered operand block (one slot at a time) and its
+    float64 output rows, is kept near BAND_BYTES, so a caller that narrows
+    each band at once never holds a full-map float temporary.
+    """
+    hp, wp, cin = padded.shape
+    cout = weights.shape[0]
+    k = mode.window
+    wh, ww = hp - k + 1, wp - k + 1
+    taps = max(len(route) for route in mode.routing)
+    rows = max(1, BAND_BYTES // (8 * ww * (taps * cin + mode.beats * cout)))
+    for y0 in range(0, wh, rows):
+        slots = accumulate_map(mode, padded[y0:y0 + rows + k - 1], weights, tile_depth)
+        yield mode.patch * y0, place_slots(slots)
 
 
 def place_slots(slots: np.ndarray) -> np.ndarray:

@@ -5,6 +5,9 @@ Feature maps are symmetric signed 8-bit with per-tensor power-of-two scales
 back to 8 bits is a multiply/shift/round/saturate step (requantization) with
 a 16-bit multiplier carrying 15 fractional bits. Rounding is
 round-half-away-from-zero everywhere a real value meets an integer grid.
+requantize (Python integers) states the rule; requantize_array, the one
+array form, computes it in float64, which is exact over the whole 32-bit
+accumulator and 16-bit multiplier domain (see its docstring).
 """
 from __future__ import annotations
 
@@ -112,17 +115,23 @@ def requantize(acc: int, r: Requant) -> int:
 def requantize_array(acc, multiplier, shift) -> np.ndarray:
     """Per-channel vector requantization over the last axis.
 
-    acc: integer array (..., C) inside the 32-bit accumulator range.
-    multiplier: int16-valued array (C,), shift: array (C,) in [0, 31].
+    acc: integer-valued array (..., C), integer or float dtype, inside the
+    32-bit accumulator range (checked first). multiplier: int16-valued
+    array (C,), shift: array (C,) in [0, 31].
+
+    Runs in float64 as trunc(v + copysign(0.5, v)), v = acc * mult /
+    2**(15 + shift), and equals requantize exactly: |acc * mult| <= 2**46
+    is an integer float64 holds, scaling it by a power of two is exact,
+    and v +- 0.5 is an integer over 2**(15 + shift) of at most 47 bits, so
+    no step rounds and the truncation is the integer half-away rounding.
     """
-    acc = check_accum(np.asarray(acc, dtype=np.int64))
-    mult = np.asarray(multiplier, dtype=np.int64)
-    sh = REQUANT_FRAC_BITS + np.asarray(shift, dtype=np.int64)
-    prod = acc * mult
-    half = np.int64(1) << (sh - 1)
-    mag = (np.abs(prod) + half) >> sh
-    q = np.where(prod >= 0, mag, -mag)
-    return np.clip(q, Q8_MIN, Q8_MAX).astype(np.int8)
+    acc = check_accum(np.asarray(acc))
+    scale = np.ldexp(np.asarray(multiplier, dtype=np.float64),
+                     -(REQUANT_FRAC_BITS + np.asarray(shift, dtype=np.int64)))
+    v = np.asarray(acc * scale)   # a 0-d array for scalar input, updated in place
+    v += np.copysign(0.5, v)
+    np.trunc(v, out=v)
+    return np.clip(v, Q8_MIN, Q8_MAX, out=v).astype(np.int8)
 
 
 def apply_activation(q: np.ndarray, act: str, leaky_shift: int = 3) -> np.ndarray:

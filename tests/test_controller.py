@@ -230,6 +230,27 @@ class TestProgramText:
         with pytest.raises(ValueError, match=match):
             program_from_text(text)
 
+    @staticmethod
+    def _segnet_dump_without(index):
+        text = program_to_text(compile_network(segnet_basic_preset(), HwConfig()))
+        lines = text.splitlines(keepends=True)
+        return "".join(l for l in lines if not l.startswith(f"cmd {index:02d}:"))
+
+    def test_lost_last_command_is_a_count_mismatch(self):
+        with pytest.raises(ValueError,
+                           match=r"header says commands: 9, found 8 command lines"):
+            program_from_text(self._segnet_dump_without(8))
+
+    def test_gap_in_command_indices(self):
+        with pytest.raises(ValueError,
+                           match=r"line 10: command index 4 where 3 was expected"):
+            program_from_text(self._segnet_dump_without(3))
+
+    def test_missing_command_count(self):
+        text = self.GOLDEN.replace("commands: 1\n", "")
+        with pytest.raises(ValueError, match=r"missing header field 'commands'"):
+            program_from_text(text)
+
 
 class TestWeightImage:
     def golden_blob(self):

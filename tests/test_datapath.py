@@ -1,9 +1,12 @@
 """Layer pipeline: bit-exactness against oracles and the cycle model."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucda import pearray
 from ucda.datapath import (
     CapacityError,
     CycleReport,
@@ -16,8 +19,15 @@ from ucda.datapath import (
 )
 from ucda.linebuffer import PaddingMode, all_padding_modes
 from ucda.oracle import bn_act_ref, conv2d_ref, deconv_naive, maxpool_ref
-from ucda.pearray import HwConfig
-from ucda.qtensor import KernelSet, QTensor, identity_kernel_set
+from ucda.patchdeconv import deconv_full
+from ucda.pearray import HwConfig, accumulate_map, place_slots
+from ucda.qtensor import (
+    ACC_MAX,
+    AccumulatorOverflow,
+    KernelSet,
+    QTensor,
+    identity_kernel_set,
+)
 
 import reference_impls as ref
 
@@ -360,3 +370,118 @@ class TestValidation:
                         multiplications=180)
         a.merge(b)
         assert a.total_cycles == 37 and a.multiplications == 270
+
+
+class TestAccumulatorProof:
+    """The fast engine at the edges of its proof, b = 128 * max_co sum|w[co]|.
+
+    All -128 inputs and weights give b = 147456 * cin: cin 113 keeps
+    b <= 2**24 (float32 GEMM), 114 does not (float64 GEMM), and 14565
+    exceeds ACC_MAX (tiled path, range-checked after every Tn tile). Each
+    case runs run_layer on a 3x3 map and compares with the oracle chain,
+    accumulators included.
+    """
+
+    OPS = {"conv3x3": PaddingMode.all_edges(), "deconv2x": PaddingMode.of("TL")}
+
+    @staticmethod
+    def _bound(w):
+        return 128 * int(np.abs(w.astype(np.int64)).reshape(len(w), -1).sum(1).max())
+
+    def _case(self, op, w, x_value=-128, bias=0):
+        cout, cin = w.shape[:2]
+        x = QTensor(np.full((3, 3, cin), x_value, dtype=np.int8), -7)
+        ks = KernelSet(weights=w.astype(np.int8), bias=np.full(cout, bias, np.int32),
+                       bn_multiplier=np.array([32767, -21845][:cout], np.int16),
+                       bn_shift=np.zeros(cout, np.uint8), scale_exp=-7,
+                       rotated=op == "deconv2x")
+        return layer_command(op, x.shape, cout, self.OPS[op], CFG), x, ks
+
+    def _oracle_acc(self, op, x, ks):
+        if op == "conv3x3":
+            return conv2d_ref(x, ks, self.OPS[op])
+        return deconv_naive(x, ks, exact_double=True)
+
+    def _assert_equals_oracle(self, op, w, x_value=-128):
+        cmd, x, ks = self._case(op, w, x_value)
+        want = self._oracle_acc(op, x, ks).astype(np.int64)
+        padded = np.pad(x.data, ((cmd.padding.pad_top, cmd.padding.pad_bottom),
+                                 (cmd.padding.pad_left, cmd.padding.pad_right), (0, 0)))
+        got = place_slots(accumulate_map(cmd.pe_mode, padded, ks.weights, cmd.tile_depth))
+        assert np.array_equal(got + ks.bias, want)
+        # a shift per case keeps the largest accumulator inside q8
+        shift = np.full(2, max(0, int(np.abs(want).max()).bit_length() - 7), np.uint8)
+        ks = replace(ks, bn_shift=shift)
+        out, _ = run_layer(cmd, x, ks, CFG)
+        assert np.array_equal(out.data, bn_act_ref(want, ks.bn_multiplier, shift).data)
+        assert np.abs(out.data).max() > 0
+
+    @pytest.mark.parametrize("op", list(OPS))
+    @pytest.mark.parametrize("cin, gemm", [(113, "float32"), (114, "float64")])
+    def test_proven_bound_is_exact(self, op, cin, gemm):
+        w = np.full((2, cin, 3, 3), -128)
+        assert (self._bound(w) <= 1 << 24) == (gemm == "float32")
+        self._assert_equals_oracle(op, w)
+
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_float64_gemm_where_float32_would_round(self, op):
+        # partial sums far past 2**24 with mixed products: float32 would round
+        w = np.full((2, 2000, 3, 3), 127) - (np.arange(2000) % 3)[:, None, None]
+        assert (1 << 24) < self._bound(w) <= ACC_MAX
+        self._assert_equals_oracle(op, w, x_value=127)
+
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_failed_proof_without_overflow(self, op):
+        # alternating -128/127 along cin; at cin 14565 this pattern still
+        # proves (b = 2,139,307,776), at 14621 it does not
+        w = np.full((2, 14621, 3, 3), -128)
+        w[:, 1::2] = 127
+        assert self._bound(w) > ACC_MAX
+        self._assert_equals_oracle(op, w)
+
+    @pytest.mark.parametrize("op, cin", [("conv3x3", 14565), ("deconv2x", 32768)])
+    def test_failed_proof_with_overflow(self, op, cin):
+        # deconv slots sum at most 4 taps: 4 * 16384 * 32768 = 2**31
+        cmd, x, ks = self._case(op, np.full((1, cin, 3, 3), -128))
+        assert self._bound(ks.weights) > ACC_MAX
+        with pytest.raises(AccumulatorOverflow):
+            self._oracle_acc(op, x, ks)
+        with pytest.raises(AccumulatorOverflow):
+            run_layer(cmd, x, ks, CFG)
+
+    def test_partial_sum_overflow_is_caught(self):
+        # 1821 tiles of -128 overflow, the next tile of 127 brings the final
+        # sum back into range: only the per-tile check can see it
+        w = np.full((1, 14576, 3, 3), -128)
+        w[:, 14568:] = 127
+        cmd, x, ks = self._case("conv3x3", w)
+        assert int(conv2d_ref(x, ks, self.OPS["conv3x3"]).max()) <= ACC_MAX
+        with pytest.raises(AccumulatorOverflow):
+            run_layer(cmd, x, ks, CFG)
+
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_bias_overflow_is_caught_by_requant(self, op):
+        cmd, x, ks = self._case(op, np.full((1, 1, 3, 3), -128), bias=ACC_MAX)
+        assert self._bound(ks.weights) <= 1 << 24
+        with pytest.raises(AccumulatorOverflow):
+            run_layer(cmd, x, ks, CFG)
+
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_one_row_bands_match(self, op, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = QTensorInt8(rng, 7, 6, 5)
+        ks = _rand_ks(rng, 5, 4, rotated=op == "deconv2x")
+        cmd = layer_command(op, x.shape, 4, self.OPS[op], CFG, activation="relu")
+        whole, _ = run_layer(cmd, x, ks, CFG)
+        monkeypatch.setattr(pearray, "BAND_BYTES", 1)
+        banded, _ = run_layer(cmd, x, ks, CFG)
+        cells, _ = run_layer(cmd, x, ks, CFG, engine="cells")
+        assert np.array_equal(banded.data, whole.data)
+        assert np.array_equal(banded.data, cells.data)
+
+    def test_one_row_bands_deconv_full(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        x = QTensorInt8(rng, 5, 4, 6)
+        ks = _rand_ks(rng, 6, 3, rotated=True)
+        monkeypatch.setattr(pearray, "BAND_BYTES", 1)
+        assert np.array_equal(deconv_full(x, ks), deconv_naive(x, ks))

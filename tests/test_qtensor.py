@@ -114,6 +114,62 @@ def test_requantize_array_per_channel():
     assert out[0, 0, 0] == 1 and out[0, 0, 1] == 2
 
 
+class TestRequantizeArray:
+    """The float64 array requant against the Python-int scalar requantize."""
+
+    @staticmethod
+    def _check(acc, mult, shift):
+        acc, mult, shift = (np.asarray(v, dtype=np.int64) for v in (acc, mult, shift))
+        want = [requantize(a, Requant(int(m), int(s)))
+                for a, m, s in zip(acc, mult, shift)]
+        # one channel per case; int64 and float64 input give the same int8
+        for a in (acc, acc.astype(np.float64)):
+            got = requantize_array(a, mult.astype(np.int16), shift.astype(np.uint8))
+            assert got.dtype == np.int8
+            assert got.tolist() == want
+
+    @given(st.integers(ACC_MIN, ACC_MAX), st.integers(-32768, 32767),
+           st.integers(0, 31))
+    @settings(max_examples=500)
+    def test_matches_scalar(self, acc, mult, shift):
+        self._check([acc], [mult], [shift])
+
+    def test_ties_and_neighbours(self):
+        # acc * mult = +-2**(sh - 1) (+-1), sh = 15 + shift, for every shift
+        cases = []
+        for shift in range(32):
+            half = 1 << (14 + shift)
+            for m in range(16):
+                for mult in (1 << m, -(1 << m)):
+                    if not -32768 <= mult <= 32767 or half % abs(mult):
+                        continue
+                    for acc in (half // mult, -half // mult):
+                        for d in (-1, 0, 1):
+                            if ACC_MIN <= acc + d <= ACC_MAX:
+                                cases.append((acc + d, mult, shift))
+        assert len(cases) > 1000
+        self._check(*zip(*cases))
+
+    def test_corners(self):
+        extremes = [(a, m, s) for a in (ACC_MIN, ACC_MIN + 1, -1, 0, 1, ACC_MAX)
+                    for m in (-32768, -32767, -1, 0, 1, 32767) for s in (0, 1, 30, 31)]
+        self._check(*zip(*extremes))
+
+    def test_zero_with_negative_multiplier(self):
+        # the float path meets -0.0 here: copysign(0.5, -0.0) is -0.5
+        self._check([0] * 4, [-1, -2, -16384, -32768], [0, 7, 15, 31])
+
+    def test_scalar_input(self):
+        assert int(requantize_array(np.int64(-300), np.int16(16384), 1)) == \
+            requantize(-300, Requant(16384, 1))
+
+    def test_out_of_range_raises(self):
+        for acc in (ACC_MAX + 1, ACC_MIN - 1):
+            for a in (np.array([acc], np.int64), np.array([acc], np.float64)):
+                with pytest.raises(AccumulatorOverflow):
+                    requantize_array(a, np.array([1], np.int16), np.array([0], np.uint8))
+
+
 def test_accumulator_overflow_checked():
     check_accum(np.array([ACC_MAX, ACC_MIN], dtype=np.int64))
     with pytest.raises(AccumulatorOverflow):
