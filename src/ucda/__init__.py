@@ -31,14 +31,7 @@ from .oracle import (
     deconv_naive,
     maxpool_ref,
 )
-from .patchdeconv import (
-    Patch2x2,
-    Window2x2,
-    deconv_full,
-    deconv_patch,
-    pad_for_patches,
-    rotate180,
-)
+from .patchdeconv import deconv_full, pad_for_patches, rotate180
 from .pearray import HwConfig, PeArray, PeMode, RequantOverflow, fuse_bn
 from .datapath import (
     CapacityError,

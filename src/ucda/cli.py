@@ -142,13 +142,17 @@ def _digest(t: QTensor) -> str:
     return hashlib.sha256(fileio.tensor_bytes(t)).hexdigest()
 
 
-def _parse_fault(value):
+def _parse_fault(value, commands: int):
     if value is None:
         return None
     mode, _, idx = value.partition(":")
     if mode != "flip-bit":
         raise NetParseError(f"unknown fault mode {value!r}")
-    return int(idx) if idx else 0
+    layer = int(idx) if idx else 0
+    if not 0 <= layer < commands:
+        raise NetParseError(
+            f"--fault layer {layer} outside the program's commands 0..{commands - 1}")
+    return layer
 
 
 # ------------------------------------------------------------ subcommands
@@ -209,9 +213,9 @@ def cmd_compare(args) -> int:
     sets = _load_params(net, args)
     x = _load_input(net, args)
     program = compile_network(net, cfg)
+    fault = _parse_fault(args.fault, len(program.commands))
     trace = []
-    execute(program, sets, x, cfg, trace=trace,
-            fault_layer=_parse_fault(args.fault))
+    execute(program, sets, x, cfg, trace=trace, fault_layer=fault)
     refs = reference_composition(net, sets, x)
 
     first_bad = None

@@ -165,6 +165,16 @@ def _reject_unknown(obj: dict, allowed, where: str) -> None:
         raise NetParseError(f"{where}: unknown fields {sorted(unknown)}")
 
 
+# net JSON layer field, the types it accepts (never a bool) and their name
+_LAYER_FIELD_TYPES = (
+    ("kind", str, "a string"),
+    ("out_channels", int, "an integer"),
+    ("activation", str, "a string"),
+    ("pool", str, "a string"),
+    ("scale_exp", (int, type(None)), "an integer or null"),
+)
+
+
 def net_from_json(text: str) -> NetDescription:
     try:
         doc = json.loads(text)
@@ -183,7 +193,7 @@ def net_from_json(text: str) -> NetDescription:
         raise NetParseError("input must be an object")
     _reject_unknown(inp, ("h", "w", "c", "scale_exp"), "input")
     for key in ("h", "w", "c", "scale_exp"):
-        if key not in inp or not isinstance(inp[key], int):
+        if not isinstance(inp.get(key), int) or isinstance(inp[key], bool):
             raise NetParseError(f"input.{key} must be an integer")
     layers = []
     if not isinstance(doc["layers"], list):
@@ -197,6 +207,9 @@ def net_from_json(text: str) -> NetDescription:
         for key in ("kind", "out_channels"):
             if key not in l:
                 raise NetParseError(f"layer {i}: missing field {key!r}")
+        for key, types, name in _LAYER_FIELD_TYPES:
+            if key in l and (not isinstance(l[key], types) or isinstance(l[key], bool)):
+                raise NetParseError(f"layer {i}: {key} must be {name}, got {l[key]!r}")
         layers.append(LayerSpec(
             kind=l["kind"],
             out_channels=l["out_channels"],

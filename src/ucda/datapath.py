@@ -17,8 +17,9 @@ each), every band narrowed to int8 at once. The kernel proves the int32
 bound from the weights and then runs one exact GEMM per routing slot over
 all input channels, or falls back to Tn-tiled, range-checked passes.
 Pooling runs once, on the whole int8 pre-pool map. 'cells' drives the FIFO
-line buffer and one process element at a time; it is the cycle-faithful
-route and is used at small scale to validate the fast one. Its whole slot
+line buffer and, per window and Tm output tile, one PeArray.array_cycle
+(all Tn x Tm elements of one array step, exact int64 arithmetic, no GEMM);
+it is the cycle-faithful route and validates the fast one. Its whole slot
 map goes through the same tail as one band.
 
 Cycle model per layer:
@@ -244,12 +245,11 @@ def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
         for y in range(h):
             for x in range(w):
                 for win in lb.push(input.data[y, x, ci0:ci0 + ct]):
-                    chwins = list(np.moveaxis(win, 2, 0))
                     row = np.zeros((cout, beats), dtype=np.int64)
                     for co0 in range(0, cout, cfg.tm):
                         cm = min(cfg.tm, cout - co0)
-                        part = pe.array_cycle(
-                            mode, chwins, ks.weights[co0:co0 + cm, ci0:ci0 + ct])
+                        part = pe.array_cycle(mode, np.moveaxis(win, 2, 0),
+                                              ks.weights[co0:co0 + cm, ci0:ci0 + ct])
                         row[co0:co0 + cm] = part.reshape(cm, beats)
                     tile_out.append(row)
         assert lb.first_window_slot == lb.priming_slots

@@ -83,11 +83,10 @@ def _valid_conv3x3(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     x = padded.astype(np.float64)
     for u in range(3):
         for v in range(3):
-            tap = x[u:u + oh, v:v + ow, :].reshape(oh * ow, cin)
             wk = weights[:, :, u, v].astype(np.float64)
             # int8 operands keep all partial sums far below 2**53, so the
             # float64 product path is exact
-            acc += (tap @ wk.T).astype(np.int64).reshape(oh, ow, cout)
+            acc += (x[u:u + oh, v:v + ow, :] @ wk.T).astype(np.int64)
     check_accum(acc)
     if counters is not None:
         counters.add(

@@ -13,53 +13,20 @@ from a fixed subset of kernel taps:
 That is 9 multiplications and 5 additions per window per channel pair,
 against 36 multiplications for the zero-insertion route over the same four
 outputs; kernels arrive already rotated 180 degrees from pack time.
-The equations are the table pearray.PATCH_ROUTING: deconv_patch evaluates
-one window from it, and deconv_full runs whole maps through the shared
-kernel, in pearray.accumulate_bands' bands of window rows.
+The equations are the table pearray.PATCH_ROUTING: PeArray.array_cycle
+evaluates one window per element from it, and deconv_full runs whole maps
+through the shared kernel, in pearray.accumulate_bands' bands of window
+rows.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .oracle import OpCounters
-from .pearray import PATCH_ROUTING, PeMode, accumulate_bands
+from .pearray import PeMode, accumulate_bands
 from .qtensor import KernelSet, QTensor, check_accum
 
 _CHANNEL_TILE = 8  # deconv_full's input-channel tile: the default Tn
-
-
-@dataclass(frozen=True)
-class Window2x2:
-    """One 2x2 input window (quantized values)."""
-
-    top_left: int
-    top_right: int
-    bottom_left: int
-    bottom_right: int
-
-    @classmethod
-    def from_array(cls, a) -> "Window2x2":
-        a = np.asarray(a)
-        if a.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 window, got {a.shape}")
-        return cls(int(a[0, 0]), int(a[0, 1]), int(a[1, 0]), int(a[1, 1]))
-
-
-@dataclass(frozen=True)
-class Patch2x2:
-    """One 2x2 output patch at accumulator precision."""
-
-    top_left: int
-    top_right: int
-    bottom_left: int
-    bottom_right: int
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [[self.top_left, self.top_right],
-             [self.bottom_left, self.bottom_right]], dtype=np.int64)
 
 
 def rotate180(kernel) -> np.ndarray:
@@ -78,24 +45,6 @@ def pad_for_patches(input: QTensor) -> QTensor:
     exact-double transform.
     """
     return QTensor(np.pad(input.data, ((1, 0), (1, 0), (0, 0))), input.scale_exp)
-
-
-def deconv_patch(win: Window2x2, kernel, counters: OpCounters | None = None) -> Patch2x2:
-    """Evaluate one window against one (pre-rotated) 3x3 kernel.
-
-    Exactly 9 multiplications and 5 additions, whatever the operand values.
-    """
-    k = np.asarray(kernel)
-    if k.shape != (3, 3):
-        raise ValueError(f"expected a single 3x3 kernel, got {k.shape}")
-    w = ((int(win.top_left), int(win.top_right)),
-         (int(win.bottom_left), int(win.bottom_right)))
-    out = Patch2x2(*(sum(w[r][c] * int(k[t]) for (r, c), t in route)
-                     for route in PATCH_ROUTING))
-    check_accum(out.as_array())
-    if counters is not None:
-        counters.add(multiplications=9, additions=5, loads=4, stores=4)
-    return out
 
 
 def deconv_full(input: QTensor, weights: KernelSet,

@@ -6,10 +6,12 @@ which window position and kernel tap each multiplier takes, and how the
 adder tree groups the products into accumulator slots. Convolution sums the
 9 products of a 3x3 window into one slot; deconvolution evaluates a 2x2
 window against the 9 kernel taps and groups the products 4/2/2/1 into a 2x2
-output patch. operands, PeArray, the whole-map kernel accumulate_map (and
-its banded form accumulate_bands) and place_slots all run the mode's
-table. A Tn x Tm grid of these elements reduces over Tn input channels and
-computes Tm output channels in parallel.
+output patch. PeArray.array_cycle (one step of the whole array), the
+whole-map kernel accumulate_map (and its banded form accumulate_bands) and
+place_slots all run the mode's table. A Tn x Tm grid of these elements
+reduces over Tn input channels and computes Tm output channels in parallel;
+array_cycle evaluates all of them at once, in exact int64 arithmetic of its
+own, so the cells engine stays an independent check on the GEMM kernel.
 
 accumulate_map proves the int32 accumulator bound from a layer's weights
 (b = 128 * max_co sum|w[co]|, the largest partial sum int8 inputs can
@@ -23,7 +25,6 @@ fuse_bn folds inference batch-norm into the per-channel requantization
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,6 +86,12 @@ _ROUTING = {PeMode.CONV: CONV_ROUTING, PeMode.DECONV: PATCH_ROUTING}
 _FLAT = {m: tuple(pair for slot in r for pair in slot) for m, r in _ROUTING.items()}
 _GROUPS = {m: tuple(len(slot) for slot in r) for m, r in _ROUTING.items()}
 _WINDOW = {m: 1 + max(max(pos) for pos, _ in flat) for m, flat in _FLAT.items()}
+# array_cycle: the flat table as index arrays (window rows, cols; tap rows,
+# cols) plus the first multiplier of each adder-tree group
+_GATHER = {m: (tuple(np.array([p for p, _ in flat]).T),
+               tuple(np.array([t for _, t in flat]).T),
+               np.cumsum((0,) + _GROUPS[m][:-1]))
+           for m, flat in _FLAT.items()}
 
 
 def _is_pow2(n: int) -> bool:
@@ -130,30 +137,6 @@ class HwConfig:
         return 9 * self.tn * self.tm * self.arrays
 
 
-@dataclass(frozen=True)
-class PeOutput:
-    """Result of one PE evaluation.
-
-    Convolution: values = (acc,). Deconvolution: values = four accumulators
-    in patch placement order (top-left, top-right, bottom-left,
-    bottom-right), drained serially over four beats.
-    """
-
-    mode: PeMode
-    values: tuple
-
-
-def operands(mode: PeMode, window, kernel) -> tuple:
-    """Route one window onto the 9 multiplier slots against a 3x3 kernel."""
-    w = np.asarray(window)
-    k = np.asarray(kernel)
-    side = mode.window
-    if w.shape != (side, side) or k.shape != (3, 3):
-        raise ValueError(f"{mode.value} pairs a {side}x{side} window with 3x3 taps, "
-                         f"got {w.shape} and {k.shape}")
-    return tuple((int(w[p]), int(k[t])) for p, t in _FLAT[mode])
-
-
 class PeArray:
     """A Tn x Tm grid of process elements with shared mode control."""
 
@@ -162,50 +145,44 @@ class PeArray:
         self.multiplications = 0
         self.evaluations = 0
 
-    def pe_eval(self, mode: PeMode, operands) -> PeOutput:
-        """One element, one cycle: 9 products through the adder tree."""
-        ops = tuple(operands)
-        if len(ops) != 9:
-            raise ValueError(f"a process element takes exactly 9 operand pairs, got {len(ops)}")
-        products = [int(p) * int(w) for p, w in ops]
-        self.multiplications += 9
-        self.evaluations += 1
-        tree = iter(products)
-        values = tuple(sum(itertools.islice(tree, g)) for g in _GROUPS[mode])
-        check_accum(np.array(values, dtype=np.int64))
-        return PeOutput(mode, values)
-
     def array_cycle(self, mode: PeMode, windows, kernels, psum=None) -> np.ndarray:
-        """One array step at a single spatial position.
+        """One array step at a single spatial position: m x n elements at once.
 
-        windows: up to Tn per-channel windows (list/array, each KxK) from
-        the same position; channels beyond the live ones are simply not
-        driven. kernels: (m, n, 3, 3) with m <= Tm output channels. psum:
-        carry-in partial sums from earlier depth passes, (m,) for
-        convolution or (m, 4) for deconvolution. Returns updated int64
-        partial sums in the same shape.
+        windows: (n, K, K), n <= Tn per-channel windows from the same
+        position, K the mode's window side; channels beyond the live ones
+        are simply not driven. kernels: (m, n, 3, 3) with m <= Tm output
+        channels. Every element multiplies its 9 routed (window position,
+        kernel tap) pairs in int64; the products are summed over the n
+        channels and then per adder-tree group. psum: carry-in partial sums
+        from earlier depth passes, (m,) for convolution or (m, 4) for
+        deconvolution (patch raster order: top-left, top-right, bottom-left,
+        bottom-right). Returns updated int64 partial sums in the same shape.
         """
+        win = np.asarray(windows)
         kern = np.asarray(kernels)
         if kern.ndim != 4 or kern.shape[2:] != (3, 3):
             raise ValueError(f"kernels must be (m, n, 3, 3), got {kern.shape}")
-        n = len(windows)
+        n = len(win)
         m = kern.shape[0]
         if n == 0 or n > self.cfg.tn:
             raise ValueError(f"need 1..{self.cfg.tn} channel windows, got {n}")
+        side = mode.window
+        if win.shape[1:] != (side, side):
+            raise ValueError(f"{mode.value} takes {side}x{side} windows, "
+                             f"got {win.shape[1:]}")
         if kern.shape[1] != n:
             raise ValueError("one kernel slice per driven channel")
         if m > self.cfg.tm:
             raise ValueError(f"at most {self.cfg.tm} output channels per array, got {m}")
-        width = mode.beats
-        out = np.zeros((m, width), dtype=np.int64)
-        for mi in range(m):
-            for ni in range(n):
-                res = self.pe_eval(mode, operands(mode, windows[ni], kern[mi, ni]))
-                out[mi] += np.asarray(res.values, dtype=np.int64)
+        (pr, pc), (tr, tc), starts = _GATHER[mode]
+        products = kern[:, :, tr, tc].astype(np.int64) * win[:, pr, pc].astype(np.int64)
+        out = np.add.reduceat(products.sum(axis=1), starts, axis=1)
+        self.multiplications += 9 * m * n
+        self.evaluations += m * n
         if psum is not None:
-            out += np.asarray(psum, dtype=np.int64).reshape(m, width)
+            out += np.asarray(psum, dtype=np.int64).reshape(m, mode.beats)
         check_accum(out)
-        return out[:, 0] if width == 1 else out
+        return out[:, 0] if mode.beats == 1 else out
 
 
 def accumulate_map(mode: PeMode, padded: np.ndarray, weights: np.ndarray,

@@ -68,6 +68,18 @@ def deconv_loops(data, rotated_weights, bias, exact_double=True):
     return conv3x3_loops(exp, rotated_weights, bias, pads)
 
 
+def patch_equations(window, kernel):
+    """One 2x2 window against one pre-rotated 3x3 kernel, the four patch
+    equations written out: (top-left, top-right, bottom-left, bottom-right).
+    """
+    (tl, tr), (bl, br) = [[int(v) for v in row] for row in np.asarray(window)]
+    k = [[int(v) for v in row] for row in np.asarray(kernel)]
+    return (tl * k[0][0] + tr * k[0][2] + bl * k[2][0] + br * k[2][2],
+            tr * k[0][1] + br * k[2][1],
+            bl * k[1][0] + br * k[1][2],
+            br * k[1][1])
+
+
 def windows_by_slicing(data, pads, k, stride=1):
     """Pad then slice every KxK region in raster order (the window oracle)."""
     data = np.asarray(data)

@@ -237,6 +237,42 @@ class TestCompare:
         assert code == 1
         assert "unknown fault mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("layer", ["2", "99", "-1"])
+    def test_fault_outside_program_is_a_parse_error(self, small_net, capsys,
+                                                    layer):
+        """small_net compiles to two commands; a flip elsewhere injects nothing."""
+        code = _run(["compare", "--net", small_net, "--random-weights",
+                     "--random-input", "--fault", f"flip-bit:{layer}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert "0..1" in captured.err
+        assert "bit-exact" not in captured.out
+
+
+class TestNetJsonTypes:
+    @pytest.mark.parametrize("field, value", [
+        ("out_channels", "4"), ("out_channels", None), ("out_channels", [4]),
+        ("out_channels", 4.5), ("out_channels", True), ("scale_exp", "x"),
+        ("scale_exp", 1.5), ("activation", 5), ("pool", None),
+        ("kind", ["deconv2x"]),
+    ])
+    def test_wrongly_typed_layer_field(self, small_net, tmp_path, capsys,
+                                       field, value):
+        doc = json.loads(small_net.read_text())
+        doc["layers"][1][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for args in (["compile", "--net", bad],
+                     ["run", "--net", bad, "--random-weights", "--random-input",
+                      "--out-tensor", tmp_path / "o.tensor",
+                      "--out-perf", tmp_path / "p.json"]):
+            assert _run(args) == 1, args[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error: layer 1:"), (args[0], err)
+            assert field in err
+            assert "Traceback" not in err
+
 
 class TestWeightFiles:
     def test_image_round_trips_through_run(self, small_net, tmp_path, capsys):

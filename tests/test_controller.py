@@ -140,6 +140,12 @@ class TestNetJson:
         with pytest.raises(NetParseError, match="input.h"):
             net_from_json(text)
 
+    def test_boolean_input_field(self):
+        text = ('{"version": 1, "input": {"h": true, "w": 4, "c": 1,'
+                ' "scale_exp": -7}, "layers": []}')
+        with pytest.raises(NetParseError, match="input.h"):
+            net_from_json(text)
+
 
 class TestPreset:
     def test_shape_and_stages(self):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ucda import pearray
@@ -190,6 +190,28 @@ class TestBitExactness:
                             out_scale_exp=-6)
         fast, rep_f = run_layer(cmd, x, ks, CFG, engine="fast")
         cells, rep_c = run_layer(cmd, x, ks, CFG, engine="cells")
+        assert np.array_equal(fast.data, cells.data)
+        assert rep_f == rep_c
+
+    @given(st.sampled_from(["conv3x3", "deconv2x"]), st.integers(1, 7),
+           st.integers(1, 7), st.integers(1, 12), st.integers(1, 12),
+           st.sampled_from(all_padding_modes()), st.sampled_from([1, 2, 4, 8]),
+           st.sampled_from([1, 2, 4, 8]), st.sampled_from(["none", "relu", "leaky"]),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_engines_agree_property(self, op, h, w, cin, cout, mode, tn, tm,
+                                    act, seed):
+        k = 3 if op == "conv3x3" else 2
+        assume(h + mode.pad_top + mode.pad_bottom >= k
+               and w + mode.pad_left + mode.pad_right >= k)
+        cfg = HwConfig(tn=tn, tm=tm)
+        rng = np.random.default_rng(seed)
+        x = QTensorInt8(rng, h, w, cin)
+        ks = _rand_ks(rng, cin, cout, rotated=op == "deconv2x")
+        cmd = layer_command(op, (h, w, cin), cout, mode, cfg, activation=act,
+                            out_scale_exp=-6)
+        fast, rep_f = run_layer(cmd, x, ks, cfg, engine="fast")
+        cells, rep_c = run_layer(cmd, x, ks, cfg, engine="cells")
         assert np.array_equal(fast.data, cells.data)
         assert rep_f == rep_c
 

@@ -5,14 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucda.oracle import OpCounters, deconv_naive
-from ucda.patchdeconv import (
-    Patch2x2,
-    Window2x2,
-    deconv_full,
-    deconv_patch,
-    pad_for_patches,
-    rotate180,
-)
+from ucda.patchdeconv import deconv_full, pad_for_patches, rotate180
+from ucda.pearray import HwConfig, PeArray, PeMode
 from ucda.qtensor import KernelSet, QTensor
 
 import reference_impls as ref
@@ -30,6 +24,13 @@ def _ks(weights, bias=None):
 
 
 K123 = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]], np.int8)
+
+
+def _patch(window, kernel) -> np.ndarray:
+    """One 2x2 window through a one-PE array step: its 2x2 output patch."""
+    pe = PeArray(HwConfig(tn=1, tm=1))
+    win = np.asarray(window, dtype=np.int64).reshape(1, 2, 2)
+    return pe.array_cycle(PeMode.DECONV, win, np.asarray(kernel)[None, None]).reshape(2, 2)
 
 
 class TestRotate180:
@@ -76,20 +77,17 @@ class TestPadForPatches:
 
 class TestDeconvPatch:
     def test_bottom_right_only(self):
-        win = Window2x2(0, 0, 0, 1)
-        p = deconv_patch(win, K123)
+        p = _patch([[0, 0], [0, 1]], K123)
         # only the bottom-right input pixel: taps K33, K32, K23, K22
-        assert (p.top_left, p.top_right, p.bottom_left, p.bottom_right) == \
-            (9, 8, 6, 5)
+        assert tuple(p.ravel().tolist()) == (9, 8, 6, 5)
 
     def test_zero_window(self):
-        p = deconv_patch(Window2x2(0, 0, 0, 0), K123)
-        assert p.as_array().tolist() == [[0, 0], [0, 0]]
+        p = _patch([[0, 0], [0, 0]], K123)
+        assert p.tolist() == [[0, 0], [0, 0]]
 
     def test_worked_example(self):
-        p = deconv_patch(Window2x2(1, 2, 3, 4), K123)
-        assert (p.top_left, p.top_right, p.bottom_left, p.bottom_right) == \
-            (64, 36, 36, 20)
+        p = _patch([[1, 2], [3, 4]], K123)
+        assert tuple(p.ravel().tolist()) == (64, 36, 36, 20)
 
     def test_worked_example_matches_naive_block(self):
         x = QTensor(np.array([[[1], [2]], [[3], [4]]], np.int8), 0)
@@ -102,26 +100,15 @@ class TestDeconvPatch:
         assert naive[3, 2, 0] == 36
         assert naive[3, 3, 0] == 20
 
-    def test_counts_9_mults_5_adds(self):
-        c = OpCounters()
-        deconv_patch(Window2x2(1, 2, 3, 4), K123, counters=c)
-        assert c.multiplications == 9
-        assert c.additions == 5
-
     @given(st.integers(-128, 127), st.integers(-128, 127),
            st.integers(-128, 127), st.integers(-128, 127),
            st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40)
     def test_linearity_in_window(self, a, b, c, d, seed):
         k = np.random.default_rng(seed).integers(-16, 16, (3, 3)).astype(np.int8)
-        p1 = deconv_patch(Window2x2(a, b, c, d), k).as_array()
-        p2 = deconv_patch(Window2x2(2 * a, 2 * b, 2 * c, 2 * d), k).as_array()
+        p1 = _patch([[a, b], [c, d]], k)
+        p2 = _patch([[2 * a, 2 * b], [2 * c, 2 * d]], k)
         assert np.array_equal(p2, 2 * p1)
-
-    def test_window_from_array(self):
-        w = Window2x2.from_array(np.array([[1, 2], [3, 4]]))
-        assert (w.top_left, w.top_right, w.bottom_left, w.bottom_right) == \
-            (1, 2, 3, 4)
 
 
 class TestDeconvFull:
@@ -185,7 +172,3 @@ class TestDeconvFull:
         odd = deconv_naive(x, ks, exact_double=False)
         assert np.array_equal(full[1:, 1:, :], odd)
 
-
-def test_patch_as_array_layout():
-    p = Patch2x2(1, 2, 3, 4)
-    assert p.as_array().tolist() == [[1, 2], [3, 4]]

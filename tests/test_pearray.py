@@ -5,17 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucda.oracle import conv2d_ref
-from ucda.patchdeconv import deconv_patch
-from ucda.pearray import (
-    HwConfig,
-    PeArray,
-    PeMode,
-    RequantOverflow,
-    fuse_bn,
-    operands,
-)
+from ucda.pearray import HwConfig, PeArray, PeMode, RequantOverflow, fuse_bn
 from ucda.qtensor import KernelSet, QTensor, Requant
 
+import reference_impls as ref
 from reference_impls import bn_real
 
 K123 = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]], np.int8)
@@ -40,51 +33,38 @@ class TestHwConfig:
             HwConfig(clock_hz=0)
 
 
+def _one_pe(pe, mode, window, kernel) -> tuple:
+    """One element's slot values: a one-window, one-kernel array step."""
+    out = pe.array_cycle(mode, np.asarray(window)[None], np.asarray(kernel)[None, None])
+    return tuple(int(v) for v in out.ravel())
+
+
 class TestPeEval:
     def test_conv_all_ones(self):
-        pe = PeArray(HwConfig())
-        ops = operands(PeMode.CONV, np.ones((3, 3), np.int8), np.ones((3, 3), np.int8))
-        out = pe.pe_eval(PeMode.CONV, ops)
-        assert out.values == (9,)
+        pe = PeArray(HwConfig(tn=1, tm=1))
+        values = _one_pe(pe, PeMode.CONV, np.ones((3, 3), np.int8), np.ones((3, 3), np.int8))
+        assert values == (9,)
 
     def test_deconv_worked_example(self):
-        pe = PeArray(HwConfig())
+        pe = PeArray(HwConfig(tn=1, tm=1))
         win = np.array([[1, 2], [3, 4]], np.int8)
-        out = pe.pe_eval(PeMode.DECONV, operands(PeMode.DECONV, win, K123))
-        assert out.values == (64, 36, 36, 20)
+        values = _one_pe(pe, PeMode.DECONV, win, K123)
+        assert values == (64, 36, 36, 20)
 
     def test_deconv_zero_window(self):
-        pe = PeArray(HwConfig())
+        pe = PeArray(HwConfig(tn=1, tm=1))
         win = np.zeros((2, 2), np.int8)
-        out = pe.pe_eval(PeMode.DECONV, operands(PeMode.DECONV, win, K123))
-        assert out.values == (0, 0, 0, 0)
+        values = _one_pe(pe, PeMode.DECONV, win, K123)
+        assert values == (0, 0, 0, 0)
 
     def test_always_9_multiplications(self):
-        pe = PeArray(HwConfig())
-        pe.pe_eval(PeMode.CONV, operands(PeMode.CONV, np.zeros((3, 3), np.int8), K123))
+        pe = PeArray(HwConfig(tn=1, tm=1))
+        _one_pe(pe, PeMode.CONV, np.zeros((3, 3), np.int8), K123)
         assert pe.multiplications == 9
         win = np.ones((2, 2), np.int8)
-        pe.pe_eval(PeMode.DECONV, operands(PeMode.DECONV, win, K123))
+        _one_pe(pe, PeMode.DECONV, win, K123)
         assert pe.multiplications == 18
         assert pe.evaluations == 2
-
-    def test_operand_count_enforced(self):
-        pe = PeArray(HwConfig())
-        with pytest.raises(ValueError):
-            pe.pe_eval(PeMode.CONV, [(1, 1)] * 8)
-
-    @given(st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=30)
-    def test_deconv_matches_patch_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        win = rng.integers(-128, 128, (2, 2)).astype(np.int8)
-        k = rng.integers(-128, 128, (3, 3)).astype(np.int8)
-        pe = PeArray(HwConfig())
-        got = pe.pe_eval(PeMode.DECONV, operands(PeMode.DECONV, win, k))
-        from ucda.patchdeconv import Window2x2
-        want = deconv_patch(Window2x2.from_array(win), k)
-        assert got.values == (want.top_left, want.top_right,
-                              want.bottom_left, want.bottom_right)
 
 
 @pytest.mark.parametrize("mode", list(PeMode))
@@ -161,6 +141,60 @@ class TestArrayCycle:
         b = pe.array_cycle(PeMode.CONV, window[4:], wk[:, 4:])
         b = pe.array_cycle(PeMode.CONV, window[:4], wk[:, :4], psum=b)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode, side", [(PeMode.DECONV, 3), (PeMode.CONV, 2)])
+    def test_window_side_enforced(self, mode, side):
+        """A window of the other mode's side raises; it is never cropped."""
+        pe = PeArray(HwConfig(tn=2, tm=2))
+        with pytest.raises(ValueError, match=f"got \\({side}, {side}\\)"):
+            pe.array_cycle(mode, np.ones((2, side, side), np.int8),
+                           np.ones((2, 2, 3, 3), np.int8))
+        assert pe.evaluations == 0
+
+    def test_grid_limits_enforced(self):
+        pe = PeArray(HwConfig(tn=2, tm=2))
+        win, kern = np.ones((3, 3, 3), np.int8), np.ones((2, 3, 3, 3), np.int8)
+        with pytest.raises(ValueError, match="channel windows"):
+            pe.array_cycle(PeMode.CONV, win, kern)            # 3 > Tn
+        with pytest.raises(ValueError, match="channel windows"):
+            pe.array_cycle(PeMode.CONV, win[:0], kern[:, :0])
+        with pytest.raises(ValueError, match="output channels"):
+            pe.array_cycle(PeMode.CONV, win[:2], np.ones((3, 2, 3, 3), np.int8))
+        with pytest.raises(ValueError, match="kernel slice"):
+            pe.array_cycle(PeMode.CONV, win[:2], kern[:, :1])
+        assert pe.evaluations == 0
+
+
+@given(st.sampled_from(list(PeMode)), st.sampled_from([1, 2, 4, 8]),
+       st.sampled_from([1, 2, 4, 8]), st.data(), st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_array_cycle_matches_literal_references(mode, tn, tm, data, seed):
+    """One step of a one-PE, full or partial Tn x Tm grid against the patch
+    equations written out and a single-window conv3x3_loops."""
+    n = data.draw(st.integers(1, tn), label="n")
+    m = data.draw(st.integers(1, tm), label="m")
+    rng = np.random.default_rng(seed)
+    k = mode.window
+    windows = rng.integers(-128, 128, (n, k, k)).astype(np.int8)
+    kernels = rng.integers(-128, 128, (m, n, 3, 3)).astype(np.int8)
+    psum = rng.integers(-(1 << 20), 1 << 20, (m, mode.beats))
+    carry = data.draw(st.booleans(), label="carry")
+    window_map = np.moveaxis(windows, 0, 2)        # (k, k, n), one window
+    if mode is PeMode.CONV:
+        want = [[acc] for acc in ref.conv3x3_loops(window_map, kernels, [0] * m,
+                                                   (0, 0, 0, 0))[0][0]]
+    else:
+        want = [[sum(ref.patch_equations(windows[ci], kernels[co, ci])[s]
+                     for ci in range(n)) for s in range(4)] for co in range(m)]
+        # deconvolved alone, the window's patch is the bottom-right 2x2 block
+        block = np.array(ref.deconv_loops(window_map, kernels, [0] * m))[2:, 2:]
+        assert block.reshape(4, m).T.tolist() == want
+    pe = PeArray(HwConfig(tn=tn, tm=tm))
+    got = pe.array_cycle(mode, windows, kernels,
+                         psum=(psum if mode.beats > 1 else psum[:, 0]) if carry else None)
+    assert got.shape == ((m, 4) if mode is PeMode.DECONV else (m,))
+    assert got.reshape(m, mode.beats).tolist() == (np.array(want) + carry * psum).tolist()
+    assert (pe.multiplications, pe.evaluations) == (9 * m * n, m * n)
 
 
 class TestFuseBn:
