@@ -51,6 +51,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+def _int_field(flag: str, field: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise NetParseError(f"{flag} {field} needs an integer, got {text!r}") from None
+
+
 def _hw_config(pairs) -> HwConfig:
     names = {f.name for f in dataclasses.fields(HwConfig)}
     kwargs = {}
@@ -59,10 +66,7 @@ def _hw_config(pairs) -> HwConfig:
         key = _HW_ALIASES.get(key, key)
         if not sep or key not in names:
             raise NetParseError(f"bad --hw override {pair!r}")
-        try:
-            kwargs[key] = int(val)
-        except ValueError:
-            raise NetParseError(f"--hw {key} needs an integer, got {val!r}")
+        kwargs[key] = _int_field("--hw", key, val)
     return HwConfig(**kwargs)
 
 
@@ -148,7 +152,7 @@ def _parse_fault(value, commands: int):
     mode, _, idx = value.partition(":")
     if mode != "flip-bit":
         raise NetParseError(f"unknown fault mode {value!r}")
-    layer = int(idx) if idx else 0
+    layer = _int_field("--fault", "layer", idx) if idx else 0
     if not 0 <= layer < commands:
         raise NetParseError(
             f"--fault layer {layer} outside the program's commands 0..{commands - 1}")
@@ -204,6 +208,8 @@ def cmd_run(args) -> int:
     print(f"cycles {total.total_cycles}"
           f"  runtime {1e3 * total.total_cycles / cfg.clock_hz:.3f} ms"
           f"  effective {report.effective_gops:.2f} GOPS")
+    print()
+    sys.stdout.write(report.to_table())
     return EXIT_OK
 
 
@@ -274,7 +280,7 @@ def _parse_layer_spec(text: str):
         h, w, c = (int(v) for v in kv["in"].split("x"))
     except (KeyError, ValueError):
         raise NetParseError("--layer needs at least op=...,in=HxWxC")
-    out_c = int(kv.get("out", c))
+    out_c = _int_field("--layer", "out", kv["out"]) if "out" in kv else c
     pad = PaddingMode.of(kv["pad"]) if "pad" in kv else default_padding(op)
     return op, (h, w, c), out_c, pad, kv.get("act", "none"), kv.get("pool", "none")
 

@@ -150,6 +150,8 @@ def compute_out_shape(op: str, in_shape, mode: PaddingMode, out_channels: int,
         k, side = PE_MODES[op].window, PE_MODES[op].patch
         if ph < k or pw < k:
             raise ShapeMismatch(f"padded {ph}x{pw} too small for a {k}x{k} window")
+        if out_channels < 1:
+            raise ShapeMismatch(f"out_channels must be at least 1, got {out_channels}")
         oh, ow = side * (ph - k + 1), side * (pw - k + 1)
     elif op in POOL_OPS:
         if out_channels != c:

@@ -5,9 +5,6 @@ A raster-order pixel stream enters one element per slot; K-1 row FIFOs
 assemble one KxK window column by column. A small padding controller walks
 the padded raster and injects zero elements for the edges named by the
 pre-loaded padding mode, so the core never sees a special case at borders.
-
-Pooling windows reuse the same machinery with window 2 and an emission mask
-that keeps every second window in each dimension (stride 2).
 """
 from __future__ import annotations
 
@@ -120,11 +117,9 @@ class LineBuffer:
     """
 
     def __init__(self, width: int, height: int, mode: PaddingMode,
-                 window: int, stride: int = 1):
+                 window: int):
         if window not in (2, 3):
             raise ValueError(f"window must be 2 or 3, got {window}")
-        if stride not in (1, 2):
-            raise ValueError(f"stride must be 1 or 2, got {stride}")
         if width < 1 or height < 1:
             raise ValueError("frame must be at least 1x1")
         if not isinstance(mode, PaddingMode):
@@ -133,7 +128,6 @@ class LineBuffer:
         self.height = height
         self.mode = mode
         self.window = window
-        self.stride = stride
         self.padded_width = width + mode.pad_left + mode.pad_right
         self.padded_height = height + mode.pad_top + mode.pad_bottom
         if self.padded_width < window or self.padded_height < window:
@@ -146,8 +140,6 @@ class LineBuffer:
         self._zero = None
         self._slots = 0          # padded raster slots consumed (cycle counter)
         self._pushed = 0         # real pixels accepted
-        self.real_pixels_in = 0
-        self.zeros_injected = 0
         self.first_window_slot = None
         self.frame_complete = False
 
@@ -161,9 +153,8 @@ class LineBuffer:
         return self._slots
 
     def expected_windows(self) -> int:
-        wy = (self.padded_height - self.window) // self.stride + 1
-        wx = (self.padded_width - self.window) // self.stride + 1
-        return wy * wx
+        return ((self.padded_height - self.window + 1)
+                * (self.padded_width - self.window + 1))
 
     def fifo_flags(self):
         """(full, empty) per row FIFO; full means one padded row buffered."""
@@ -198,10 +189,9 @@ class LineBuffer:
         y, x = divmod(self._slots, self.padded_width)
         self._slots += 1
         if y >= k - 1 and x >= k - 1:
-            if (y - (k - 1)) % self.stride == 0 and (x - (k - 1)) % self.stride == 0:
-                if self.first_window_slot is None:
-                    self.first_window_slot = self._slots
-                out.append(np.stack(list(self._cols), axis=1))
+            if self.first_window_slot is None:
+                self.first_window_slot = self._slots
+            out.append(np.stack(list(self._cols), axis=1))
 
     def push(self, pixel) -> list:
         """Feed the next real pixel (a channel vector); returns new windows."""
@@ -214,28 +204,25 @@ class LineBuffer:
             self._zero = np.zeros_like(pix)
         out: list = []
         while not self._is_real_slot(*divmod(self._slots, self.padded_width)):
-            self.zeros_injected += 1
             self._advance(self._zero, out)
         self._advance(pix, out)
-        self.real_pixels_in += 1
         self._pushed += 1
         if self._pushed == self.width * self.height:
             total = self.padded_width * self.padded_height
             while self._slots < total:
-                self.zeros_injected += 1
                 self._advance(self._zero, out)
             self.frame_complete = True
         return out
 
 
-def window_stream(input: QTensor, mode: PaddingMode, window: int,
-                  stride: int = 1) -> List[np.ndarray]:
+def window_stream(input: QTensor, mode: PaddingMode,
+                  window: int) -> List[np.ndarray]:
     """Run a whole frame through the line buffer; windows in raster order."""
     data = input.data if isinstance(input, QTensor) else np.asarray(input)
     if data.ndim != 3:
         raise ValueError("expected (h, w, c) input")
     h, w, _ = data.shape
-    lb = LineBuffer(w, h, mode, window, stride)
+    lb = LineBuffer(w, h, mode, window)
     out: List[np.ndarray] = []
     for y in range(h):
         for x in range(w):

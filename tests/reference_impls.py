@@ -80,15 +80,15 @@ def patch_equations(window, kernel):
             br * k[1][1])
 
 
-def windows_by_slicing(data, pads, k, stride=1):
+def windows_by_slicing(data, pads, k):
     """Pad then slice every KxK region in raster order (the window oracle)."""
     data = np.asarray(data)
     t, b, l, r = pads
     padded = np.pad(data, ((t, b), (l, r), (0, 0)))
     ph, pw, _ = padded.shape
     out = []
-    for y in range(0, ph - k + 1, stride):
-        for x in range(0, pw - k + 1, stride):
+    for y in range(ph - k + 1):
+        for x in range(pw - k + 1):
             out.append(padded[y:y + k, x:x + k, :].copy())
     return out
 

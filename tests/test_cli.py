@@ -1,4 +1,5 @@
 """Front-end behavior: exit codes, output contracts, artifact files."""
+import hashlib
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from ucda.controller import (
     net_to_json,
     program_from_text,
 )
-from ucda.fileio import read_tensor, write_tensor
+from ucda.fileio import read_tensor, tensor_bytes, write_tensor
 from ucda.qtensor import QTensor
 
 
@@ -87,6 +88,20 @@ class TestBench:
         assert _run(["bench", "--hw", "tn=eight"]) == 1
         assert "needs an integer" in capsys.readouterr().err
 
+    def test_non_integer_layer_out(self, capsys):
+        assert _run(["bench", "--layer", "op=conv3x3,in=8x8x4,out=x"]) == 1
+        assert (capsys.readouterr().err
+                == "error: --layer out needs an integer, got 'x'\n")
+
+    @pytest.mark.parametrize("out", ["0", "-3"])
+    def test_layer_needs_an_output_channel(self, capsys, out):
+        assert _run(["bench", "--layer",
+                     f"op=conv3x3,in=8x8x4,out={out}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: out_channels must be at least 1, got {out}\n")
+        assert captured.out == ""
+
 
 class TestCompile:
     def test_preset_to_stdout(self, capsys):
@@ -154,6 +169,27 @@ class TestRun:
         assert len(doc["layers"]) == 2
         assert doc["total_cycles"] == sum(
             row["total_cycles"] for row in doc["layers"])
+
+    def test_summary_then_layer_table(self, small_net, tmp_path, capsys):
+        code, out_t, out_p = self._go(small_net, tmp_path)
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        doc = json.loads(out_p.read_text())
+        total = doc["total_cycles"]
+        digest = hashlib.sha256(tensor_bytes(read_tensor(out_t))).hexdigest()
+        assert lines[:5] == [
+            f"wrote {out_t} (8x8x3, scale 2^-6)",
+            f"wrote {out_p}",
+            f"sha256 {digest}",
+            f"cycles {total}  runtime {1e3 * total / doc['clock_hz']:.3f} ms"
+            f"  effective {doc['effective_gops']:.2f} GOPS",
+            "",
+        ]
+        header = next(i for i, l in enumerate(lines)
+                      if l.split()[:2] == ["#", "op"])
+        rows = [l.split() for l in lines[header + 1:]]
+        assert [r[:2] for r in rows] == [["0", "conv3x3"], ["1", "deconv2x"]]
+        assert sum(int(r[-1]) for r in rows) == total
 
     def test_deterministic_across_runs(self, small_net, tmp_path, capsys):
         self._go(small_net, tmp_path)
@@ -236,6 +272,13 @@ class TestCompare:
                      "--random-input", "--fault", "stuck-at-0"])
         assert code == 1
         assert "unknown fault mode" in capsys.readouterr().err
+
+    def test_non_integer_fault_layer(self, small_net, capsys):
+        code = _run(["compare", "--net", small_net, "--random-weights",
+                     "--random-input", "--fault", "flip-bit:x"])
+        assert code == 1
+        assert (capsys.readouterr().err
+                == "error: --fault layer needs an integer, got 'x'\n")
 
     @pytest.mark.parametrize("layer", ["2", "99", "-1"])
     def test_fault_outside_program_is_a_parse_error(self, small_net, capsys,

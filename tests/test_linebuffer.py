@@ -130,16 +130,6 @@ def test_window_stream_matches_slicing_oracle(mode, window):
         assert np.array_equal(g, w)
 
 
-def test_stride2_keeps_every_second_window():
-    rng = np.random.default_rng(3)
-    t = QTensor(rng.integers(-128, 128, (6, 8, 2)).astype(np.int8), 0)
-    got = window_stream(t, PaddingMode.none(), 2, stride=2)
-    want = windows_by_slicing(t.data, (0, 0, 0, 0), 2, stride=2)
-    assert len(got) == len(want) == 3 * 4
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-
-
 @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 3),
        st.sampled_from(all_padding_modes()), st.sampled_from([2, 3]),
        st.integers(0, 2 ** 31 - 1))
