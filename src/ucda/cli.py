@@ -71,7 +71,12 @@ def _hw_config(pairs) -> HwConfig:
 
 
 def _seed() -> int:
-    return int(os.environ.get("UCDA_SEED", "0"))
+    seed = _int_field("environment variable", "UCDA_SEED",
+                      os.environ.get("UCDA_SEED", "0"))
+    if seed < 0:
+        raise NetParseError(f"environment variable UCDA_SEED must be"
+                            f" non-negative, got {seed}")
+    return seed
 
 
 def _net_for(args):
@@ -280,6 +285,9 @@ def _parse_layer_spec(text: str):
         h, w, c = (int(v) for v in kv["in"].split("x"))
     except (KeyError, ValueError):
         raise NetParseError("--layer needs at least op=...,in=HxWxC")
+    if min(h, w, c) < 1:
+        raise NetParseError(
+            f"--layer in dimensions must be at least 1, got {kv['in']!r}")
     out_c = _int_field("--layer", "out", kv["out"]) if "out" in kv else c
     pad = PaddingMode.of(kv["pad"]) if "pad" in kv else default_padding(op)
     return op, (h, w, c), out_c, pad, kv.get("act", "none"), kv.get("pool", "none")

@@ -145,6 +145,8 @@ def compute_out_shape(op: str, in_shape, mode: PaddingMode, out_channels: int,
                       pool: str = "none"):
     """Final output shape of a command, pooling included."""
     h, w, c = in_shape
+    if min(h, w, c) < 1:
+        raise ShapeMismatch(f"input dimensions must be at least 1, got {h}x{w}x{c}")
     ph, pw = padded_dims(h, w, mode)
     if op in PE_MODES:
         k, side = PE_MODES[op].window, PE_MODES[op].patch

@@ -8,6 +8,14 @@ requantization step narrows back to q8. The pooling and activation
 arithmetic itself is shared with the datapath (qtensor.pool2x2 and
 qtensor.apply_activation); tests/reference_impls.py checks it on its own.
 
+Both convolutions end in one valid 3x3 convolution, computed as a banded
+im2col GEMM: per band of output rows, the nine shifted taps form one
+(rows*ow, 9*cin) float64 matrix that meets the (9*cin, cout) weights in a
+single product. That is exact, since each product of two int8 values is at
+most 2**14 in magnitude, so every partial sum plus the bias is an integer
+of magnitude at most 9*cin*2**14 + 2**31, far below 2**53. BAND_BYTES
+bounds a band's float64 working set, and with it the oracle's memory.
+
 Counter bookkeeping is part of the contract: every kernel tap counts one
 multiplication even when an operand is an injected zero, because the
 modeled hardware spends the multiplier either way.
@@ -28,6 +36,9 @@ from .qtensor import (
 )
 
 _EDGES = ("top", "bottom", "left", "right")
+# float64 working set of one band of output rows in _valid_conv3x3; it
+# bounds the oracle's memory and never changes its results
+BAND_BYTES = 4 << 20
 
 
 @dataclass
@@ -69,7 +80,18 @@ def zero_pad(data: np.ndarray, pad) -> np.ndarray:
 
 def _valid_conv3x3(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                    counters: OpCounters | None) -> np.ndarray:
-    """3x3 valid convolution over an already-padded map, bias included."""
+    """3x3 valid convolution over an already-padded map, bias included.
+
+    Banded im2col: for each band of output rows the nine shifted tap views
+    are gathered into one (rows, ow, 9*cin) block, cast to float64 and
+    multiplied in one GEMM by the (9*cin, cout) weight matrix, rows in
+    (u, v, ci) order. The result is exact: every product of two int8
+    values is at most 2**14 in magnitude, so every partial sum of the GEMM
+    plus the bias is an integer of magnitude at most 9*cin*2**14 + 2**31,
+    far below 2**53, whatever order the GEMM sums in. Each band is
+    range-checked before it is written into the int32 output, so an
+    overflow anywhere raises AccumulatorOverflow.
+    """
     hp, wp, cin = padded.shape
     cout = weights.shape[0]
     if weights.shape[1] != cin:
@@ -78,16 +100,23 @@ def _valid_conv3x3(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     oh, ow = hp - 2, wp - 2
     if oh < 1 or ow < 1:
         raise ValueError(f"padded map {hp}x{wp} smaller than the 3x3 window")
-    acc = np.zeros((oh, ow, cout), dtype=np.int64)
-    acc += bias.astype(np.int64)
-    x = padded.astype(np.float64)
-    for u in range(3):
-        for v in range(3):
-            wk = weights[:, :, u, v].astype(np.float64)
-            # int8 operands keep all partial sums far below 2**53, so the
-            # float64 product path is exact
-            acc += (x[u:u + oh, v:v + ow, :] @ wk.T).astype(np.int64)
-    check_accum(acc)
+    k = 9 * cin
+    wmat = weights.transpose(2, 3, 1, 0).reshape(k, cout).astype(np.float64)
+    b = bias.astype(np.float64)
+    out = np.empty((oh, ow, cout), dtype=np.int32)
+    # the band's float64 working set: its im2col block and its sums
+    rows = max(1, BAND_BYTES // (8 * ow * (k + cout)))
+    for r0 in range(0, oh, rows):
+        n = min(rows, oh - r0)
+        cols = np.empty((n, ow, k), dtype=np.int8)
+        for u in range(3):
+            for v in range(3):
+                t = (3 * u + v) * cin
+                cols[:, :, t:t + cin] = padded[r0 + u:r0 + u + n, v:v + ow, :]
+        acc = cols.reshape(n * ow, k).astype(np.float64) @ wmat
+        acc += b
+        check_accum(acc)
+        out[r0:r0 + n] = acc.reshape(n, ow, cout)
     if counters is not None:
         counters.add(
             multiplications=9 * oh * ow * cin * cout,
@@ -95,7 +124,7 @@ def _valid_conv3x3(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
             loads=9 * cin * oh * ow,
             stores=oh * ow * cout,
         )
-    return acc.astype(np.int32)
+    return out
 
 
 def conv2d_ref(input: QTensor, weights: KernelSet, pad,
@@ -157,10 +186,9 @@ def bn_act_ref(acc, multiplier, shift, act: str = "none",
     The multiply/shift/round/clamp narrows to q8, then the activation runs
     on the quantized value.
     """
-    acc = check_accum(np.asarray(acc, dtype=np.int64))
     q = requantize_array(acc, multiplier, shift)
     q = apply_activation(q, act, leaky_shift).astype(np.int8)
     if counters is not None:
-        counters.add(multiplications=acc.size, additions=acc.size,
-                     loads=acc.size, stores=acc.size)
+        counters.add(multiplications=q.size, additions=q.size,
+                     loads=q.size, stores=q.size)
     return QTensor(q, out_scale_exp)

@@ -102,6 +102,14 @@ class TestBench:
             f"error: out_channels must be at least 1, got {out}\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("dims", ["-8x8x4", "0x8x4", "8x8x0"])
+    def test_layer_input_dims_must_be_positive(self, capsys, dims):
+        assert _run(["bench", "--layer", f"op=conv3x3,in={dims}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --layer in dimensions must be at least 1, got '{dims}'\n")
+        assert captured.out == ""
+
 
 class TestCompile:
     def test_preset_to_stdout(self, capsys):
@@ -205,6 +213,16 @@ class TestRun:
         monkeypatch.setenv("UCDA_SEED", "7")
         self._go(small_net, tmp_path)
         assert capsys.readouterr().out != base
+
+    @pytest.mark.parametrize("seed", ["x", "-1"])
+    def test_bad_seed_names_the_variable(self, small_net, tmp_path, capsys,
+                                         monkeypatch, seed):
+        monkeypatch.setenv("UCDA_SEED", seed)
+        code, out_t, _ = self._go(small_net, tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UCDA_SEED" in err
+        assert not out_t.exists()
 
     def test_engine_flag_rejected_values(self, small_net, tmp_path):
         # run has no --engine flag; argparse treats it as a usage error

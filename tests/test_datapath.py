@@ -78,6 +78,11 @@ class TestShapes:
                                  PaddingMode.all_edges(), 7,
                                  pool="max") == (5, 6, 7)
 
+    @pytest.mark.parametrize("shape", [(-8, 8, 4), (0, 8, 4), (8, 8, 0)])
+    def test_input_dims_must_be_positive(self, shape):
+        with pytest.raises(ShapeMismatch, match="input dimensions"):
+            compute_out_shape("conv3x3", shape, PaddingMode.all_edges(), 4)
+
 
 class TestCycleModel:
     def test_conv_90x120_compute(self):

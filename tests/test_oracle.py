@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucda import oracle
 from ucda.oracle import (
     OpCounters,
     avgpool_ref,
@@ -12,7 +13,15 @@ from ucda.oracle import (
     deconv_naive,
     maxpool_ref,
 )
-from ucda.qtensor import KernelSet, QTensor, Requant, requantize
+from ucda.qtensor import (
+    ACC_MAX,
+    ACC_MIN,
+    AccumulatorOverflow,
+    KernelSet,
+    QTensor,
+    Requant,
+    requantize,
+)
 
 import reference_impls as ref
 
@@ -128,6 +137,94 @@ class TestDeconvNaive:
         x = QTensor(np.zeros((3, 5, 2), np.int8), 0)
         deconv_naive(x, _ks(np.zeros((4, 2, 3, 3)), rotated=True), True, c)
         assert c.multiplications == 9 * 6 * 10 * 2 * 4
+
+
+def _band_bytes(rows, ow, cin, cout):
+    """BAND_BYTES that gives bands of `rows` output rows: the band's float64
+    working set is its (rows*ow, 9*cin) im2col block plus its sums."""
+    return rows * 8 * ow * (9 * cin + cout)
+
+
+class TestBands:
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3),
+           st.integers(1, 3), st.integers(1, 13), st.booleans(),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_banded_equals_loops(self, h, w, cin, cout, rows, exact, seed):
+        rng = np.random.default_rng(seed)
+        x = _rand_tensor(rng, h, w, cin)
+        wk = rng.integers(-128, 128, (cout, cin, 3, 3)).astype(np.int8)
+        b = rng.integers(-1000, 1000, cout)
+        pads = tuple(int(p) for p in rng.integers(0, 2, 4))
+        edges = tuple(e for e, p in zip(ALL, pads) if p)
+        with pytest.MonkeyPatch.context() as mp:
+            if h + pads[0] + pads[1] >= 3 and w + pads[2] + pads[3] >= 3:
+                ow = w + pads[2] + pads[3] - 2
+                mp.setattr(oracle, "BAND_BYTES", _band_bytes(rows, ow, cin, cout))
+                acc = conv2d_ref(x, _ks(wk, b), edges)
+                assert np.array_equal(acc, ref.conv3x3_loops(x.data, wk, b, pads))
+            ow = 2 * w - (not exact)
+            mp.setattr(oracle, "BAND_BYTES", _band_bytes(rows, ow, cin, cout))
+            got = deconv_naive(x, _ks(wk, b, rotated=True), exact)
+            assert np.array_equal(got, ref.deconv_loops(x.data, wk, b, exact))
+
+    def test_tiny_budget_still_runs_one_row_bands(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        x = _rand_tensor(rng, 5, 4, 2)
+        ks = _ks(rng.integers(-128, 128, (3, 2, 3, 3)), rng.integers(-9, 9, 3))
+        want = conv2d_ref(x, ks, ALL)
+        monkeypatch.setattr(oracle, "BAND_BYTES", 0)
+        assert np.array_equal(conv2d_ref(x, ks, ALL), want)
+
+
+class TestOverflow:
+    """An out-of-range accumulator raises wherever it sits, the last of
+    several bands included."""
+
+    H, W = 5, 3
+
+    def _case(self, pixel, sign):
+        # only the centre tap is non-zero, so the pixel in the bottom input
+        # row reaches the bottom output row alone; the bias sits 100 inside
+        # the range and a product of 127 * 127 carries that row past it
+        k = np.zeros((1, 1, 3, 3), np.int8)
+        k[0, 0, 1, 1] = 127 * sign
+        x = np.zeros((self.H, self.W, 1), np.int8)
+        x[-1, 1, 0] = pixel
+        bias = ACC_MAX - 100 if sign > 0 else ACC_MIN + 100
+        return QTensor(x, 0), k, [bias]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_conv_overflow_in_last_band(self, monkeypatch, sign):
+        # bands of 2 rows over 5 output rows: the last band is ragged
+        monkeypatch.setattr(oracle, "BAND_BYTES", _band_bytes(2, self.W, 1, 1))
+        x, k, bias = self._case(0, sign)
+        acc = conv2d_ref(x, _ks(k, bias), ALL)
+        assert np.all(acc == bias[0])
+        x, k, bias = self._case(127, sign)
+        with pytest.raises(AccumulatorOverflow):
+            conv2d_ref(x, _ks(k, bias), ALL)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_deconv_overflow_in_last_band(self, monkeypatch, sign):
+        # 2*H = 10 output rows in bands of 3: the last band holds one row
+        ow = 2 * self.W
+        monkeypatch.setattr(oracle, "BAND_BYTES", _band_bytes(3, ow, 1, 1))
+        x, k, bias = self._case(0, sign)
+        acc = deconv_naive(x, _ks(k, bias, rotated=True), True)
+        assert acc.shape == (2 * self.H, ow, 1) and np.all(acc == bias[0])
+        x, k, bias = self._case(127, sign)
+        with pytest.raises(AccumulatorOverflow):
+            deconv_naive(x, _ks(k, bias, rotated=True), True)
+
+    @pytest.mark.parametrize("value", [ACC_MAX + 1, ACC_MIN - 1])
+    def test_bn_act_ref_rejects_out_of_range(self, value):
+        acc = np.zeros((2, 2, 1), np.int64)
+        acc[1, 1, 0] = value
+        with pytest.raises(AccumulatorOverflow):
+            bn_act_ref(acc, [16384], [0])
+        with pytest.raises(AccumulatorOverflow):
+            bn_act_ref(acc.astype(np.float64), [16384], [0])
 
 
 class TestPooling:
