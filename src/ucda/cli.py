@@ -32,7 +32,7 @@ from .controller import (
 from .datapath import COMPUTE_OPS, CapacityError, layer_command, layer_report
 from .linebuffer import PaddingMode
 from .oracle import OpCounters
-from .pearray import HwConfig, RequantOverflow
+from .pearray import HwConfig
 from .qtensor import AccumulatorOverflow, QTensor
 
 EXIT_OK = 0
@@ -177,20 +177,13 @@ def cmd_compile(args) -> int:
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-    cap = {
-        "if": cfg.if_capacity_bits,
-        "of": cfg.of_capacity_bits,
-        "weights": cfg.weight_capacity_bits,
-    }
-    need = {
-        "if": program.if_bits_required,
-        "of": program.of_bits_required,
-        "weights": program.weight_bits_required,
-    }
     print(f"feasible: {len(program.commands)} commands, {program.stages} stages")
-    for key in ("if", "of", "weights"):
-        limit = "unbounded" if cap[key] is None else f"{cap[key]} bits"
-        print(f"  {key} buffer: {need[key]} bits needed (capacity {limit})")
+    for key, need, cap in (
+            ("if", program.if_bits_required, cfg.if_capacity_bits),
+            ("of", program.of_bits_required, cfg.of_capacity_bits),
+            ("weights", program.weight_bits_required, cfg.weight_capacity_bits)):
+        limit = "unbounded" if cap is None else f"{cap} bits"
+        print(f"  {key} buffer: {need} bits needed (capacity {limit})")
     return EXIT_OK
 
 
@@ -403,22 +396,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NetParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
     except CapacityError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except RequantOverflow as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
     except (ExecutionError, AccumulatorOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as e:
+    except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as e:

@@ -19,7 +19,7 @@ import io
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -136,25 +136,25 @@ def default_padding(kind: str) -> PaddingMode:
 
 # ---------------------------------------------------------------- net JSON
 
+_INPUT_FIELDS = ("h", "w", "c", "scale_exp")
+
+# each LayerSpec field, the net JSON types it accepts (never a bool) and their name
+_LAYER_FIELD_TYPES = {
+    "kind": (str, "a string"),
+    "out_channels": (int, "an integer"),
+    "activation": (str, "a string"),
+    "pool": (str, "a string"),
+    "scale_exp": ((int, type(None)), "an integer or null"),
+}
+_REQUIRED_LAYER_FIELDS = tuple(f.name for f in fields(LayerSpec)
+                               if f.default is MISSING)
+
+
 def net_to_json(net: NetDescription) -> str:
     doc = {
         "version": NET_VERSION,
-        "input": {
-            "h": net.input_shape[0],
-            "w": net.input_shape[1],
-            "c": net.input_shape[2],
-            "scale_exp": net.input_scale_exp,
-        },
-        "layers": [
-            {
-                "kind": l.kind,
-                "out_channels": l.out_channels,
-                "activation": l.activation,
-                "pool": l.pool,
-                "scale_exp": l.scale_exp,
-            }
-            for l in net.layers
-        ],
+        "input": dict(zip(_INPUT_FIELDS, (*net.input_shape, net.input_scale_exp))),
+        "layers": [asdict(l) for l in net.layers],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -163,16 +163,6 @@ def _reject_unknown(obj: dict, allowed, where: str) -> None:
     unknown = set(obj) - set(allowed)
     if unknown:
         raise NetParseError(f"{where}: unknown fields {sorted(unknown)}")
-
-
-# net JSON layer field, the types it accepts (never a bool) and their name
-_LAYER_FIELD_TYPES = (
-    ("kind", str, "a string"),
-    ("out_channels", int, "an integer"),
-    ("activation", str, "a string"),
-    ("pool", str, "a string"),
-    ("scale_exp", (int, type(None)), "an integer or null"),
-)
 
 
 def net_from_json(text: str) -> NetDescription:
@@ -191,8 +181,8 @@ def net_from_json(text: str) -> NetDescription:
     inp = doc["input"]
     if not isinstance(inp, dict):
         raise NetParseError("input must be an object")
-    _reject_unknown(inp, ("h", "w", "c", "scale_exp"), "input")
-    for key in ("h", "w", "c", "scale_exp"):
+    _reject_unknown(inp, _INPUT_FIELDS, "input")
+    for key in _INPUT_FIELDS:
         if not isinstance(inp.get(key), int) or isinstance(inp[key], bool):
             raise NetParseError(f"input.{key} must be an integer")
     layers = []
@@ -201,37 +191,22 @@ def net_from_json(text: str) -> NetDescription:
     for i, l in enumerate(doc["layers"]):
         if not isinstance(l, dict):
             raise NetParseError(f"layer {i} must be an object")
-        _reject_unknown(
-            l, ("kind", "out_channels", "activation", "pool", "scale_exp"),
-            f"layer {i}")
-        for key in ("kind", "out_channels"):
+        _reject_unknown(l, _LAYER_FIELD_TYPES, f"layer {i}")
+        for key in _REQUIRED_LAYER_FIELDS:
             if key not in l:
                 raise NetParseError(f"layer {i}: missing field {key!r}")
-        for key, types, name in _LAYER_FIELD_TYPES:
+        for key, (types, name) in _LAYER_FIELD_TYPES.items():
             if key in l and (not isinstance(l[key], types) or isinstance(l[key], bool)):
                 raise NetParseError(f"layer {i}: {key} must be {name}, got {l[key]!r}")
-        layers.append(LayerSpec(
-            kind=l["kind"],
-            out_channels=l["out_channels"],
-            activation=l.get("activation", "none"),
-            pool=l.get("pool", "none"),
-            scale_exp=l.get("scale_exp"),
-        ))
-    return NetDescription(
-        input_shape=(inp["h"], inp["w"], inp["c"]),
-        input_scale_exp=inp["scale_exp"],
-        layers=tuple(layers),
-    )
+        layers.append(LayerSpec(**l))
+    *shape, scale_exp = (inp[key] for key in _INPUT_FIELDS)
+    return NetDescription(input_shape=shape, input_scale_exp=scale_exp,
+                          layers=layers)
 
 
 def load_net(path) -> NetDescription:
     with open(path, "r", encoding="utf-8") as f:
         return net_from_json(f.read())
-
-
-def save_net(path, net: NetDescription) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(net_to_json(net))
 
 
 # ----------------------------------------------------------------- presets

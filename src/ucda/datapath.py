@@ -24,7 +24,8 @@ map goes through the same tail as one band.
 
 Cycle model per layer:
     priming  = (K - 1) * padded_width + K          (line-buffer fill)
-    compute  = passes_in * passes_out * windows * beats   (PeMode.beats)
+    compute  = passes_in * ceil(passes_out / arrays) * windows * beats
+               (PeMode.beats; the arrays split the output-channel passes)
     drain    = attached-pool priming (one stream row + 2 slots), else 0
     weight   = ceil(weight_image_bits / stream_bits), never overlapped
     transfer = ceil(in_bits / stream) + ceil(out_bits / stream), overlapped
@@ -274,7 +275,7 @@ def _compute_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
     passes_out = _ceil_div(cout, cmd.unroll[1])
     r = CycleReport()
     r.priming_cycles = (k - 1) * pw + k
-    r.compute_cycles = passes_in * passes_out * windows * beats
+    r.compute_cycles = passes_in * _ceil_div(passes_out, cfg.arrays) * windows * beats
     # the pool's pre-pool stream is twice its output width in either mode
     r.drain_cycles = (2 * cmd.out_shape[1] + 2) if cmd.post.pool != "none" else 0
     r.weight_cycles = _ceil_div(_weight_image_bits(cin, cout), cfg.stream_bits)

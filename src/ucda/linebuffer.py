@@ -156,16 +156,6 @@ class LineBuffer:
         return ((self.padded_height - self.window + 1)
                 * (self.padded_width - self.window + 1))
 
-    def fifo_flags(self):
-        """(full, empty) per row FIFO; full means one padded row buffered."""
-        return [(len(f) == self.padded_width, len(f) == 0) for f in self._fifos]
-
-    def check_flags(self) -> None:
-        for (full, empty), f in zip(self.fifo_flags(), self._fifos):
-            assert full == (len(f) == self.padded_width)
-            assert empty == (len(f) == 0)
-            assert len(f) <= self.padded_width
-
     def _is_real_slot(self, y: int, x: int) -> bool:
         m = self.mode
         return (m.pad_top <= y < m.pad_top + self.height

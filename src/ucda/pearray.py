@@ -103,7 +103,8 @@ class HwConfig:
     """Array geometry and clocking for one accelerator instance.
 
     tn: input channels reduced per cycle, tm: output channels in parallel,
-    arrays: replicated PE arrays working on independent output tiles.
+    arrays: replicated PE arrays, each taking its share of a layer's
+    Tm-wide output-channel passes.
     Buffer capacities are in bits; None means "large enough", which is the
     desk-scale default (feasibility checks only fire on finite values).
     """

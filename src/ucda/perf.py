@@ -8,7 +8,7 @@ other in tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .datapath import CycleReport, layer_command, layer_report
 from .linebuffer import PaddingMode
@@ -67,7 +67,7 @@ def conv_cycles_analytic(h, w, cin, cout, mode: PaddingMode,
     pw = w + mode.pad_left + mode.pad_right
     oh, ow = ph - 2, pw - 2
     priming = 2 * pw + 3
-    passes = _ceil_div(cin, cfg.tn) * _ceil_div(cout, cfg.tm)
+    passes = _ceil_div(cin, cfg.tn) * _ceil_div(_ceil_div(cout, cfg.tm), cfg.arrays)
     compute = passes * oh * ow
     drain = (ow + 2) if pool != "none" else 0
     weight = _weight_stream_cycles(cin, cout, cfg)
@@ -86,7 +86,7 @@ def deconv_cycles_analytic(h, w, cin, cout, mode: PaddingMode,
     pw = w + mode.pad_left + mode.pad_right
     wh, ww = ph - 1, pw - 1
     priming = pw + 2
-    passes = _ceil_div(cin, cfg.tn) * _ceil_div(cout, cfg.tm)
+    passes = _ceil_div(cin, cfg.tn) * _ceil_div(_ceil_div(cout, cfg.tm), cfg.arrays)
     compute = passes * wh * ww * 4
     weight = _weight_stream_cycles(cin, cout, cfg)
     extra = _transfer_extra(h * w * cin * 8, 2 * wh * 2 * ww * cout * 8,
@@ -105,25 +105,23 @@ class LatencyScenario:
     clock_hz: int
     conv: CycleReport
     deconv: CycleReport
-    compute_match: bool
-    priming_delta_cycles: int
-    priming_delta_seconds: float
-    total_savings_fraction: float
 
-    def as_dict(self) -> dict:
-        return {
-            "clock_hz": self.clock_hz,
-            "conv_priming_cycles": self.conv.priming_cycles,
-            "conv_compute_cycles": self.conv.compute_cycles,
-            "conv_total_cycles": self.conv.total_cycles,
-            "deconv_priming_cycles": self.deconv.priming_cycles,
-            "deconv_compute_cycles": self.deconv.compute_cycles,
-            "deconv_total_cycles": self.deconv.total_cycles,
-            "compute_match": self.compute_match,
-            "priming_delta_cycles": self.priming_delta_cycles,
-            "priming_delta_seconds": self.priming_delta_seconds,
-            "total_savings_fraction": self.total_savings_fraction,
-        }
+    @property
+    def compute_match(self) -> bool:
+        return self.conv.compute_cycles == self.deconv.compute_cycles
+
+    @property
+    def priming_delta_cycles(self) -> int:
+        return self.conv.priming_cycles - self.deconv.priming_cycles
+
+    @property
+    def priming_delta_seconds(self) -> float:
+        return self.priming_delta_cycles / self.clock_hz
+
+    @property
+    def total_savings_fraction(self) -> float:
+        conv, deconv = self.conv.total_cycles, self.deconv.total_cycles
+        return (conv - deconv) / conv
 
 
 def latency_scenario(cfg: HwConfig | None = None) -> LatencyScenario:
@@ -143,18 +141,7 @@ def latency_scenario(cfg: HwConfig | None = None) -> LatencyScenario:
     dec_rep = layer_report(
         layer_command("deconv2x", (45, 60, 8), 8, PaddingMode.of("TL"), cfg,
                       out_scale_exp=-7), cfg)
-
-    delta = conv_rep.priming_cycles - dec_rep.priming_cycles
-    savings = (conv_rep.total_cycles - dec_rep.total_cycles) / conv_rep.total_cycles
-    return LatencyScenario(
-        clock_hz=cfg.clock_hz,
-        conv=conv_rep,
-        deconv=dec_rep,
-        compute_match=conv_rep.compute_cycles == dec_rep.compute_cycles,
-        priming_delta_cycles=delta,
-        priming_delta_seconds=delta / cfg.clock_hz,
-        total_savings_fraction=savings,
-    )
+    return LatencyScenario(clock_hz=cfg.clock_hz, conv=conv_rep, deconv=dec_rep)
 
 
 # ------------------------------------------------------------ run report
@@ -176,20 +163,7 @@ class PerfReport:
     layers: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        doc = {
-            "clock_hz": self.clock_hz,
-            "dsp_equiv": self.dsp_equiv,
-            "peak_gops": self.peak_gops,
-            "bandwidth_bits_per_cycle": self.bandwidth_bits_per_cycle,
-            "total_cycles": self.total_cycles,
-            "runtime_seconds": self.runtime_seconds,
-            "multiplications": self.multiplications,
-            "additions": self.additions,
-            "effective_gops": self.effective_gops,
-            "utilization": self.utilization,
-            "layers": self.layers,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     def to_table(self) -> str:
         lines = [

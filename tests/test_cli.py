@@ -11,9 +11,10 @@ from ucda.controller import (
     NetDescription,
     net_to_json,
     program_from_text,
+    weight_image,
 )
 from ucda.fileio import read_tensor, tensor_bytes, write_tensor
-from ucda.qtensor import QTensor
+from ucda.qtensor import KernelSet, QTensor
 
 
 @pytest.fixture(autouse=True)
@@ -65,6 +66,13 @@ class TestBench:
         out = capsys.readouterr().out
         assert "conv3x3 8x8x4 -> 8x8x4 pad=TBLR" in out
         assert "total" in out
+
+    def test_arrays_split_the_output_passes(self, capsys):
+        layer = "op=conv3x3,in=90x120x64,out=64"
+        assert _run(["bench", "--layer", layer]) == 0
+        assert "compute 691200 " in capsys.readouterr().out
+        assert _run(["bench", "--layer", layer, "--hw", "arrays=2"]) == 0
+        assert "compute 345600 " in capsys.readouterr().out
 
     def test_layer_over_capacity_is_infeasible(self, capsys):
         assert _run(["bench", "--layer", "op=conv3x3,in=8x8x4",
@@ -154,6 +162,46 @@ class TestCompile:
         with pytest.raises(SystemExit) as e:
             _run(["frobnicate"])
         assert e.value.code == 1
+
+
+class TestExitCodes:
+    """One path per rung of cli.main's exception ladder not pinned elsewhere."""
+
+    def _net(self, tmp_path, layer):
+        path = tmp_path / "net.json"
+        path.write_text(net_to_json(NetDescription((8, 8, 2), -7, [layer])))
+        return path
+
+    def test_unfoldable_multiplier_is_a_parse_error(self, tmp_path, capsys):
+        net = self._net(tmp_path, LayerSpec("conv3x3", 4, scale_exp=-400))
+        assert _run(["run", "--net", net, "--random-weights", "--random-input",
+                     "--out-tensor", tmp_path / "o.tensor",
+                     "--out-perf", tmp_path / "p.json"]) == 1
+        assert capsys.readouterr().err.startswith("error: layer 0 channel 0: ")
+
+    def test_accumulator_overflow_is_a_runtime_error(self, tmp_path, capsys):
+        net = self._net(tmp_path, LayerSpec("conv3x3", 4))
+        ks = KernelSet(weights=np.full((4, 2, 3, 3), -128, np.int8),
+                       bias=np.full(4, 2**31 - 1, np.int32),
+                       bn_multiplier=np.ones(4, np.int16),
+                       bn_shift=np.zeros(4, np.uint8), scale_exp=0,
+                       rotated=False)
+        wpath = tmp_path / "weights.bin"
+        wpath.write_bytes(weight_image(["conv3x3"], [ks]))
+        x = tmp_path / "x.tensor"
+        write_tensor(x, QTensor(np.full((8, 8, 2), -128, np.int8), -7))
+        assert _run(["run", "--net", net, "--weights", wpath, "--input", x,
+                     "--out-tensor", tmp_path / "o.tensor",
+                     "--out-perf", tmp_path / "p.json"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: accumulator out of 32-bit range")
+
+    def test_unwritable_output_is_a_runtime_error(self, small_net, tmp_path,
+                                                  capsys):
+        assert _run(["run", "--net", small_net, "--random-weights",
+                     "--random-input", "--out-tensor", tmp_path,
+                     "--out-perf", tmp_path / "p.json"]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestRun:

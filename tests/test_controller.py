@@ -1,10 +1,12 @@
 """Network descriptions, program compilation, weight images, execution."""
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ucda.controller import (
+    _LAYER_FIELD_TYPES,
     BnParams,
     ExecutionError,
     LayerSpec,
@@ -94,6 +96,40 @@ class TestNetJson:
         net = _net([LayerSpec("conv3x3", 4, activation="relu", pool="max"),
                     LayerSpec("deconv2x", 2, scale_exp=-6)])
         assert net_from_json(net_to_json(net)) == net
+
+    def test_golden_text(self):
+        net = _net([LayerSpec("conv3x3", 4, activation="relu", pool="max"),
+                    LayerSpec("deconv2x", 2, scale_exp=-6)])
+        assert net_to_json(net) == """\
+{
+  "version": 1,
+  "input": {
+    "h": 8,
+    "w": 8,
+    "c": 2,
+    "scale_exp": -7
+  },
+  "layers": [
+    {
+      "kind": "conv3x3",
+      "out_channels": 4,
+      "activation": "relu",
+      "pool": "max",
+      "scale_exp": null
+    },
+    {
+      "kind": "deconv2x",
+      "out_channels": 2,
+      "activation": "none",
+      "pool": "none",
+      "scale_exp": -6
+    }
+  ]
+}
+"""
+
+    def test_type_table_covers_every_layer_field(self):
+        assert list(_LAYER_FIELD_TYPES) == [f.name for f in fields(LayerSpec)]
 
     def test_defaults_fill_in(self):
         doc = """{"version": 1,

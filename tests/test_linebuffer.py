@@ -91,18 +91,6 @@ def test_push_after_complete_rejected():
         lb.push(pix)
 
 
-def test_fifo_flags_agree_with_lengths():
-    lb = LineBuffer(6, 5, PaddingMode.of("TLR"), window=3)
-    pix = np.zeros(1, np.int8)
-    count = 0
-    for _ in range(5 * 6):
-        lb.push(pix)
-        count += 1
-        if count % 7 == 0:
-            lb.check_flags()
-    lb.check_flags()
-
-
 def test_emission_cadence_steady_state():
     """After priming, every pushed pixel yields exactly one window (full pad)."""
     lb = LineBuffer(8, 8, PaddingMode.all_edges(), window=3)
