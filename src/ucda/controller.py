@@ -513,24 +513,16 @@ def pack_weights(net: NetDescription, weights, bn_params=None, biases=None):
             qw = quantize_array(w, w_scale)
         if spec.kind == "deconv2x":
             qw = rotate180(qw)
-        acc_scale = 2.0 ** (in_scale + w_scale)
-        mult = np.zeros(cout, dtype=np.int16)
-        shift = np.zeros(cout, dtype=np.uint8)
-        bias32 = np.zeros(cout, dtype=np.int64)
-        for c in range(cout):
-            g, bt, mn, vr, eps = ((1.0, 0.0, 0.0, 1.0, 0.0) if bn is None else
-                                  (float(bn.gamma[c]), float(bn.beta[c]),
-                                   float(bn.mean[c]), float(bn.var[c]), bn.eps))
-            try:
-                rq, fold_bias = fuse_bn(g, bt, mn, vr, eps,
-                                        in_scale, w_scale, out_scale)
-            except ValueError as e:
-                raise ValueError(f"layer {idx} channel {c}: {e}") from e
-            mult[c] = rq.multiplier
-            shift[c] = rq.shift
-            bias32[c] = fold_bias
+        if bn is None:
+            bn = BnParams(np.ones(cout), np.zeros(cout), np.zeros(cout), np.ones(cout), 0.0)
+        try:
+            mult, shift, bias32 = fuse_bn(bn.gamma, bn.beta, bn.mean, bn.var, bn.eps,
+                                          in_scale, w_scale, out_scale)
+        except ValueError as e:
+            raise ValueError(f"layer {idx} {e}") from e
         if b is not None:
-            bias32 += round_half_away(np.asarray(b, dtype=np.float64) / acc_scale)
+            bias32 += round_half_away(np.asarray(b, dtype=np.float64)
+                                      / 2.0 ** (in_scale + w_scale))
         check_accum(bias32)
         kinds.append(spec.kind)
         sets.append(KernelSet(

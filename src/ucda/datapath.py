@@ -167,7 +167,7 @@ def compute_out_shape(op: str, in_shape, mode: PaddingMode, out_channels: int,
             raise ShapeMismatch("identity keeps the channel count")
         return (h, w, c)
     else:
-        raise UnsupportedOp(op)
+        raise UnsupportedOp(f"unknown op {op!r}")
     if pool != "none":
         if oh % 2 or ow % 2:
             raise ShapeMismatch(f"attached pooling needs even dims, got {oh}x{ow}")
@@ -275,7 +275,9 @@ def _compute_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
     passes_out = _ceil_div(cout, cmd.unroll[1])
     r = CycleReport()
     r.priming_cycles = (k - 1) * pw + k
-    r.compute_cycles = passes_in * _ceil_div(passes_out, cfg.arrays) * windows * beats
+    # `arrays` output passes run at once from one shared input stream
+    out_rounds = _ceil_div(passes_out, cfg.arrays)
+    r.compute_cycles = passes_in * out_rounds * windows * beats
     # the pool's pre-pool stream is twice its output width in either mode
     r.drain_cycles = (2 * cmd.out_shape[1] + 2) if cmd.post.pool != "none" else 0
     r.weight_cycles = _ceil_div(_weight_image_bits(cin, cout), cfg.stream_bits)
@@ -285,7 +287,7 @@ def _compute_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
     if cmd.post.pool == "avg":
         r.additions += 3 * windows * beats * cout // 4
     acc_elems = windows * beats * cout
-    r.buffer_reads = passes_out * windows * k * cin + (passes_in - 1) * acc_elems
+    r.buffer_reads = out_rounds * windows * k * cin + (passes_in - 1) * acc_elems
     r.buffer_writes = h * w * cin + passes_in * acc_elems
     if cmd.post.pool != "none":
         r.buffer_writes += int(np.prod(cmd.out_shape))

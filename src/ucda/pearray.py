@@ -19,8 +19,8 @@ reach) and, when it holds, reduces all input channels in one exact GEMM
 per slot (float32 up to 2**24, float64 above); only a layer whose bound
 fails runs the array's Tn-tiled schedule with a range check per tile.
 
-fuse_bn folds inference batch-norm into the per-channel requantization
-(multiplier/shift) plus a 32-bit bias at accumulator scale.
+fuse_bn folds a layer's inference batch-norm, all channels at once, into the
+per-channel requantization (multiplier/shift) and a 32-bit accumulator bias.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ from .qtensor import (
     ACC_MAX,
     ACC_MIN,
     REQUANT_FRAC_BITS,
-    Requant,
     check_accum,
     round_half_away,
 )
@@ -272,34 +271,44 @@ class RequantOverflow(ValueError):
     """Folded multiplier cannot be encoded; adjust the output scale."""
 
 
-def fuse_bn(gamma: float, beta: float, mean: float, var: float, eps: float,
+def fuse_bn(gamma, beta, mean, var, eps: float,
             in_scale_exp: int, w_scale_exp: int, out_scale_exp: int):
-    """Fold inference batch-norm into (Requant, bias32).
+    """Fold one layer's inference batch-norm into per-channel arrays
+    (multiplier int16, shift uint8, bias int64).
 
-    The accumulator is at scale 2**(in+w). Batch-norm y = g*(x-mean)+beta
-    with g = gamma/sqrt(var+eps) becomes one multiply by
-    g * 2**(in+w-out), encoded as a normalized 16-bit multiplier plus
-    shift, and one pre-multiplier bias (beta/g - mean) at accumulator
-    scale. Raises RequantOverflow when the multiplier cannot reach 16 bits
-    at shift 0, which signals the caller to adjust out_scale_exp.
+    gamma, beta, mean, var hold one entry per output channel; the
+    accumulator is at scale 2**(in+w). y = g*(x-mean)+beta with
+    g = gamma/sqrt(var+eps) becomes one multiply by g * 2**(in+w-out), a
+    16-bit multiplier at the largest shift in [0, 31] where it fits, and
+    one pre-multiplier bias (beta/g - mean) at accumulator scale. An
+    unfoldable layer raises for its lowest-numbered failing channel and
+    that channel's first failing check: ValueError for var + eps <= 0 or a
+    zero gain, RequantOverflow for a multiplier beyond 16 bits at shift 0
+    (adjust out_scale_exp) or a bias beyond 32 bits.
     """
-    if var + eps <= 0.0:
-        raise ValueError("var + eps must be positive")
-    g = gamma / math.sqrt(var + eps)
-    if g == 0.0:
-        raise ValueError("a zero batch-norm gain cannot be folded into a multiplier")
-    scale = g * 2.0 ** (in_scale_exp + w_scale_exp - out_scale_exp)
-    shift = 31
-    mult = int(round_half_away(scale * 2.0 ** (REQUANT_FRAC_BITS + shift)))
-    while abs(mult) > (1 << 15) - 1 and shift > 0:
-        shift -= 1
-        mult = int(round_half_away(scale * 2.0 ** (REQUANT_FRAC_BITS + shift)))
-    if abs(mult) > (1 << 15) - 1:
-        raise RequantOverflow(
-            f"folded multiplier {scale} does not fit 16 bits at shift 0; "
-            "rescale the output")
-    offset = beta - g * mean
-    bias = int(round_half_away(offset / (g * 2.0 ** (in_scale_exp + w_scale_exp))))
-    if not ACC_MIN <= bias <= ACC_MAX:
-        raise RequantOverflow(f"folded bias {bias} exceeds 32 bits")
-    return Requant(mult, shift), bias
+    var_eps = np.asarray(var, dtype=np.float64) + eps
+    # failing channels may compute inf or nan; they raise below, unwarned
+    with np.errstate(all="ignore"):
+        g = gamma / np.sqrt(var_eps)
+        scale = g * 2.0 ** (in_scale_exp + w_scale_exp - out_scale_exp)
+        # candidate multipliers, one column per shift 0..31
+        table = round_half_away(
+            scale[:, None] * 2.0 ** (REQUANT_FRAC_BITS + np.arange(32)))
+        shift = np.where((-(1 << 15) < table) & (table < 1 << 15),
+                         np.arange(32), -1).max(axis=1)
+        bias = round_half_away(
+            (beta - g * mean) / (g * 2.0 ** (in_scale_exp + w_scale_exp)))
+        failing = np.stack([var_eps <= 0.0, g == 0.0, shift < 0,
+                            (bias < ACC_MIN) | (bias > ACC_MAX)])
+    if failing.any():
+        c = int(failing.any(axis=0).argmax())
+        kind, text = (
+            (ValueError, "var + eps must be positive"),
+            (ValueError, "a zero batch-norm gain cannot be folded into a multiplier"),
+            (RequantOverflow, f"folded multiplier {float(scale[c])} does not fit "
+                              "16 bits at shift 0; rescale the output"),
+            (RequantOverflow, f"folded bias {int(bias[c])} exceeds 32 bits"),
+        )[int(failing[:, c].argmax())]
+        raise kind(f"channel {c}: {text}")
+    mult = table[np.arange(len(shift)), shift]
+    return mult.astype(np.int16), shift.astype(np.uint8), bias

@@ -76,34 +76,14 @@ def quantize_array(x, scale_exp: int) -> np.ndarray:
     return np.clip(q, Q8_MIN, Q8_MAX).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class Requant:
-    """Accumulator-to-q8 rescale: value = multiplier / 2**(15 + shift).
-
-    multiplier is signed 16-bit, shift an extra right shift in [0, 31].
-    """
-
-    multiplier: int
-    shift: int
-
-    def __post_init__(self):
-        if not -(1 << 15) <= self.multiplier <= (1 << 15) - 1:
-            raise ValueError(f"multiplier {self.multiplier} outside signed 16-bit range")
-        if not 0 <= self.shift <= 31:
-            raise ValueError(f"shift {self.shift} outside [0, 31]")
-
-    @property
-    def scale(self) -> float:
-        return self.multiplier / 2.0 ** (REQUANT_FRAC_BITS + self.shift)
-
-
-def requantize(acc: int, r: Requant) -> int:
-    """Narrow one 32-bit accumulator value to q8 through a Requant."""
+def requantize(acc: int, multiplier: int, shift: int) -> int:
+    """Narrow one 32-bit accumulator value to q8: round(acc * multiplier /
+    2**(15 + shift)), multiplier signed 16-bit and shift in [0, 31]."""
     acc = int(acc)
     if not ACC_MIN <= acc <= ACC_MAX:
         raise AccumulatorOverflow(f"requantize input {acc} outside 32-bit range")
-    sh = REQUANT_FRAC_BITS + r.shift
-    prod = acc * r.multiplier
+    sh = REQUANT_FRAC_BITS + int(shift)
+    prod = acc * int(multiplier)
     half = 1 << (sh - 1)
     if prod >= 0:
         q = (prod + half) >> sh
@@ -251,9 +231,6 @@ class KernelSet:
     @property
     def in_channels(self) -> int:
         return self.weights.shape[1]
-
-    def requant(self, channel: int) -> Requant:
-        return Requant(int(self.bn_multiplier[channel]), int(self.bn_shift[channel]))
 
 
 def identity_kernel_set(in_ch: int, out_ch: int, scale_exp: int = 0,

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from ucda.pearray import RequantOverflow
+
 
 def rhafz(x: float) -> int:
     """Round half away from zero."""
@@ -152,3 +154,38 @@ def bn_real(acc, gamma, beta, mean, var, eps, in_scale_exp, w_scale_exp,
     elif act == "leaky" and y < 0:
         y = y * 2.0 ** -leaky_shift
     return clamp8(rhafz(y / 2.0 ** out_scale_exp))
+
+
+def _rhafz_clamped(x: float) -> int:
+    """rhafz clamped to +-2**62 first, as the package's int64 rounding does."""
+    return rhafz(max(-2.0 ** 62, min(2.0 ** 62, x)))
+
+
+def fuse_bn_channel(gamma, beta, mean, var, eps, in_scale_exp, w_scale_exp,
+                    out_scale_exp):
+    """Fold one channel's batch-norm into (multiplier, shift, bias32).
+
+    The per-channel scalar fold: search the shift down from 31 until the
+    rounded multiplier fits 16 bits, then round the bias at accumulator
+    scale. Raises ValueError or RequantOverflow with the package's messages.
+    """
+    if var + eps <= 0.0:
+        raise ValueError("var + eps must be positive")
+    g = gamma / math.sqrt(var + eps)
+    if g == 0.0:
+        raise ValueError("a zero batch-norm gain cannot be folded into a multiplier")
+    scale = g * 2.0 ** (in_scale_exp + w_scale_exp - out_scale_exp)
+    shift = 31
+    mult = _rhafz_clamped(scale * 2.0 ** (15 + shift))
+    while abs(mult) > (1 << 15) - 1 and shift > 0:
+        shift -= 1
+        mult = _rhafz_clamped(scale * 2.0 ** (15 + shift))
+    if abs(mult) > (1 << 15) - 1:
+        raise RequantOverflow(
+            f"folded multiplier {scale} does not fit 16 bits at shift 0; "
+            "rescale the output")
+    offset = beta - g * mean
+    bias = _rhafz_clamped(offset / (g * 2.0 ** (in_scale_exp + w_scale_exp)))
+    if not -(1 << 31) <= bias <= (1 << 31) - 1:
+        raise RequantOverflow(f"folded bias {bias} exceeds 32 bits")
+    return mult, shift, bias

@@ -232,11 +232,11 @@ def test_criterion_10_bn_folding_accuracy():
         in_scale = int(rng.integers(-9, -5))
         w_scale = int(rng.integers(-9, -5))
         out_scale = int(rng.integers(-8, -4))
-        rq, fold_bias = fuse_bn(gamma, beta, mean, var, 1e-5,
-                                in_scale, w_scale, out_scale)
+        mult, shift, fold_bias = fuse_bn([gamma], [beta], [mean], [var], 1e-5,
+                                         in_scale, w_scale, out_scale)
         acc = rng.integers(-60000, 60000, 32)
         for a in acc:
-            fixed = requantize(int(a) + fold_bias, rq)
+            fixed = requantize(int(a) + int(fold_bias[0]), mult[0], shift[0])
             real = bn_real(int(a), gamma, beta, mean, var, 1e-5,
                            in_scale, w_scale, out_scale, act="none")
             assert abs(fixed - real) <= 1           # 1 LSB

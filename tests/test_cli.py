@@ -88,6 +88,12 @@ class TestBench:
         assert _run(["bench", "--layer", "op=conv3x3"]) == 1
         assert "op=...,in=HxWxC" in capsys.readouterr().err
 
+    def test_unknown_layer_op_is_named(self, capsys):
+        assert _run(["bench", "--layer", "op=foo,in=4x4x1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown op 'foo'\n"
+        assert captured.out == ""
+
     def test_bad_hw_key(self, capsys):
         assert _run(["bench", "--hw", "lanes=4"]) == 1
         assert "bad --hw override" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 """Network descriptions, program compilation, weight images, execution."""
+import hashlib
 import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from ucda.cli import _random_params
 from ucda.controller import (
     _LAYER_FIELD_TYPES,
     BnParams,
@@ -400,6 +402,30 @@ class TestPackWeights:
         w = np.ones((1, 1, 3, 3), dtype=np.int8)
         with pytest.raises(ValueError, match="layer 0 channel 0"):
             pack_weights(net, [w])
+
+    def test_random_segnet_image_is_pinned(self):
+        # the image `ucda run --random-weights` packs at UCDA_SEED=0
+        blob, _ = _random_params(segnet_basic_preset(), 0)
+        assert len(blob) == 270_512
+        assert hashlib.sha256(blob).hexdigest() == (
+            "dc4464a2a95091f489adb16030676c57c536610e4596ef7c9a3ca289abf978df")
+
+    def test_int8_image_without_bn_or_bias_is_pinned(self):
+        net = _net([LayerSpec("conv3x3", 4, "relu", "max", -5),
+                    LayerSpec("deconv2x", 3, "relu", "none", -3),
+                    LayerSpec("conv3x3", 2, "none", "none", 0)])
+        rng = np.random.default_rng(5)
+        weights = [rng.integers(-128, 128, shape).astype(np.int8)
+                   for shape in ((4, 2, 3, 3), (3, 4, 3, 3), (2, 3, 3, 3))]
+        blob, sets = pack_weights(net, weights)
+        assert len(blob) == 357
+        assert hashlib.sha256(blob).hexdigest() == (
+            "7333b622e1e0443eeb18b4c32038ba4f967dbb6b32bbfc3a8c952d0ec1f07edf")
+        # identity batch-norm: a pure 2**(in - out) rescale and no bias
+        assert [(ks.bn_multiplier.tolist(), ks.bn_shift.tolist(), ks.bias.tolist())
+                for ks in sets] == [([16384] * 4, [1] * 4, [0] * 4),
+                                    ([16384] * 3, [1] * 3, [0] * 3),
+                                    ([16384] * 2, [2] * 2, [0] * 2)]
 
     def test_oversized_weights_rejected(self):
         net = _net([LayerSpec("conv3x3", 1, scale_exp=-5)], shape=(4, 4, 1))

@@ -12,8 +12,10 @@ from ucda.datapath import (
     CycleReport,
     ShapeMismatch,
     check_layer_capacity,
+    UnsupportedOp,
     compute_out_shape,
     layer_command,
+    layer_report,
     pool_act,
     run_layer,
 )
@@ -83,6 +85,10 @@ class TestShapes:
         with pytest.raises(ShapeMismatch, match="input dimensions"):
             compute_out_shape("conv3x3", shape, PaddingMode.all_edges(), 4)
 
+    def test_unknown_op_is_named(self):
+        with pytest.raises(UnsupportedOp, match="^unknown op 'foo'$"):
+            compute_out_shape("foo", (4, 4, 1), PaddingMode.none(), 1)
+
 
 class TestCycleModel:
     def test_conv_90x120_compute(self):
@@ -100,6 +106,22 @@ class TestCycleModel:
                            identity_kernel_set(8, 8, rotated=True), CFG)
         assert rep.compute_cycles == 2700 * 4 == 10800
         assert rep.priming_cycles == 61 + 2
+
+    @pytest.mark.parametrize("arrays, conv_reads, deconv_reads", [
+        (1, 21_427_200, 7_603_200),
+        (2, 13_132_800, 6_220_800),
+        (4, 8_985_600, 5_529_600),
+    ])
+    def test_arrays_share_the_input_reads(self, arrays, conv_reads, deconv_reads):
+        """The arrays share one input stream: input-feature reads follow the
+        ceil(passes_out / arrays) rounds, as compute cycles do."""
+        cfg = HwConfig(arrays=arrays)
+        for op, shape, mode, reads, compute in (
+                ("conv3x3", (90, 120, 64), PaddingMode.all_edges(), conv_reads, 691_200),
+                ("deconv2x", (45, 60, 64), PaddingMode.of("TL"), deconv_reads, 691_200)):
+            rep = layer_report(layer_command(op, shape, 64, mode, cfg), cfg)
+            assert rep.buffer_reads == reads
+            assert rep.compute_cycles == compute // arrays
 
     def test_1x1_conv_full_padding(self):
         cmd = layer_command("conv3x3", (1, 1, 1), 1,

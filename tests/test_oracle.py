@@ -19,7 +19,6 @@ from ucda.qtensor import (
     AccumulatorOverflow,
     KernelSet,
     QTensor,
-    Requant,
     requantize,
 )
 
@@ -284,7 +283,7 @@ class TestBnActRef:
         shift = np.array([9, 4], np.uint8)
         out = bn_act_ref(acc, mult, shift)
         for y, x, c in np.ndindex(acc.shape):
-            want = requantize(int(acc[y, x, c]), Requant(int(mult[c]), int(shift[c])))
+            want = requantize(acc[y, x, c], mult[c], shift[c])
             assert out.data[y, x, c] == want
 
 

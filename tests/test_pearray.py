@@ -1,12 +1,12 @@
 """Process-element array: dual-mode evaluation, tiling, BN folding."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ucda.oracle import conv2d_ref
 from ucda.pearray import HwConfig, PeArray, PeMode, RequantOverflow, fuse_bn
-from ucda.qtensor import KernelSet, QTensor, Requant
+from ucda.qtensor import KernelSet, QTensor, requantize
 
 import reference_impls as ref
 from reference_impls import bn_real
@@ -199,24 +199,25 @@ def test_array_cycle_matches_literal_references(mode, tn, tm, data, seed):
 
 class TestFuseBn:
     def test_identity_gives_pure_rescale(self):
-        rq, bias = fuse_bn(1.0, 0.0, 0.0, 1.0, 0.0, -7, 0, 0)
-        assert bias == 0
-        assert (rq.multiplier, rq.shift) == (16384, 6)
-        assert rq.scale == 2.0 ** -7
+        mult, shift, bias = fuse_bn([1.0], [0.0], [0.0], [1.0], 0.0, -7, 0, 0)
+        assert (mult.dtype, shift.dtype, bias.dtype) == (np.int16, np.uint8, np.int64)
+        assert (mult.tolist(), shift.tolist(), bias.tolist()) == ([16384], [6], [0])
+        assert mult[0] / 2.0 ** (15 + shift[0]) == 2.0 ** -7
 
     def test_gamma_doubles_multiplier_scale(self):
-        base, _ = fuse_bn(1.0, 0.0, 0.0, 1.0, 0.0, -7, 0, 0)
-        double, _ = fuse_bn(2.0, 0.0, 0.0, 1.0, 0.0, -7, 0, 0)
-        assert double.scale == 2 * base.scale
+        mult, shift, _ = fuse_bn([1.0, 2.0], [0.0] * 2, [0.0] * 2, [1.0] * 2, 0.0,
+                                 -7, 0, 0)
+        base, double = mult / 2.0 ** (15 + shift)
+        assert double == 2 * base
 
     def test_rejects_bad_variance(self):
-        with pytest.raises(ValueError):
-            fuse_bn(1.0, 0.0, 0.0, -2.0, 1.0, -7, 0, 0)
+        with pytest.raises(ValueError, match="^channel 0: var \\+ eps must be positive$"):
+            fuse_bn([1.0], [0.0], [0.0], [-2.0], 1.0, -7, 0, 0)
 
     def test_multiplier_overflow_signalled(self):
         # scale product >= 1 cannot be encoded as m/2**15 with m <= 32767
         with pytest.raises(RequantOverflow):
-            fuse_bn(1.0, 0.0, 0.0, 1.0, 0.0, 0, 0, 0)
+            fuse_bn([1.0], [0.0], [0.0], [1.0], 0.0, 0, 0, 0)
 
     def test_folding_accuracy_sample(self):
         rng = np.random.default_rng(3)
@@ -228,12 +229,13 @@ class TestFuseBn:
             var = rng.uniform(0.1, 4.0)
             in_s, w_s, out_s = -7, -7, -6
             try:
-                rq, bias = fuse_bn(gamma, beta, mean, var, 1e-5, in_s, w_s, out_s)
+                mult, shift, bias = fuse_bn([gamma], [beta], [mean], [var], 1e-5,
+                                            in_s, w_s, out_s)
             except RequantOverflow:
                 continue
             for _ in range(5):
                 acc = int(rng.integers(-(1 << 18), 1 << 18))
-                fixed = _fixed_path(acc, rq, bias)
+                fixed = requantize(acc + int(bias[0]), mult[0], shift[0])
                 real = bn_real(acc, gamma, beta, mean, var, 1e-5,
                                in_s, w_s, out_s)
                 if abs(fixed - real) > 1:
@@ -241,7 +243,62 @@ class TestFuseBn:
         assert bad == 0
 
 
-def _fixed_path(acc: int, rq: Requant, bias: int) -> int:
-    from ucda.qtensor import requantize
+@st.composite
+def _bn_layers(draw):
+    """(channels, eps, (in, w, out) scale exps); a channel is (gamma, beta,
+    mean, var). Gains aim at the shift boundaries and rounding ties of the
+    drawn scales; zero gains, var + eps <= 0, multipliers and biases
+    beyond range come up often, so many layers have several failing channels.
+    """
+    eps = draw(st.sampled_from([0.0, 1e-5]))
+    exps = draw(st.tuples(st.integers(-20, 0), st.integers(-16, 0), st.integers(-20, 4)))
+    # with var + eps == 1 the candidate multiplier at shift s is
+    # gamma * 2**(x + 15 + s)
+    x = exps[0] + exps[1] - exps[2]
+    at_shift = st.integers(-2, 33).map(lambda s: 2.0 ** -(x + 15 + s))
+    edge = st.sampled_from([32767.5, np.nextafter(32767.5, 0), np.nextafter(32767.5, 1e5),
+                            32767.0, 32768.0, 16383.75, 16384.0])
+    tie = st.integers(16384, 32766).map(lambda m: m + 0.5)
+    sign = st.sampled_from([1.0, -1.0])
+    gamma = st.one_of(
+        st.builds(lambda s, v, p: s * v * p, sign, st.one_of(edge, tie), at_shift),
+        st.floats(-1e6, 1e6).filter(lambda x: x == 0.0 or abs(x) > 1e-30))
+    offset = st.floats(-1e3, 1e3)
+    var = st.one_of(st.just(1.0), st.floats(1e-6, 1e4), st.sampled_from([0.0, -eps, -1.0]))
+    channels = draw(st.lists(st.tuples(gamma, offset, offset, var), min_size=1, max_size=5))
+    return channels, eps, exps
 
-    return requantize(acc + bias, rq)
+
+@given(_bn_layers())
+@example(([(1.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, -1.0), (0.0, 0.0, 0.0, 1.0)],
+          0.0, (-7, 0, 0)))                        # var + eps before zero gain
+@example(([(1.0, 0.0, 0.0, 1.0), (-0.0, 0.5, 0.0, 1.0)], 1e-5, (-7, 0, 0)))  # zero gain
+@example(([(1.0, 0.0, 0.0, 1.0), (1.0, 1e30, 0.0, 1.0), (8.0, 0.0, 0.0, 1.0)],
+          0.0, (-7, 0, -4)))                       # the lowest failing channel
+@example(([(8.0, 1e30, 0.0, 1.0)], 0.0, (-7, 0, -4)))  # multiplier before bias
+@example(([(20000.5 / 2 ** 15, 0.5, 0.0, 1.0), (-20000.5 / 2 ** 15, 0.5, 0.0, 1.0),
+           ((1 - 2.0 ** -16) / 2, 0.0, 0.0, 1.0)],
+          0.0, (0, 0, 0)))                         # ties; 32767.5 at shift 1
+@example(([(1 - 2.0 ** -16, 0.0, 0.0, 1.0)], 0.0, (0, 0, 0)))  # 32767.5 at shift 0
+@example(([(1.0, 0.0, 0.0, -1e-5)], 1e-5, (-7, 0, 0)))  # var + eps == 0
+@settings(max_examples=400)
+def test_fuse_bn_matches_scalar_reference(layer):
+    """The layer fold equals the per-channel scalar fold channel by channel,
+    or raises the same type and message for the same (first) channel."""
+    channels, eps, exps = layer
+    want, error = [], None
+    for c, channel in enumerate(channels):
+        try:
+            want.append(ref.fuse_bn_channel(*channel, eps, *exps))
+        except ValueError as e:
+            error = (type(e), f"channel {c}: {e}")
+            break
+    columns = [np.array(col, dtype=np.float64) for col in zip(*channels)]
+    if error is None:
+        mult, shift, bias = fuse_bn(*columns, eps, *exps)
+        assert (mult.dtype, shift.dtype, bias.dtype) == (np.int16, np.uint8, np.int64)
+        assert list(zip(mult.tolist(), shift.tolist(), bias.tolist())) == want
+    else:
+        with pytest.raises(ValueError) as info:
+            fuse_bn(*columns, eps, *exps)
+        assert (type(info.value), str(info.value)) == error

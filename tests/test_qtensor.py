@@ -10,7 +10,6 @@ from ucda.qtensor import (
     AccumulatorOverflow,
     KernelSet,
     QTensor,
-    Requant,
     check_accum,
     dequantize,
     identity_kernel_set,
@@ -75,34 +74,28 @@ def test_scale_exp_range_enforced():
 
 class TestRequantize:
     def test_unit_scale(self):
-        assert requantize(256, Requant(32767, 8)) == 1
+        assert requantize(256, 32767, 8) == 1
 
     def test_just_below_half(self):
         # 384 * 32767 / 2**23 = 1.49999... — multiplier 32767 is slightly
         # under 1.0, so this lands below the tie and rounds down
-        assert requantize(384, Requant(32767, 8)) == 1
+        assert requantize(384, 32767, 8) == 1
 
     def test_exact_tie_rounds_away(self):
         # 512 * 24576 / 2**23 = 1.5 exactly
-        assert requantize(512, Requant(24576, 8)) == 2
-        assert requantize(-512, Requant(24576, 8)) == -2
+        assert requantize(512, 24576, 8) == 2
+        assert requantize(-512, 24576, 8) == -2
 
     def test_saturation(self):
-        assert requantize(100000, Requant(32767, 8)) == 127
-        assert requantize(-100000, Requant(32767, 8)) == -128
+        assert requantize(100000, 32767, 8) == 127
+        assert requantize(-100000, 32767, 8) == -128
 
     @given(st.integers(ACC_MIN, ACC_MAX), st.integers(-32768, 32767),
            st.integers(0, 31))
     def test_matches_float_reference(self, acc, mult, shift):
-        got = requantize(acc, Requant(mult, shift))
+        got = requantize(acc, mult, shift)
         want = clamp8(rhafz(acc * mult / 2.0 ** (15 + shift)))
         assert got == want
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Requant(40000, 0)
-        with pytest.raises(ValueError):
-            Requant(100, 32)
 
 
 def test_requantize_array_per_channel():
@@ -120,8 +113,7 @@ class TestRequantizeArray:
     @staticmethod
     def _check(acc, mult, shift):
         acc, mult, shift = (np.asarray(v, dtype=np.int64) for v in (acc, mult, shift))
-        want = [requantize(a, Requant(int(m), int(s)))
-                for a, m, s in zip(acc, mult, shift)]
+        want = [requantize(a, m, s) for a, m, s in zip(acc, mult, shift)]
         # one channel per case; int64 and float64 input give the same int8
         for a in (acc, acc.astype(np.float64)):
             got = requantize_array(a, mult.astype(np.int16), shift.astype(np.uint8))
@@ -161,7 +153,7 @@ class TestRequantizeArray:
 
     def test_scalar_input(self):
         assert int(requantize_array(np.int64(-300), np.int16(16384), 1)) == \
-            requantize(-300, Requant(16384, 1))
+            requantize(-300, 16384, 1)
 
     def test_out_of_range_raises(self):
         for acc in (ACC_MAX + 1, ACC_MIN - 1):
@@ -232,8 +224,7 @@ def test_identity_kernel_set_geometry():
     ks = identity_kernel_set(3, 5)
     assert ks.in_channels == 3 and ks.out_channels == 5
     assert not ks.rotated
-    r = ks.requant(0)
-    assert (r.multiplier, r.shift) == (16384, 0)
+    assert (ks.bn_multiplier.tolist(), ks.bn_shift.tolist()) == ([16384] * 5, [0] * 5)
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4),
