@@ -32,7 +32,6 @@ from .datapath import (
     CycleReport,
     LayerCommand,
     PaddingMode,
-    PostOps,
     ShapeMismatch,
     check_layer_capacity,
     compute_out_shape,
@@ -42,6 +41,9 @@ from .datapath import (
 from .pearray import HwConfig, fuse_bn
 from .patchdeconv import rotate180
 from .qtensor import (
+    LEAKY_SHIFT,
+    SCALE_EXP_MAX,
+    SCALE_EXP_MIN,
     KernelSet,
     QTensor,
     check_accum,
@@ -59,6 +61,12 @@ NET_VERSION = 1
 
 class NetParseError(ValueError):
     """The network description file is malformed or violates the schema."""
+
+
+def _check_scale(name: str, value: int | None) -> None:
+    if value is not None and not SCALE_EXP_MIN <= value <= SCALE_EXP_MAX:
+        raise NetParseError(
+            f"{name} {value} outside [{SCALE_EXP_MIN}, {SCALE_EXP_MAX}]")
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,7 @@ class LayerSpec:
             raise NetParseError(f"unknown pool {self.pool!r}")
         if self.pool != "none" and self.kind not in COMPUTE_OPS:
             raise NetParseError("pool attachments only follow conv/deconv stages")
+        _check_scale("scale_exp", self.scale_exp)
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,7 @@ class NetDescription:
         object.__setattr__(self, "layers", tuple(self.layers))
         if len(self.input_shape) != 3 or min(self.input_shape) < 1:
             raise NetParseError(f"bad input shape {self.input_shape}")
+        _check_scale("input.scale_exp", self.input_scale_exp)
         self.chain()  # validates stage-to-stage geometry
 
     def stage_count(self) -> int:
@@ -198,7 +208,10 @@ def net_from_json(text: str) -> NetDescription:
         for key, (types, name) in _LAYER_FIELD_TYPES.items():
             if key in l and (not isinstance(l[key], types) or isinstance(l[key], bool)):
                 raise NetParseError(f"layer {i}: {key} must be {name}, got {l[key]!r}")
-        layers.append(LayerSpec(**l))
+        try:
+            layers.append(LayerSpec(**l))
+        except NetParseError as e:
+            raise NetParseError(f"layer {i}: {e}") from None
     *shape, scale_exp = (inp[key] for key in _INPUT_FIELDS)
     return NetDescription(input_shape=shape, input_scale_exp=scale_exp,
                           layers=layers)
@@ -253,9 +266,8 @@ def compile_network(net: NetDescription, cfg: HwConfig | None = None) -> Program
     """Lower a network description to register-file commands.
 
     Tiling is along input depth only: tile_depth = min(Cin, Tn), so Cin=64
-    at Tn=8 runs as 8 accumulation passes. IF banks alternate per command
-    for double buffering. Raises CapacityError naming the violating layer
-    when a finite buffer capacity is exceeded.
+    at Tn=8 runs as 8 accumulation passes. Raises CapacityError naming the
+    violating layer when a finite buffer capacity is exceeded.
     """
     cfg = cfg or HwConfig()
     commands = []
@@ -270,8 +282,7 @@ def compile_network(net: NetDescription, cfg: HwConfig | None = None) -> Program
         cmd = layer_command(
             spec.kind, in_shape, spec.out_channels, default_padding(spec.kind),
             cfg, activation=spec.activation, pool=spec.pool,
-            out_scale_exp=out_scale, weight_slot=slot,
-            if_bank=i % 2, of_bank=(i + 1) % 2)
+            out_scale_exp=out_scale, weight_slot=slot)
         need = check_layer_capacity(cmd, cfg, label=f"layer {i} ({spec.kind})")
         for key in budget:
             budget[key] = max(budget[key], need[key])
@@ -287,25 +298,27 @@ def compile_network(net: NetDescription, cfg: HwConfig | None = None) -> Program
 
 # ------------------------------------------------------------ program dump
 
+def _command_fields(i: int, c: LayerCommand) -> dict:
+    """Command i's dump fields in line order, the implied ones included."""
+    raw = {"op": c.op, "pad": c.padding.short_name(), "in": c.in_shape,
+           "out": c.out_shape, "tile_depth": c.tile_depth, "unroll": c.unroll,
+           "wslot": c.weight_slot, "if_bank": i % 2, "of_bank": (i + 1) % 2,
+           "requant": int(c.op in COMPUTE_OPS), "act": c.activation,
+           "pool": c.pool, "scale_exp": c.out_scale_exp, "leaky_shift": LEAKY_SHIFT}
+    return {k: "x".join(map(str, v)) if isinstance(v, tuple) else str(v)
+            for k, v in raw.items()}
+
+
 def program_to_text(p: Program) -> str:
-    out = io.StringIO()
-    out.write("# ucda program v1\n")
-    out.write(f"stages: {p.stages}\n")
-    out.write(f"commands: {len(p.commands)}\n")
-    out.write(f"budget_if_bits: {p.if_bits_required}\n")
-    out.write(f"budget_of_bits: {p.of_bits_required}\n")
-    out.write(f"budget_weight_bits: {p.weight_bits_required}\n")
+    lines = ["# ucda program v1", f"stages: {p.stages}",
+             f"commands: {len(p.commands)}",
+             f"budget_if_bits: {p.if_bits_required}",
+             f"budget_of_bits: {p.of_bits_required}",
+             f"budget_weight_bits: {p.weight_bits_required}"]
     for i, c in enumerate(p.commands):
-        out.write(
-            f"cmd {i:02d}: op={c.op} pad={c.padding.short_name()}"
-            f" in={c.in_shape[0]}x{c.in_shape[1]}x{c.in_shape[2]}"
-            f" out={c.out_shape[0]}x{c.out_shape[1]}x{c.out_shape[2]}"
-            f" tile_depth={c.tile_depth} unroll={c.unroll[0]}x{c.unroll[1]}"
-            f" wslot={c.weight_slot} if_bank={c.if_bank} of_bank={c.of_bank}"
-            f" requant={int(c.post.requant)} act={c.post.activation}"
-            f" pool={c.post.pool} scale_exp={c.post.out_scale_exp}"
-            f" leaky_shift={c.post.leaky_shift}\n")
-    return out.getvalue()
+        text = " ".join(f"{k}={v}" for k, v in _command_fields(i, c).items())
+        lines.append(f"cmd {i:02d}: {text}")
+    return "\n".join(lines) + "\n"
 
 
 def _ints(key: str, val: str, n: int = 1):
@@ -319,7 +332,8 @@ def _ints(key: str, val: str, n: int = 1):
     return vals if n > 1 else vals[0]
 
 
-def _command_from_tokens(tokens) -> LayerCommand:
+def _command_from_tokens(i: int, tokens) -> LayerCommand:
+    """Command i from its independent fields; the line must equal its rendering."""
     kv = dict(tok.partition("=")[::2] for tok in tokens)
 
     def get(key, n=0):   # the field's text, or with n > 0 its n integers
@@ -327,22 +341,17 @@ def _command_from_tokens(tokens) -> LayerCommand:
             raise ValueError(f"missing field {key!r}")
         return _ints(key, kv[key], n) if n else kv[key]
 
-    return LayerCommand(
-        op=get("op"),
-        padding=PaddingMode.of(get("pad")),
-        in_shape=get("in", 3),
-        out_shape=get("out", 3),
-        tile_depth=get("tile_depth", 1),
-        unroll=get("unroll", 2),
-        weight_slot=get("wslot", 1),
-        if_bank=get("if_bank", 1),
-        of_bank=get("of_bank", 1),
-        post=PostOps(
-            activation=get("act"), pool=get("pool"),
-            requant=bool(get("requant", 1)),
-            out_scale_exp=get("scale_exp", 1),
-            leaky_shift=get("leaky_shift", 1)),
-    )
+    cmd = LayerCommand(get("op"), PaddingMode.of(get("pad")), get("in", 3),
+                       get("out", 3)[2], get("unroll", 2), get("wslot", 1),
+                       get("act"), get("pool"), get("scale_exp", 1))
+    want = _command_fields(i, cmd)
+    for key in (*want, *kv):
+        if key not in want:
+            raise ValueError(f"unknown field {key!r}")
+        if get(key) != want[key]:
+            raise ValueError(f"field {key}={kv[key]!r} disagrees with the "
+                             f"command, which gives {key}={want[key]!r}")
+    return cmd
 
 
 def program_from_text(text: str) -> Program:
@@ -350,6 +359,7 @@ def program_from_text(text: str) -> Program:
 
     Command lines must be numbered 0, 1, 2, ... and their number must
     equal the `commands:` header, so a dump that lost a line is an error.
+    Each line must render back exactly, implied fields and all.
     """
     header = {}
     commands = []
@@ -364,7 +374,7 @@ def program_from_text(text: str) -> Program:
                 if index != len(commands):
                     raise ValueError(f"command index {index} where {len(commands)} "
                                      "was expected")
-                commands.append(_command_from_tokens(val.split()))
+                commands.append(_command_from_tokens(index, val.split()))
             else:
                 header[key.strip()] = _ints(key.strip(), val.strip())
         except ValueError as e:
@@ -554,11 +564,11 @@ def execute(program: Program, kernel_sets, input: QTensor,
             trace: list | None = None, fault_layer: int | None = None):
     """Run a program sequentially; returns (output, aggregate CycleReport).
 
-    Commands run strictly in order; feature maps round-trip through the
-    alternating IF banks exactly as compiled. fault_layer flips the lowest
-    bit of one element of that command's output (fault-injection hook for
-    the comparison tool). Pass a list as trace to receive per-command
-    records with start/end cycle stamps.
+    Commands run strictly in order, command i reading IF bank i % 2 and
+    writing the other. fault_layer flips the lowest bit of one element of
+    that command's output (fault-injection hook for the comparison tool).
+    Pass a list as trace to receive per-command records with start/end
+    cycle stamps.
     """
     cfg = cfg or HwConfig()
     n_slots = sum(1 for c in program.commands if c.op in COMPUTE_OPS)
@@ -569,8 +579,6 @@ def execute(program: Program, kernel_sets, input: QTensor,
     aggregate = CycleReport()
     cursor = 0
     for i, cmd in enumerate(program.commands):
-        if cmd.if_bank != i % 2 or cmd.of_bank != (i + 1) % 2:
-            raise ExecutionError(f"command {i}: IF banks must alternate")
         ks = kernel_sets[cmd.weight_slot] if cmd.weight_slot >= 0 else None
         try:
             x, report = run_layer(cmd, x, ks, cfg, engine=engine)
@@ -607,7 +615,7 @@ def reference_composition(net: NetDescription, kernel_sets, input: QTensor):
             if spec.kind == "conv3x3":
                 acc = oracle.conv2d_ref(x, ks, default_padding("conv3x3"))
             else:
-                acc = oracle.deconv_naive(x, ks, exact_double=True)
+                acc = oracle.deconv_naive(x, ks)
             x = oracle.bn_act_ref(acc, ks.bn_multiplier, ks.bn_shift,
                                   act=spec.activation, out_scale_exp=out_scale)
             if spec.pool == "max":

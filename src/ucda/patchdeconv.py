@@ -42,7 +42,7 @@ def pad_for_patches(input: QTensor) -> QTensor:
 
     After this pad, the stride-1 2x2 windows of the (h+1, w+1) map are in
     one-to-one correspondence with the h*w disjoint output patches of the
-    exact-double transform.
+    (2h, 2w) transposed convolution.
     """
     return QTensor(np.pad(input.data, ((1, 0), (1, 0), (0, 0))), input.scale_exp)
 
@@ -51,7 +51,7 @@ def deconv_full(input: QTensor, weights: KernelSet,
                 counters: OpCounters | None = None) -> np.ndarray:
     """Whole-map patch deconvolution: (h, w, cin) -> (2h, 2w, cout) int32.
 
-    Equals deconv_naive(..., exact_double=True) bit for bit while spending
+    Equals deconv_naive bit for bit while spending
     a quarter of the multiplications. Bias is added once per output value.
     """
     if not weights.rotated:

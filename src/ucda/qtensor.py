@@ -22,6 +22,8 @@ ACC_MAX = (1 << 31) - 1
 SCALE_EXP_MIN = -16
 SCALE_EXP_MAX = 0
 REQUANT_FRAC_BITS = 15
+# leaky ReLU scales negative values by 2**-LEAKY_SHIFT (a fixed slope of 1/8)
+LEAKY_SHIFT = 3
 
 
 class AccumulatorOverflow(OverflowError):
@@ -114,10 +116,10 @@ def requantize_array(acc, multiplier, shift) -> np.ndarray:
     return np.clip(v, Q8_MIN, Q8_MAX, out=v).astype(np.int8)
 
 
-def apply_activation(q: np.ndarray, act: str, leaky_shift: int = 3) -> np.ndarray:
+def apply_activation(q: np.ndarray, act: str) -> np.ndarray:
     """Elementwise activation on q8 data.
 
-    'leaky' multiplies negative values by 2**-leaky_shift using an
+    'leaky' multiplies negative values by 2**-LEAKY_SHIFT using an
     arithmetic right shift; for negative operands that shift rounds away
     from zero, matching the stated rule.
     """
@@ -126,7 +128,7 @@ def apply_activation(q: np.ndarray, act: str, leaky_shift: int = 3) -> np.ndarra
     if act == "relu":
         return np.maximum(q, 0)
     if act == "leaky":
-        neg = q.astype(np.int64) >> leaky_shift
+        neg = q.astype(np.int64) >> LEAKY_SHIFT
         return np.where(q < 0, neg, q).astype(q.dtype)
     raise ValueError(f"unknown activation {act!r}")
 

@@ -58,7 +58,7 @@ def conv3x3_loops(data, weights, bias, pads):
     return out
 
 
-def deconv_loops(data, rotated_weights, bias, exact_double=True):
+def deconv_loops(data, rotated_weights, bias):
     """Transposed conv via explicit zero insertion + conv3x3_loops."""
     data = np.asarray(data)
     h, w, c = data.shape
@@ -66,8 +66,7 @@ def deconv_loops(data, rotated_weights, bias, exact_double=True):
     for y in range(h):
         for x in range(w):
             exp[2 * y + 1, 2 * x + 1] = data[y, x]
-    pads = (1, 0, 1, 0) if exact_double else (0, 0, 0, 0)
-    return conv3x3_loops(exp, rotated_weights, bias, pads)
+    return conv3x3_loops(exp, rotated_weights, bias, (1, 0, 1, 0))
 
 
 def patch_equations(window, kernel):

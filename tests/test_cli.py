@@ -179,11 +179,30 @@ class TestExitCodes:
         return path
 
     def test_unfoldable_multiplier_is_a_parse_error(self, tmp_path, capsys):
-        net = self._net(tmp_path, LayerSpec("conv3x3", 4, scale_exp=-400))
+        # -16 is in range, but on this net the multiplier does not fold
+        net = self._net(tmp_path, LayerSpec("conv3x3", 4, scale_exp=-16))
         assert _run(["run", "--net", net, "--random-weights", "--random-input",
                      "--out-tensor", tmp_path / "o.tensor",
                      "--out-perf", tmp_path / "p.json"]) == 1
         assert capsys.readouterr().err.startswith("error: layer 0 channel 0: ")
+
+    @pytest.mark.parametrize("where, value", [
+        ("layer", -2000), ("layer", -400), ("layer", -17), ("layer", 1),
+        ("layer", 2000), ("input", 5), ("input", -17)])
+    def test_out_of_range_scale_is_a_parse_error(self, tmp_path, capsys,
+                                                 where, value):
+        doc = {"version": 1, "input": {"h": 8, "w": 8, "c": 2, "scale_exp": -7},
+               "layers": [{"kind": "conv3x3", "out_channels": 4}]}
+        (doc["layers"][0] if where == "layer" else doc["input"])["scale_exp"] = value
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        assert _run(["run", "--net", net, "--random-weights", "--random-input",
+                     "--out-tensor", tmp_path / "o.tensor",
+                     "--out-perf", tmp_path / "p.json"]) == 1
+        field = "layer 0: scale_exp" if where == "layer" else "input.scale_exp"
+        assert capsys.readouterr().err == (
+            f"error: {field} {value} outside [-16, 0]\n")
+        assert not (tmp_path / "o.tensor").exists()
 
     def test_accumulator_overflow_is_a_runtime_error(self, tmp_path, capsys):
         net = self._net(tmp_path, LayerSpec("conv3x3", 4))

@@ -1,10 +1,13 @@
 """Network descriptions, program compilation, weight images, execution."""
 import hashlib
+import re
 import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ucda.cli import _random_params
 from ucda.controller import (
@@ -209,8 +212,10 @@ class TestCompile:
         net = _net([LayerSpec("conv3x3", 4), LayerSpec("maxpool", 4),
                     LayerSpec("deconv2x", 2)])
         p = compile_network(net, HwConfig())
-        banks = [(c.if_bank, c.of_bank) for c in p.commands]
-        assert banks == [(0, 1), (1, 0), (0, 1)]
+        rows = [dict(tok.split("=") for tok in line.split(": ")[1].split())
+                for line in program_to_text(p).splitlines() if line.startswith("cmd")]
+        banks = [(r["if_bank"], r["of_bank"]) for r in rows]
+        assert banks == [("0", "1"), ("1", "0"), ("0", "1")]
         assert [c.weight_slot for c in p.commands] == [0, -1, 1]
 
     def test_depth_tiling(self):
@@ -252,7 +257,18 @@ class TestProgramText:
         assert p.if_bits_required == 576
         cmd = p.commands[0]
         assert cmd.op == "conv3x3" and cmd.out_shape == (4, 4, 3)
-        assert cmd.post.activation == "relu"
+        assert cmd.activation == "relu"
+
+    @pytest.mark.parametrize("cfg, digest, length", [
+        (HwConfig(),
+         "753ed60ebb415bbfbe4f0e11a3ecbef0453f4c6bf69dcd2630182ccab4424740", 1582),
+        (HwConfig(tn=4, tm=16, arrays=2),
+         "ad993721824d33ee10fbfd5db54e0f64150c0fb189e5910398ea8809dfc6255e", 1591),
+    ], ids=["default", "tn4-tm16-arrays2"])
+    def test_preset_dump_bytes_are_pinned(self, cfg, digest, length):
+        text = program_to_text(compile_network(segnet_basic_preset(), cfg))
+        assert len(text) == length
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_round_trip_preset(self):
         p = compile_network(segnet_basic_preset(), HwConfig())
@@ -293,6 +309,87 @@ class TestProgramText:
     def test_missing_command_count(self):
         text = self.GOLDEN.replace("commands: 1\n", "")
         with pytest.raises(ValueError, match=r"missing header field 'commands'"):
+            program_from_text(text)
+
+
+_KINDS = ("conv3x3", "deconv2x", "maxpool", "avgpool", "identity")
+_POW2 = st.sampled_from([1, 2, 4, 8, 16])
+
+
+@st.composite
+def _programs(draw):
+    """A compiled random small net over every layer kind, and its config."""
+    side = st.integers(1, 3).map(lambda v: 2 * v) | st.integers(1, 6)
+    shape = (draw(side), draw(side), draw(st.integers(1, 16)))
+    net = NetDescription(shape, draw(st.integers(-16, 0)), ())
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(_KINDS))
+        compute = kind in ("conv3x3", "deconv2x")
+        spec = LayerSpec(
+            kind,
+            draw(st.integers(1, 16)) if compute else net.output_shape()[2],
+            activation=draw(st.sampled_from(["none", "relu", "leaky"])),
+            pool=draw(st.sampled_from(["none", "max", "avg"])) if compute else "none",
+            scale_exp=draw(st.none() | st.integers(-16, 0)))
+        try:
+            net = NetDescription(shape, net.input_scale_exp, net.layers + (spec,))
+        except NetParseError:
+            continue   # odd dims under a pool, or a map too small for conv
+    assume(net.layers)
+    cfg = HwConfig(tn=draw(_POW2), tm=draw(_POW2),
+                   arrays=draw(st.sampled_from([1, 2])))
+    return compile_network(net, cfg)
+
+
+def _with_line(text, index, edit):
+    """The dump with command `index`'s line passed through `edit`, and the
+    number of that line."""
+    lines = text.splitlines(keepends=True)
+    no = next(n for n, l in enumerate(lines) if l.startswith(f"cmd {index:02d}:"))
+    lines[no] = edit(lines[no])
+    return "".join(lines), no + 1
+
+
+_IMPLIED = ("if_bank", "of_bank", "requant", "leaky_shift", "tile_depth", "out")
+
+
+class TestProgramTextProperties:
+    @given(_programs())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, p):
+        assert program_from_text(program_to_text(p)) == p
+
+    @given(_programs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_changed_implied_field_names_line_and_field(self, p, data):
+        index = data.draw(st.integers(0, len(p.commands) - 1))
+        key = data.draw(st.sampled_from(_IMPLIED))
+        delta = data.draw(st.sampled_from([-1, 1, 2]))
+        axis = data.draw(st.integers(0, 1))   # H or W of `out`
+
+        def edit(line):
+            old = re.search(rf" {key}=(\S+)", line).group(1)
+            if key == "out":
+                dims = [int(v) for v in old.split("x")]
+                dims[axis] += delta
+                new = "x".join(map(str, dims))
+            else:
+                new = str(int(old) + delta)
+            return line.replace(f" {key}={old}", f" {key}={new}")
+
+        text, no = _with_line(program_to_text(p), index, edit)
+        with pytest.raises(ValueError, match=rf"line {no}: field {key}="):
+            program_from_text(text)
+
+    @given(_programs(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_extra_field_is_rejected(self, p, data):
+        index = data.draw(st.integers(0, len(p.commands) - 1))
+        extra = data.draw(st.sampled_from(["stride=2", "bias=0", "note=", "flag"]))
+        text, no = _with_line(program_to_text(p), index,
+                              lambda line: line.rstrip("\n") + f" {extra}\n")
+        name = extra.partition("=")[0]
+        with pytest.raises(ValueError, match=rf"line {no}: unknown field '{name}'"):
             program_from_text(text)
 
 
@@ -498,14 +595,6 @@ class TestExecute:
         _, p, sets, x = self._compiled()
         with pytest.raises(ExecutionError, match="kernel sets"):
             execute(p, sets[:1], x)
-
-    def test_bank_mismatch_rejected(self):
-        _, p, sets, x = self._compiled()
-        bad = Program(commands=(p.commands[1], p.commands[0]),
-                      stages=p.stages, if_bits_required=0,
-                      of_bits_required=0, weight_bits_required=0)
-        with pytest.raises(ExecutionError, match="alternate"):
-            execute(bad, sets, x)
 
     def test_error_names_command(self):
         net = _net([LayerSpec("conv3x3", 4)])

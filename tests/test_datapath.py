@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ucda import pearray
+from ucda import pearray, qtensor
 from ucda.datapath import (
     CapacityError,
     CycleReport,
+    LayerCommand,
     ShapeMismatch,
     check_layer_capacity,
     UnsupportedOp,
@@ -88,6 +89,32 @@ class TestShapes:
     def test_unknown_op_is_named(self):
         with pytest.raises(UnsupportedOp, match="^unknown op 'foo'$"):
             compute_out_shape("foo", (4, 4, 1), PaddingMode.none(), 1)
+
+
+class TestLayerCommand:
+    def test_out_shape_and_tile_depth_are_derived(self):
+        cmd = LayerCommand("conv3x3", PaddingMode.all_edges(), (10, 12, 3), 7,
+                           (8, 4), pool="max")
+        assert cmd.out_shape == (5, 6, 7)
+        assert cmd.tile_depth == 3
+        assert replace(cmd, in_shape=(10, 12, 20)).tile_depth == 8
+
+    def test_bad_geometry_raises_on_build(self):
+        with pytest.raises(ShapeMismatch, match="too small"):
+            LayerCommand("conv3x3", PaddingMode.none(), (2, 2, 1), 1, (8, 8))
+
+    @pytest.mark.parametrize("kwargs, error, match", [
+        ({"activation": "gelu"}, ValueError, "^unknown activation 'gelu'$"),
+        ({"pool": "min"}, ValueError, "^unknown pool 'min'$"),
+        ({"op": "maxpool", "pool": "max"}, UnsupportedOp,
+         "^pool attachments only follow compute ops$"),
+        ({"unroll": (8, 0)}, ValueError, "unroll entries must be at least 1"),
+    ], ids=["activation", "pool", "pool-after-move-op", "unroll"])
+    def test_rejects(self, kwargs, error, match):
+        args = {"op": "conv3x3", "padding": PaddingMode.all_edges(),
+                "in_shape": (4, 4, 4), "out_channels": 4, "unroll": (8, 8)}
+        with pytest.raises(error, match=match):
+            LayerCommand(**{**args, **kwargs})
 
 
 class TestCycleModel:
@@ -189,7 +216,7 @@ class TestBitExactness:
         ks = _rand_ks(rng, 4, 7, rotated=True)
         cmd = layer_command("deconv2x", (6, 5, 4), 7, PaddingMode.of("TL"), CFG)
         out, _ = run_layer(cmd, x, ks, CFG)
-        acc = deconv_naive(x, ks, exact_double=True)
+        acc = deconv_naive(x, ks)
         want = bn_act_ref(acc, ks.bn_multiplier, ks.bn_shift, out_scale_exp=-7)
         assert np.array_equal(out.data, want.data)
 
@@ -338,15 +365,17 @@ class TestPoolAct:
     @pytest.mark.parametrize("act", ["none", "relu", "leaky"])
     @pytest.mark.parametrize("pool", ["none", "max", "avg"])
     @pytest.mark.parametrize("leaky_shift", [0, 1, 3, 7])
-    def test_matches_loop_reference(self, act, pool, leaky_shift):
+    def test_matches_loop_reference(self, act, pool, leaky_shift, monkeypatch):
+        # the rule holds for any shift constant, not only the one in use;
         # every odd negative and every residue mod 2**shift occurs
+        monkeypatch.setattr(qtensor, "LEAKY_SHIFT", leaky_shift)
         data = np.arange(-128, 128, dtype=np.int8)[::-1].reshape(8, 8, 4)
         want = ref.activation_loops(data, act, leaky_shift)
         if pool == "max":
             want = ref.maxpool_loops(want)
         elif pool == "avg":
             want = ref.avgpool_loops(want)
-        got = pool_act(data, pool=pool, act=act, leaky_shift=leaky_shift)
+        got = pool_act(data, pool=pool, act=act)
         assert got.dtype == np.int8
         assert np.array_equal(got, want)
 
@@ -449,7 +478,7 @@ class TestAccumulatorProof:
     def _oracle_acc(self, op, x, ks):
         if op == "conv3x3":
             return conv2d_ref(x, ks, self.OPS[op])
-        return deconv_naive(x, ks, exact_double=True)
+        return deconv_naive(x, ks)
 
     def _assert_equals_oracle(self, op, w, x_value=-128):
         cmd, x, ks = self._case(op, w, x_value)

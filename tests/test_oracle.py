@@ -102,15 +102,14 @@ class TestDeconvNaive:
     def test_output_sizes(self):
         x = QTensor(np.ones((2, 2, 1), np.int8), 0)
         ks = _ks(np.ones((1, 1, 3, 3)), rotated=True)
-        assert deconv_naive(x, ks, exact_double=False).shape == (3, 3, 1)
-        assert deconv_naive(x, ks, exact_double=True).shape == (4, 4, 1)
+        assert deconv_naive(x, ks).shape == (4, 4, 1)
 
     def test_single_pixel_touches_rotated_corner(self):
         rng = np.random.default_rng(5)
         k = rng.integers(-100, 100, (1, 1, 3, 3)).astype(np.int8)
         x = np.zeros((2, 2, 1), np.int8)
         x[0, 0, 0] = 1
-        out = deconv_naive(QTensor(x, 0), _ks(k, rotated=True), True)
+        out = deconv_naive(QTensor(x, 0), _ks(k, rotated=True))
         # the first output pixel sees only the stored kernel's last tap
         assert out[0, 0, 0] == k[0, 0, 2, 2]
 
@@ -124,17 +123,14 @@ class TestDeconvNaive:
         x = _rand_tensor(rng, 3, 4, 2)
         w = rng.integers(-128, 128, (2, 2, 3, 3)).astype(np.int8)
         b = rng.integers(-50, 50, 2)
-        got = deconv_naive(x, _ks(w, b, rotated=True), True)
-        want = np.array(ref.deconv_loops(x.data, w, b, True))
+        got = deconv_naive(x, _ks(w, b, rotated=True))
+        want = np.array(ref.deconv_loops(x.data, w, b))
         assert np.array_equal(got, want)
-        got1 = deconv_naive(x, _ks(w, b, rotated=True), False)
-        want1 = np.array(ref.deconv_loops(x.data, w, b, False))
-        assert np.array_equal(got1, want1)
 
     def test_counts_all_taps_including_zeros(self):
         c = OpCounters()
         x = QTensor(np.zeros((3, 5, 2), np.int8), 0)
-        deconv_naive(x, _ks(np.zeros((4, 2, 3, 3)), rotated=True), True, c)
+        deconv_naive(x, _ks(np.zeros((4, 2, 3, 3)), rotated=True), counters=c)
         assert c.multiplications == 9 * 6 * 10 * 2 * 4
 
 
@@ -146,10 +142,9 @@ def _band_bytes(rows, ow, cin, cout):
 
 class TestBands:
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3),
-           st.integers(1, 3), st.integers(1, 13), st.booleans(),
-           st.integers(0, 2 ** 31 - 1))
+           st.integers(1, 3), st.integers(1, 13), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_banded_equals_loops(self, h, w, cin, cout, rows, exact, seed):
+    def test_banded_equals_loops(self, h, w, cin, cout, rows, seed):
         rng = np.random.default_rng(seed)
         x = _rand_tensor(rng, h, w, cin)
         wk = rng.integers(-128, 128, (cout, cin, 3, 3)).astype(np.int8)
@@ -162,10 +157,9 @@ class TestBands:
                 mp.setattr(oracle, "BAND_BYTES", _band_bytes(rows, ow, cin, cout))
                 acc = conv2d_ref(x, _ks(wk, b), edges)
                 assert np.array_equal(acc, ref.conv3x3_loops(x.data, wk, b, pads))
-            ow = 2 * w - (not exact)
-            mp.setattr(oracle, "BAND_BYTES", _band_bytes(rows, ow, cin, cout))
-            got = deconv_naive(x, _ks(wk, b, rotated=True), exact)
-            assert np.array_equal(got, ref.deconv_loops(x.data, wk, b, exact))
+            mp.setattr(oracle, "BAND_BYTES", _band_bytes(rows, 2 * w, cin, cout))
+            got = deconv_naive(x, _ks(wk, b, rotated=True))
+            assert np.array_equal(got, ref.deconv_loops(x.data, wk, b))
 
     def test_tiny_budget_still_runs_one_row_bands(self, monkeypatch):
         rng = np.random.default_rng(10)
@@ -210,11 +204,11 @@ class TestOverflow:
         ow = 2 * self.W
         monkeypatch.setattr(oracle, "BAND_BYTES", _band_bytes(3, ow, 1, 1))
         x, k, bias = self._case(0, sign)
-        acc = deconv_naive(x, _ks(k, bias, rotated=True), True)
+        acc = deconv_naive(x, _ks(k, bias, rotated=True))
         assert acc.shape == (2 * self.H, ow, 1) and np.all(acc == bias[0])
         x, k, bias = self._case(127, sign)
         with pytest.raises(AccumulatorOverflow):
-            deconv_naive(x, _ks(k, bias, rotated=True), True)
+            deconv_naive(x, _ks(k, bias, rotated=True))
 
     @pytest.mark.parametrize("value", [ACC_MAX + 1, ACC_MIN - 1])
     def test_bn_act_ref_rejects_out_of_range(self, value):

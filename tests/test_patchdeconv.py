@@ -92,7 +92,7 @@ class TestDeconvPatch:
     def test_worked_example_matches_naive_block(self):
         x = QTensor(np.array([[[1], [2]], [[3], [4]]], np.int8), 0)
         ks = _ks(K123.reshape(1, 1, 3, 3))
-        naive = deconv_naive(x, ks, exact_double=True)
+        naive = deconv_naive(x, ks)
         # the (1,1) window of the top/left-padded input produces the
         # output block at rows 2..3, cols 2..3
         assert naive[2, 2, 0] == 64
@@ -117,7 +117,7 @@ class TestDeconvFull:
         x = QTensor(rng.integers(-128, 128, (2, 2, 1)).astype(np.int8), 0)
         ks = _ks(rng.integers(-128, 128, (1, 1, 3, 3)).astype(np.int8), [5])
         got = deconv_full(x, ks)
-        want = deconv_naive(x, ks, exact_double=True)
+        want = deconv_naive(x, ks)
         assert got.shape == (4, 4, 1)
         assert np.array_equal(got, want)
 
@@ -132,7 +132,7 @@ class TestDeconvFull:
         ks = _ks(rng.integers(-128, 128, (4, 3, 3, 3)).astype(np.int8))
         cp, cn = OpCounters(), OpCounters()
         deconv_full(x, ks, counters=cp)
-        deconv_naive(x, ks, True, counters=cn)
+        deconv_naive(x, ks, counters=cn)
         assert cp.multiplications == 9 * 5 * 7 * 3 * 4
         assert cn.multiplications == 4 * cp.multiplications
 
@@ -142,7 +142,7 @@ class TestDeconvFull:
         w = rng.integers(-128, 128, (2, 2, 3, 3)).astype(np.int8)
         b = rng.integers(-20, 20, 2)
         got = deconv_full(x, _ks(w, b))
-        want = np.array(ref.deconv_loops(x.data, w, b, True))
+        want = np.array(ref.deconv_loops(x.data, w, b))
         assert np.array_equal(got, want)
 
     def test_rejects_unrotated_weights(self):
@@ -161,14 +161,5 @@ class TestDeconvFull:
         x = QTensor(rng.integers(-128, 128, (h, w, cin)).astype(np.int8), 0)
         ks = _ks(rng.integers(-128, 128, (cout, cin, 3, 3)).astype(np.int8),
                  rng.integers(-1000, 1000, cout))
-        assert np.array_equal(deconv_full(x, ks),
-                              deconv_naive(x, ks, exact_double=True))
-
-    def test_crop_recovers_odd_variant(self):
-        rng = np.random.default_rng(3)
-        x = QTensor(rng.integers(-128, 128, (4, 5, 2)).astype(np.int8), 0)
-        ks = _ks(rng.integers(-128, 128, (3, 2, 3, 3)).astype(np.int8))
-        full = deconv_full(x, ks)
-        odd = deconv_naive(x, ks, exact_double=False)
-        assert np.array_equal(full[1:, 1:, :], odd)
+        assert np.array_equal(deconv_full(x, ks), deconv_naive(x, ks))
 
