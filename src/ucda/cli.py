@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import os
 import sys
@@ -353,49 +354,52 @@ def _add_data_args(p):
                    help="generate input from UCDA_SEED")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ucda parser, built once per process (parse_args keeps no state).
+
+    Subcommand NAME runs cmd_NAME, which main looks up at each call.
+    """
     parser = _Parser(prog="ucda", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compile", help="lower a net to layer commands")
     _add_net_args(p)
     p.add_argument("--out", help="program dump path (default: stdout)")
-    p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("run", help="execute a net on the modeled datapath")
     _add_net_args(p)
     _add_data_args(p)
     p.add_argument("--out-tensor", default="out.tensor")
     p.add_argument("--out-perf", default="perf.json")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="check the datapath against references")
     _add_net_args(p)
     _add_data_args(p)
     p.add_argument("--fault", metavar="flip-bit[:LAYER]",
                    help="corrupt one output bit to exercise the comparator")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bench", help="print throughput and latency figures")
     p.add_argument("--hw", action="append", metavar="KEY=VALUE")
     p.add_argument("--scenario", help="canned comparison (paper-latency)")
     p.add_argument("--layer", help="one-layer spec: op=...,in=HxWxC[,out=N]"
                                    "[,pad=..][,act=..][,pool=..]")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("convert", help="convert between PPM/PGM and raw tensors")
     p.add_argument("src")
     p.add_argument("dst")
     p.add_argument("--scale-exp", type=int, default=-7)
-    p.set_defaults(func=cmd_convert)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, not kept in the cached parser, so that a wrapped
+    # cmd_* (as a tracer installs) is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except CapacityError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE

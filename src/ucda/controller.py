@@ -86,6 +86,8 @@ class LayerSpec:
             raise NetParseError("out_channels must be positive")
         if self.activation not in ACTIVATIONS:
             raise NetParseError(f"unknown activation {self.activation!r}")
+        if self.activation != "none" and self.kind not in COMPUTE_OPS:
+            raise NetParseError("activations only follow conv/deconv stages")
         if self.pool not in POOLS:
             raise NetParseError(f"unknown pool {self.pool!r}")
         if self.pool != "none" and self.kind not in COMPUTE_OPS:

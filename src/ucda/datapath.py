@@ -96,6 +96,8 @@ class LayerCommand:
             self.op, self.in_shape, self.padding, self.out_channels, self.pool))
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if self.op not in COMPUTE_OPS and self.activation != "none":
+            raise UnsupportedOp("activations only follow compute ops")
         if self.pool not in POOLS:
             raise ValueError(f"unknown pool {self.pool!r}")
 
@@ -179,14 +181,17 @@ def layer_command(op: str, in_shape, out_channels: int, mode: PaddingMode,
 
 
 def pool_act(data: np.ndarray, pool: str = "none", act: str = "none") -> np.ndarray:
-    """Activation-then-pool tail on a q8 stream; both stages bypassable."""
+    """Activation-then-pool tail on a q8 stream; both stages bypassable.
+
+    int8 in, int8 out; with both stages bypassed it returns data itself.
+    """
     out = apply_activation(np.asarray(data), act)
     if pool != "none":
         try:
             out = pool2x2(out, pool)
         except ValueError as e:
             raise ShapeMismatch(str(e)) from e
-    return out.astype(np.int8)
+    return out
 
 
 def _weight_image_bits(cin: int, cout: int) -> int:

@@ -14,7 +14,9 @@ im2col GEMM: per band of output rows, the nine shifted taps form one
 single product. That is exact, since each product of two int8 values is at
 most 2**14 in magnitude, so every partial sum plus the bias is an integer
 of magnitude at most 9*cin*2**14 + 2**31, far below 2**53. BAND_BYTES
-bounds a band's float64 working set, and with it the oracle's memory.
+bounds a band's float64 working set, and qtensor.BLOCK_BYTES the
+requantize tail's, which never copies the int32 map to float64; together
+they bound the oracle's memory beyond its int32 and int8 maps.
 
 Counter bookkeeping is part of the contract: every kernel tap counts one
 multiplication even when an operand is an injected zero, because the
@@ -153,7 +155,8 @@ def deconv_naive(input: QTensor, weights: KernelSet,
     h, w, cin = input.shape
     exp = np.zeros((2 * h + 1, 2 * w + 1, cin), dtype=np.int8)
     exp[1::2, 1::2, :] = input.data
-    # a second step on purpose: one allocation raised decoder peak RSS by 8%
+    # two steps on purpose: one allocation of the final size moves decoder
+    # peak RSS by several percent, up or down with the heap's layout
     exp = np.pad(exp, ((1, 0), (1, 0), (0, 0)))
     return _valid_conv3x3(exp, weights.weights, weights.bias, counters)
 
@@ -184,8 +187,7 @@ def bn_act_ref(acc, multiplier, shift, act: str = "none", out_scale_exp: int = 0
     The multiply/shift/round/clamp narrows to q8, then the activation runs
     on the quantized value.
     """
-    q = requantize_array(acc, multiplier, shift)
-    q = apply_activation(q, act).astype(np.int8)
+    q = apply_activation(requantize_array(acc, multiplier, shift), act)
     if counters is not None:
         counters.add(multiplications=q.size, additions=q.size,
                      loads=q.size, stores=q.size)

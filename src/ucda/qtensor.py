@@ -7,7 +7,11 @@ a 16-bit multiplier carrying 15 fractional bits. Rounding is
 round-half-away-from-zero everywhere a real value meets an integer grid.
 requantize (Python integers) states the rule; requantize_array, the one
 array form, computes it in float64, which is exact over the whole 32-bit
-accumulator and 16-bit multiplier domain (see its docstring).
+accumulator and 16-bit multiplier domain (see its docstring). It walks the
+map in blocks of rows through two reused float64 scratch blocks of at most
+BLOCK_BYTES each, so beyond its input it holds only the int8 result and
+those two blocks. The activation and pooling tail stays in int8 (int16 for
+the 2x2 average's sums).
 """
 from __future__ import annotations
 
@@ -24,6 +28,9 @@ SCALE_EXP_MAX = 0
 REQUANT_FRAC_BITS = 15
 # leaky ReLU scales negative values by 2**-LEAKY_SHIFT (a fixed slope of 1/8)
 LEAKY_SHIFT = 3
+# byte budget of each of requantize_array's two float64 scratch blocks; it
+# bounds the requantize tail's memory and never changes its results
+BLOCK_BYTES = 512 << 10
 
 
 class AccumulatorOverflow(OverflowError):
@@ -98,22 +105,40 @@ def requantize_array(acc, multiplier, shift) -> np.ndarray:
     """Per-channel vector requantization over the last axis.
 
     acc: integer-valued array (..., C), integer or float dtype, inside the
-    32-bit accumulator range (checked first). multiplier: int16-valued
-    array (C,), shift: array (C,) in [0, 31].
+    32-bit accumulator range (checked first, on the whole array). multiplier:
+    int16-valued array (C,), shift: array (C,) in [0, 31]; scalars are one
+    channel broadcast over all of acc. Returns int8 in acc's shape.
 
     Runs in float64 as trunc(v + copysign(0.5, v)), v = acc * mult /
     2**(15 + shift), and equals requantize exactly: |acc * mult| <= 2**46
     is an integer float64 holds, scaling it by a power of two is exact,
     and v +- 0.5 is an integer over 2**(15 + shift) of at most 47 bits, so
     no step rounds and the truncation is the integer half-away rounding.
+
+    acc is walked as (rows, C) in blocks of rows; each block is computed in
+    two float64 scratch blocks of at most BLOCK_BYTES each (at least one
+    row), allocated once per call, and stored into the int8 result. Beyond
+    its input the call thus holds the int8 result plus two blocks, never a
+    float64 copy of the whole map.
     """
     acc = check_accum(np.asarray(acc))
     scale = np.ldexp(np.asarray(multiplier, dtype=np.float64),
                      -(REQUANT_FRAC_BITS + np.asarray(shift, dtype=np.int64)))
-    v = np.asarray(acc * scale)   # a 0-d array for scalar input, updated in place
-    v += np.copysign(0.5, v)
-    np.trunc(v, out=v)
-    return np.clip(v, Q8_MIN, Q8_MAX, out=v).astype(np.int8)
+    out = np.empty(acc.shape, dtype=np.int8)
+    rows_in = acc.reshape(-1, scale.size)   # a scalar scale is one channel
+    rows_out = out.reshape(rows_in.shape)
+    step = max(1, BLOCK_BYTES // (8 * rows_in.shape[1]))
+    v = np.empty((min(step, len(rows_in)), rows_in.shape[1]))
+    half = np.empty_like(v)
+    for r0 in range(0, len(rows_in), step):
+        a = rows_in[r0:r0 + step]
+        vb, hb = v[:len(a)], half[:len(a)]
+        np.multiply(a, scale, out=vb)
+        np.copysign(0.5, vb, out=hb)
+        vb += hb
+        np.trunc(vb, out=vb)
+        rows_out[r0:r0 + len(a)] = np.clip(vb, Q8_MIN, Q8_MAX, out=vb)
+    return out
 
 
 def apply_activation(q: np.ndarray, act: str) -> np.ndarray:
@@ -128,8 +153,10 @@ def apply_activation(q: np.ndarray, act: str) -> np.ndarray:
     if act == "relu":
         return np.maximum(q, 0)
     if act == "leaky":
-        neg = q.astype(np.int64) >> LEAKY_SHIFT
-        return np.where(q < 0, neg, q).astype(q.dtype)
+        # the arithmetic shift shrinks q >= 0 and moves q < 0 toward zero,
+        # so the larger of q and q >> LEAKY_SHIFT is the leaky value
+        shifted = q >> LEAKY_SHIFT
+        return np.maximum(q, shifted, out=shifted)
     raise ValueError(f"unknown activation {act!r}")
 
 
@@ -146,9 +173,11 @@ def pool2x2(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "max":
         return blocks.max(axis=(1, 3)).astype(np.int8)
     if kind == "avg":
-        s = blocks.astype(np.int64).sum(axis=(1, 3))
-        mag = np.abs(s) >> 2
-        return np.where(s >= 0, mag, -mag).astype(np.int8)
+        s = blocks.sum(axis=(1, 3), dtype=np.int16)   # |sum| <= 512
+        # +3 on a negative sum turns the flooring shift into truncation
+        np.add(s, 3, out=s, where=s < 0)
+        s >>= 2
+        return s.astype(np.int8)
     raise ValueError(f"unknown pool {kind!r}")
 
 

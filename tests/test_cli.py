@@ -37,6 +37,13 @@ def _run(args):
     return cli.main([str(a) for a in args])
 
 
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(monkeypatch):
+    assert _run(["bench", "--layer", "op=deconv2x,in=4x4x1"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_bench", lambda args: 7)
+    assert _run(["bench"]) == 7
+
+
 class TestBench:
     def test_default_prints_peak(self, capsys):
         assert _run(["bench"]) == 0
@@ -92,6 +99,12 @@ class TestBench:
         assert _run(["bench", "--layer", "op=foo,in=4x4x1"]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: unknown op 'foo'\n"
+        assert captured.out == ""
+
+    def test_activation_on_layer_pool_is_named(self, capsys):
+        assert _run(["bench", "--layer", "op=maxpool,in=8x8x4,act=leaky"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: activations only follow compute ops\n"
         assert captured.out == ""
 
     def test_bad_hw_key(self, capsys):
@@ -202,6 +215,21 @@ class TestExitCodes:
         field = "layer 0: scale_exp" if where == "layer" else "input.scale_exp"
         assert capsys.readouterr().err == (
             f"error: {field} {value} outside [-16, 0]\n")
+        assert not (tmp_path / "o.tensor").exists()
+
+    @pytest.mark.parametrize("act", ["relu", "leaky"])
+    @pytest.mark.parametrize("kind", ["maxpool", "avgpool", "identity"])
+    def test_activation_on_move_layer_is_a_parse_error(self, tmp_path, capsys,
+                                                       kind, act):
+        doc = {"version": 1, "input": {"h": 8, "w": 8, "c": 2, "scale_exp": -7},
+               "layers": [{"kind": kind, "out_channels": 2, "activation": act}]}
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        assert _run(["run", "--net", net, "--random-weights", "--random-input",
+                     "--out-tensor", tmp_path / "o.tensor",
+                     "--out-perf", tmp_path / "p.json"]) == 1
+        assert capsys.readouterr().err == (
+            "error: layer 0: activations only follow conv/deconv stages\n")
         assert not (tmp_path / "o.tensor").exists()
 
     def test_accumulator_overflow_is_a_runtime_error(self, tmp_path, capsys):

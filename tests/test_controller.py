@@ -69,6 +69,13 @@ class TestLayerSpec:
         with pytest.raises(NetParseError):
             LayerSpec("conv3x3", 4, activation="gelu")
 
+    @pytest.mark.parametrize("act", ["relu", "leaky"])
+    @pytest.mark.parametrize("kind", ["maxpool", "avgpool", "identity"])
+    def test_activation_only_on_compute(self, kind, act):
+        with pytest.raises(NetParseError,
+                           match="^activations only follow conv/deconv stages$"):
+            LayerSpec(kind, 4, activation=act)
+
 
 class TestNetDescription:
     def test_chain_scales(self):
@@ -306,6 +313,16 @@ class TestProgramText:
                            match=r"line 10: command index 4 where 3 was expected"):
             program_from_text(self._segnet_dump_without(3))
 
+    @pytest.mark.parametrize("act", ["relu", "leaky"])
+    @pytest.mark.parametrize("kind", ["maxpool", "avgpool", "identity"])
+    def test_activation_on_move_op_line_is_rejected(self, kind, act):
+        net = NetDescription((4, 4, 2), -7, [LayerSpec(kind, 2)])
+        text = program_to_text(compile_network(net, HwConfig()))
+        assert " act=none " in text
+        with pytest.raises(ValueError,
+                           match="^program dump line 7: activations only follow"):
+            program_from_text(text.replace(" act=none ", f" act={act} "))
+
     def test_missing_command_count(self):
         text = self.GOLDEN.replace("commands: 1\n", "")
         with pytest.raises(ValueError, match=r"missing header field 'commands'"):
@@ -325,10 +342,11 @@ def _programs(draw):
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(_KINDS))
         compute = kind in ("conv3x3", "deconv2x")
+        acts = ["none", "relu", "leaky"] if compute else ["none"]
         spec = LayerSpec(
             kind,
             draw(st.integers(1, 16)) if compute else net.output_shape()[2],
-            activation=draw(st.sampled_from(["none", "relu", "leaky"])),
+            activation=draw(st.sampled_from(acts)),
             pool=draw(st.sampled_from(["none", "max", "avg"])) if compute else "none",
             scale_exp=draw(st.none() | st.integers(-16, 0)))
         try:

@@ -116,6 +116,14 @@ class TestLayerCommand:
         with pytest.raises(error, match=match):
             LayerCommand(**{**args, **kwargs})
 
+    @pytest.mark.parametrize("act", ["relu", "leaky"])
+    @pytest.mark.parametrize("op", ["maxpool", "avgpool", "identity"])
+    def test_activation_after_move_op_rejected(self, op, act):
+        with pytest.raises(UnsupportedOp,
+                           match="^activations only follow compute ops$"):
+            LayerCommand(op, PaddingMode.none(), (4, 4, 4), 4, (8, 8),
+                         activation=act)
+
 
 class TestCycleModel:
     def test_conv_90x120_compute(self):

@@ -1,18 +1,24 @@
 """Quantization primitives: rounding, saturation, requantization."""
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucda import qtensor
 from ucda.qtensor import (
     ACC_MAX,
     ACC_MIN,
     AccumulatorOverflow,
     KernelSet,
     QTensor,
+    apply_activation,
     check_accum,
     dequantize,
     identity_kernel_set,
+    pool2x2,
     quantize,
     quantize_array,
     requantize,
@@ -20,7 +26,7 @@ from ucda.qtensor import (
     round_half_away,
 )
 
-from reference_impls import clamp8, rhafz
+from reference_impls import avgpool_loops, clamp8, rhafz
 
 
 def test_round_half_away_table():
@@ -160,6 +166,114 @@ class TestRequantizeArray:
             for a in (np.array([acc], np.int64), np.array([acc], np.float64)):
                 with pytest.raises(AccumulatorOverflow):
                     requantize_array(a, np.array([1], np.int16), np.array([0], np.uint8))
+
+
+# exact in float32 too: float32 holds every integer up to 2**24
+_ACC_RANGE = {np.int32: (ACC_MIN, ACC_MAX), np.int64: (ACC_MIN, ACC_MAX),
+              np.float32: (-(1 << 24), 1 << 24), np.float64: (ACC_MIN, ACC_MAX)}
+
+
+@st.composite
+def _requant_cases(draw):
+    """An accumulator of any rank and dtype, scalar or per-channel
+    multiplier and shift, and a block budget in rows (1 to 7)."""
+    rank = draw(st.sampled_from([0, 1, 3]))
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(rank))
+    dtype = draw(st.sampled_from(list(_ACC_RANGE)))
+    lo, hi = _ACC_RANGE[dtype]
+    values = draw(st.lists(st.integers(lo, hi), min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    acc = np.array(values, dtype=np.int64).astype(dtype).reshape(shape)
+    channels = shape[-1] if rank and draw(st.booleans()) else None
+    if channels is None:
+        mult = draw(st.integers(-32768, 32767))
+        shift = draw(st.integers(0, 31))
+    else:
+        mult = np.array(draw(st.lists(st.integers(-32768, 32767), min_size=channels,
+                                      max_size=channels)), dtype=np.int16)
+        shift = np.array(draw(st.lists(st.integers(0, 31), min_size=channels,
+                                       max_size=channels)), dtype=np.uint8)
+    return acc, mult, shift, draw(st.integers(1, 7))
+
+
+class TestRequantizeBlocks:
+    """requantize_array's block loop under shrunken block budgets."""
+
+    @staticmethod
+    def _scalar(acc, mult, shift):
+        mult, shift = np.broadcast_to(mult, acc.shape), np.broadcast_to(shift, acc.shape)
+        return [requantize(int(acc[i]), int(mult[i]), int(shift[i]))
+                for i in np.ndindex(acc.shape)]
+
+    @given(_requant_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_any_budget_matches_scalar(self, case):
+        acc, mult, shift, rows = case
+        width = np.size(mult)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qtensor, "BLOCK_BYTES", rows * 8 * width)
+            got = requantize_array(acc, mult, shift)
+        assert got.dtype == np.int8 and got.shape == acc.shape
+        assert got.ravel().tolist() == self._scalar(acc, mult, shift)
+
+    @pytest.mark.parametrize("budget", [1, 3 * 8 * 4, 3 * 8 * 4 + 17],
+                             ids=["below-one-row", "three-rows", "not-whole-rows"])
+    def test_last_block_is_partial(self, budget, monkeypatch):
+        # 10 rows of 4 channels: blocks of 1, 3 and 3 rows, the last one short
+        monkeypatch.setattr(qtensor, "BLOCK_BYTES", budget)
+        rng = np.random.default_rng(3)
+        acc = rng.integers(ACC_MIN, ACC_MAX, (2, 5, 4), endpoint=True)
+        mult = rng.integers(-32768, 32767, 4, endpoint=True).astype(np.int16)
+        shift = rng.integers(0, 31, 4, endpoint=True).astype(np.uint8)
+        got = requantize_array(acc, mult, shift)
+        assert got.ravel().tolist() == self._scalar(acc, mult, shift)
+
+    def test_overflow_message_unchanged(self, monkeypatch):
+        monkeypatch.setattr(qtensor, "BLOCK_BYTES", 1)
+        acc = np.zeros((3, 2, 4), np.int64)
+        acc[0, 0, 1], acc[2, 1, 3] = -5, ACC_MAX + 1
+        with pytest.raises(AccumulatorOverflow, match=re.escape(
+                "accumulator out of 32-bit range: min=-5 max=2147483648")):
+            requantize_array(acc, np.ones(4, np.int16), np.zeros(4, np.uint8))
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes numpy allocated while fn ran (numpy reports its buffers to
+    tracemalloc), the result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTailMemory:
+    """The q8 tail allocates no full-map copy wider than int16."""
+
+    def test_requantize_holds_result_and_two_blocks(self):
+        rng = np.random.default_rng(4)
+        acc = rng.integers(-(1 << 20), 1 << 20, (128, 128, 64), dtype=np.int32)
+        mult = rng.integers(1, 32767, 64).astype(np.int16)
+        shift = rng.integers(0, 16, 64).astype(np.uint8)
+        bound = acc.size + 2 * qtensor.BLOCK_BYTES + (256 << 10)
+        assert _traced_peak(requantize_array, acc, mult, shift) <= bound
+
+    def test_leaky_and_avg_pool_stay_narrow(self):
+        q = np.random.default_rng(5).integers(-128, 128, (128, 128, 64), dtype=np.int8)
+        assert _traced_peak(apply_activation, q, "leaky") <= 2 * q.nbytes
+        assert _traced_peak(pool2x2, q, "avg") <= 2 * q.nbytes
+
+
+def test_avg_pool_extreme_sums():
+    # |sum| reaches 512, the widest the int16 block sums get
+    x = np.empty((2, 4, 2), np.int8)
+    x[:, :2, 0], x[:, :2, 1] = -128, 127                 # sums -512 and 508
+    x[:, 2:, 0] = [[-128, -128], [-128, -127]]           # -511
+    x[:, 2:, 1] = [[127, 127], [127, 126]]               # 507
+    got = pool2x2(x, "avg")
+    assert got.tolist() == [[[-128, 127], [-127, 126]]]
+    assert np.array_equal(got, avgpool_loops(x))
 
 
 def test_accumulator_overflow_checked():
