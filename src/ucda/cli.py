@@ -319,7 +319,7 @@ def cmd_bench(args) -> int:
         print(f"effective {perf.effective_gops(rep, cfg):.2f} GOPS"
               f"  utilization {100 * perf.utilization(rep, cfg):.1f}%")
         return EXIT_OK
-    print(f"peak {perf.peak_gops(cfg):.2f} GOPS, DSP-equiv {perf.dsp_equiv(cfg)}")
+    print(f"peak {perf.peak_gops(cfg):.2f} GOPS, DSP-equiv {cfg.multiplier_count}")
     return EXIT_OK
 
 

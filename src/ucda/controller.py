@@ -11,7 +11,7 @@ into per-channel multiplier/shift plus a 32-bit bias).
 Serialized forms:
   * network description: strict JSON (version 1, unknown fields rejected)
   * weight image: little-endian binary, magic 'UCDW'
-  * program dump: one command per line, fixed field order
+  * program dump: one command per line, fixed field order (write-only)
 """
 from __future__ import annotations
 
@@ -300,102 +300,26 @@ def compile_network(net: NetDescription, cfg: HwConfig | None = None) -> Program
 
 # ------------------------------------------------------------ program dump
 
-def _command_fields(i: int, c: LayerCommand) -> dict:
-    """Command i's dump fields in line order, the implied ones included."""
-    raw = {"op": c.op, "pad": c.padding.short_name(), "in": c.in_shape,
-           "out": c.out_shape, "tile_depth": c.tile_depth, "unroll": c.unroll,
-           "wslot": c.weight_slot, "if_bank": i % 2, "of_bank": (i + 1) % 2,
-           "requant": int(c.op in COMPUTE_OPS), "act": c.activation,
-           "pool": c.pool, "scale_exp": c.out_scale_exp, "leaky_shift": LEAKY_SHIFT}
-    return {k: "x".join(map(str, v)) if isinstance(v, tuple) else str(v)
-            for k, v in raw.items()}
-
-
 def program_to_text(p: Program) -> str:
+    """The program dump: a header, then one line per command with every
+    field in fixed order, the implied ones (out, tile_depth, banks,
+    requant, leaky_shift) included. Nothing reads it back; its bytes are
+    the format."""
     lines = ["# ucda program v1", f"stages: {p.stages}",
              f"commands: {len(p.commands)}",
              f"budget_if_bits: {p.if_bits_required}",
              f"budget_of_bits: {p.of_bits_required}",
              f"budget_weight_bits: {p.weight_bits_required}"]
     for i, c in enumerate(p.commands):
-        text = " ".join(f"{k}={v}" for k, v in _command_fields(i, c).items())
+        vals = {"op": c.op, "pad": c.padding.short_name(), "in": c.in_shape,
+                "out": c.out_shape, "tile_depth": c.tile_depth, "unroll": c.unroll,
+                "wslot": c.weight_slot, "if_bank": i % 2, "of_bank": (i + 1) % 2,
+                "requant": int(c.op in COMPUTE_OPS), "act": c.activation,
+                "pool": c.pool, "scale_exp": c.out_scale_exp, "leaky_shift": LEAKY_SHIFT}
+        text = " ".join(f"{k}={'x'.join(map(str, v)) if isinstance(v, tuple) else v}"
+                        for k, v in vals.items())
         lines.append(f"cmd {i:02d}: {text}")
     return "\n".join(lines) + "\n"
-
-
-def _ints(key: str, val: str, n: int = 1):
-    """A dump field as n integers joined by 'x' (one integer when n is 1)."""
-    try:
-        vals = tuple(int(v) for v in val.split("x"))
-    except ValueError:
-        vals = ()
-    if len(vals) != n:
-        raise ValueError(f"field {key}={val!r} is not {'x'.join('N' * n)}")
-    return vals if n > 1 else vals[0]
-
-
-def _command_from_tokens(i: int, tokens) -> LayerCommand:
-    """Command i from its independent fields; the line must equal its rendering."""
-    kv = dict(tok.partition("=")[::2] for tok in tokens)
-
-    def get(key, n=0):   # the field's text, or with n > 0 its n integers
-        if key not in kv:
-            raise ValueError(f"missing field {key!r}")
-        return _ints(key, kv[key], n) if n else kv[key]
-
-    cmd = LayerCommand(get("op"), PaddingMode.of(get("pad")), get("in", 3),
-                       get("out", 3)[2], get("unroll", 2), get("wslot", 1),
-                       get("act"), get("pool"), get("scale_exp", 1))
-    want = _command_fields(i, cmd)
-    for key in (*want, *kv):
-        if key not in want:
-            raise ValueError(f"unknown field {key!r}")
-        if get(key) != want[key]:
-            raise ValueError(f"field {key}={kv[key]!r} disagrees with the "
-                             f"command, which gives {key}={want[key]!r}")
-    return cmd
-
-
-def program_from_text(text: str) -> Program:
-    """Parse a program dump; a bad or missing field raises ValueError naming it.
-
-    Command lines must be numbered 0, 1, 2, ... and their number must
-    equal the `commands:` header, so a dump that lost a line is an error.
-    Each line must render back exactly, implied fields and all.
-    """
-    header = {}
-    commands = []
-    for no, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition(":")
-        try:
-            if line.startswith("cmd "):
-                index = _ints("cmd", key[4:].strip())
-                if index != len(commands):
-                    raise ValueError(f"command index {index} where {len(commands)} "
-                                     "was expected")
-                commands.append(_command_from_tokens(index, val.split()))
-            else:
-                header[key.strip()] = _ints(key.strip(), val.strip())
-        except ValueError as e:
-            raise ValueError(f"program dump line {no}: {e}") from e
-    try:
-        program = Program(
-            commands=tuple(commands),
-            stages=header["stages"],
-            if_bits_required=header["budget_if_bits"],
-            of_bits_required=header["budget_of_bits"],
-            weight_bits_required=header["budget_weight_bits"],
-        )
-        declared = header["commands"]
-    except KeyError as e:
-        raise ValueError(f"program dump: missing header field {e}") from None
-    if declared != len(commands):
-        raise ValueError(f"program dump: header says commands: {declared}, "
-                         f"found {len(commands)} command lines")
-    return program
 
 
 # ------------------------------------------------------------ weight image

@@ -1,4 +1,4 @@
-"""Straight-line reference implementations and operation counters.
+"""Straight-line reference implementations and a multiplication counter.
 
 These functions are the ground truth the streaming datapath is tested
 against: plain padded 3x3 convolution, zero-insertion transposed
@@ -18,9 +18,10 @@ bounds a band's float64 working set, and qtensor.BLOCK_BYTES the
 requantize tail's, which never copies the int32 map to float64; together
 they bound the oracle's memory beyond its int32 and int8 maps.
 
-Counter bookkeeping is part of the contract: every kernel tap counts one
-multiplication even when an operand is an injected zero, because the
-modeled hardware spends the multiplier either way.
+OpCounters counts multiplications only, for the dense/patch ratio:
+deconv_naive here, patchdeconv.deconv_full on the patch side. Every kernel
+tap counts one multiplication even when an operand is an injected zero,
+because the modeled hardware spends the multiplier either way.
 """
 from __future__ import annotations
 
@@ -45,21 +46,9 @@ BAND_BYTES = 4 << 20
 
 @dataclass
 class OpCounters:
-    """Multiplication/addition/load/store tallies for one measured run."""
+    """Multiplications of one measured run."""
 
     multiplications: int = 0
-    additions: int = 0
-    loads: int = 0
-    stores: int = 0
-
-    def add(self, multiplications: int = 0, additions: int = 0,
-            loads: int = 0, stores: int = 0) -> None:
-        if min(multiplications, additions, loads, stores) < 0:
-            raise ValueError("counters only move forward")
-        self.multiplications += multiplications
-        self.additions += additions
-        self.loads += loads
-        self.stores += stores
 
 
 def _edge_set(pad) -> frozenset:
@@ -81,7 +70,7 @@ def zero_pad(data: np.ndarray, pad) -> np.ndarray:
 
 
 def _valid_conv3x3(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                   counters: OpCounters | None) -> np.ndarray:
+                   counters: OpCounters | None = None) -> np.ndarray:
     """3x3 valid convolution over an already-padded map, bias included.
 
     Banded im2col: for each band of output rows the nine shifted tap views
@@ -120,17 +109,11 @@ def _valid_conv3x3(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         check_accum(acc)
         out[r0:r0 + n] = acc.reshape(n, ow, cout)
     if counters is not None:
-        counters.add(
-            multiplications=9 * oh * ow * cin * cout,
-            additions=9 * cin * oh * ow * cout,
-            loads=9 * cin * oh * ow,
-            stores=oh * ow * cout,
-        )
+        counters.multiplications += 9 * oh * ow * cin * cout
     return out
 
 
-def conv2d_ref(input: QTensor, weights: KernelSet, pad,
-               counters: OpCounters | None = None) -> np.ndarray:
+def conv2d_ref(input: QTensor, weights: KernelSet, pad) -> np.ndarray:
     """Padded 3x3 convolution at stride 1.
 
     pad is an iterable of edge names; each named edge gains one zero ring
@@ -138,7 +121,7 @@ def conv2d_ref(input: QTensor, weights: KernelSet, pad,
     accumulator precision with the per-channel bias already added.
     """
     padded = zero_pad(input.data, pad)
-    return _valid_conv3x3(padded, weights.weights, weights.bias, counters)
+    return _valid_conv3x3(padded, weights.weights, weights.bias)
 
 
 def deconv_naive(input: QTensor, weights: KernelSet,
@@ -161,24 +144,18 @@ def deconv_naive(input: QTensor, weights: KernelSet,
     return _valid_conv3x3(exp, weights.weights, weights.bias, counters)
 
 
-def maxpool_ref(input: QTensor, counters: OpCounters | None = None) -> QTensor:
+def maxpool_ref(input: QTensor) -> QTensor:
     """2x2/stride-2 max pooling; needs even spatial dims."""
-    out = pool2x2(input.data, "max")
-    if counters is not None:
-        counters.add(loads=input.data.size, stores=out.size)
-    return QTensor(out, input.scale_exp)
+    return QTensor(pool2x2(input.data, "max"), input.scale_exp)
 
 
-def avgpool_ref(input: QTensor, counters: OpCounters | None = None) -> QTensor:
+def avgpool_ref(input: QTensor) -> QTensor:
     """2x2/stride-2 average pooling, quotient truncated toward zero."""
-    out = pool2x2(input.data, "avg")
-    if counters is not None:
-        counters.add(additions=3 * out.size, loads=input.data.size, stores=out.size)
-    return QTensor(out, input.scale_exp)
+    return QTensor(pool2x2(input.data, "avg"), input.scale_exp)
 
 
-def bn_act_ref(acc, multiplier, shift, act: str = "none", out_scale_exp: int = 0,
-               counters: OpCounters | None = None) -> QTensor:
+def bn_act_ref(acc, multiplier, shift, act: str = "none",
+               out_scale_exp: int = 0) -> QTensor:
     """Requantize accumulator values and apply the activation.
 
     multiplier/shift are per-channel arrays over the last axis of acc (the
@@ -188,7 +165,4 @@ def bn_act_ref(acc, multiplier, shift, act: str = "none", out_scale_exp: int = 0
     on the quantized value.
     """
     q = apply_activation(requantize_array(acc, multiplier, shift), act)
-    if counters is not None:
-        counters.add(multiplications=q.size, additions=q.size,
-                     loads=q.size, stores=q.size)
     return QTensor(q, out_scale_exp)

@@ -66,11 +66,5 @@ def deconv_full(input: QTensor, weights: KernelSet,
                                    weights.weights, _CHANNEL_TILE):
         out[y:y + len(acc)] = check_accum(acc + weights.bias.astype(np.float64))
     if counters is not None:
-        windows = h * w
-        counters.add(
-            multiplications=9 * windows * cin * cout,
-            additions=windows * cout * (5 * cin + 4 * (cin - 1) + 4),
-            loads=4 * windows * cin,
-            stores=4 * windows * cout,
-        )
+        counters.multiplications += 9 * h * w * cin * cout
     return out

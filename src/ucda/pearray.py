@@ -143,9 +143,8 @@ class PeArray:
     def __init__(self, cfg: HwConfig | None = None):
         self.cfg = cfg or HwConfig()
         self.multiplications = 0
-        self.evaluations = 0
 
-    def array_cycle(self, mode: PeMode, windows, kernels, psum=None) -> np.ndarray:
+    def array_cycle(self, mode: PeMode, windows, kernels) -> np.ndarray:
         """One array step at a single spatial position: m x n elements at once.
 
         windows: (n, K, K), n <= Tn per-channel windows from the same
@@ -153,10 +152,10 @@ class PeArray:
         are simply not driven. kernels: (m, n, 3, 3) with m <= Tm output
         channels. Every element multiplies its 9 routed (window position,
         kernel tap) pairs in int64; the products are summed over the n
-        channels and then per adder-tree group. psum: carry-in partial sums
-        from earlier depth passes, (m,) for convolution or (m, 4) for
-        deconvolution (patch raster order: top-left, top-right, bottom-left,
-        bottom-right). Returns updated int64 partial sums in the same shape.
+        channels and then per adder-tree group. Returns the int64 slot sums,
+        (m,) for convolution or (m, 4) for deconvolution (patch raster
+        order: top-left, top-right, bottom-left, bottom-right); the caller
+        carries them across depth passes.
         """
         win = np.asarray(windows)
         kern = np.asarray(kernels)
@@ -178,9 +177,6 @@ class PeArray:
         products = kern[:, :, tr, tc].astype(np.int64) * win[:, pr, pc].astype(np.int64)
         out = np.add.reduceat(products.sum(axis=1), starts, axis=1)
         self.multiplications += 9 * m * n
-        self.evaluations += m * n
-        if psum is not None:
-            out += np.asarray(psum, dtype=np.int64).reshape(m, mode.beats)
         check_accum(out)
         return out[:, 0] if mode.beats == 1 else out
 

@@ -15,11 +15,6 @@ from .linebuffer import PaddingMode
 from .pearray import HwConfig
 
 
-def dsp_equiv(cfg: HwConfig) -> int:
-    """Multiplier count: one DSP-class multiplier per PE tap."""
-    return cfg.multiplier_count
-
-
 def peak_gops(cfg: HwConfig) -> float:
     """All multipliers busy, every cycle, 2 ops per multiply-accumulate."""
     return 2.0 * cfg.multiplier_count * cfg.clock_hz / 1e9
@@ -213,7 +208,7 @@ def perf_report(aggregate: CycleReport, cfg: HwConfig,
            if aggregate.total_cycles > 0 else 0.0)
     return PerfReport(
         clock_hz=cfg.clock_hz,
-        dsp_equiv=dsp_equiv(cfg),
+        dsp_equiv=cfg.multiplier_count,
         peak_gops=peak_gops(cfg),
         bandwidth_bits_per_cycle=cfg.stream_bits,
         total_cycles=aggregate.total_cycles,

@@ -183,7 +183,8 @@ def pool2x2(x: np.ndarray, kind: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QTensor:
-    """A quantized feature map: int8 data (height, width, channels) plus scale."""
+    """A quantized feature map: int8 data (height, width, channels) plus its
+    scale exponent, in [SCALE_EXP_MIN, SCALE_EXP_MAX] like every scale."""
 
     data: np.ndarray
     scale_exp: int
@@ -193,6 +194,7 @@ class QTensor:
             raise TypeError("QTensor data must be an int8 ndarray")
         if self.data.ndim != 3:
             raise ValueError(f"QTensor data must be (h, w, c), got shape {self.data.shape}")
+        _check_scale_exp(self.scale_exp)
 
     @property
     def height(self) -> int:

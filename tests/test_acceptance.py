@@ -22,7 +22,6 @@ from ucda.pearray import HwConfig, fuse_bn
 from ucda.perf import (
     conv_cycles_analytic,
     deconv_cycles_analytic,
-    dsp_equiv,
     effective_gops,
     latency_scenario,
     peak_gops,
@@ -143,7 +142,7 @@ def test_criterion_05_latency_scenario_calibration():
 
 def test_criterion_06_resource_and_peak_model():
     """576 DSP equivalents; 253.44 GOPS peak; effective ordering holds."""
-    assert dsp_equiv(CFG) == 576
+    assert CFG.multiplier_count == 576
     assert peak_gops(CFG) == 253.44                 # exact by formula
     sc = latency_scenario(CFG)
     conv_eff = effective_gops(sc.conv, CFG)

@@ -1,6 +1,7 @@
 """Front-end behavior: exit codes, output contracts, artifact files."""
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from ucda.controller import (
     LayerSpec,
     NetDescription,
     net_to_json,
-    program_from_text,
     weight_image,
 )
 from ucda.fileio import read_tensor, tensor_bytes, write_tensor
@@ -146,12 +146,17 @@ class TestCompile:
         assert "cmd 00:" in out and "cmd 08:" in out
         assert "if buffer:" in out
 
-    def test_out_file_parses(self, tmp_path, small_net, capsys):
+    def test_out_file_equals_stdout_dump(self, tmp_path, capsys):
+        assert _run(["compile", "--preset", "segnet-basic"]) == 0
+        printed = capsys.readouterr().out.split("feasible:")[0]
         dump = tmp_path / "program.txt"
-        assert _run(["compile", "--net", small_net, "--out", dump]) == 0
-        assert f"wrote {dump}" in capsys.readouterr().out
-        p = program_from_text(dump.read_text())
-        assert len(p.commands) == 2
+        assert _run(["compile", "--preset", "segnet-basic", "--out", dump]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {dump}\nfeasible:")
+        blob = dump.read_bytes()
+        assert blob == printed.encode()
+        assert len(blob) == 1582
+        assert hashlib.sha256(blob).hexdigest() == (
+            "753ed60ebb415bbfbe4f0e11a3ecbef0453f4c6bf69dcd2630182ccab4424740")
 
     def test_capacity_exceeded(self, small_net, capsys):
         code = _run(["compile", "--net", small_net,
@@ -519,6 +524,22 @@ class TestConvert:
         raw = tmp_path / "out.tensor"
         assert _run(["convert", pgm, raw, "--scale-exp", "-3"]) == 0
         assert read_tensor(raw).scale_exp == -3
+
+    @pytest.mark.parametrize("scale", [5, 1, -17])
+    def test_scale_exp_outside_range_is_a_parse_error(self, tmp_path, capsys, scale):
+        ppm = tmp_path / "in.ppm"
+        ppm.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
+        raw = tmp_path / "out.tensor"
+        assert _run(["convert", ppm, raw, "--scale-exp", scale]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: scale_exp {scale} outside [-16, 0]\n"
+        assert not raw.exists()
+
+    def test_tensor_with_scale_outside_range_is_a_parse_error(self, tmp_path, capsys):
+        raw = tmp_path / "in.tensor"
+        raw.write_bytes(struct.pack("<IIIi", 1, 1, 1, 5) + b"\x00")
+        assert _run(["convert", raw, tmp_path / "out.pgm"]) == 1
+        assert capsys.readouterr().err == "error: scale_exp 5 outside [-16, 0]\n"
 
     @pytest.mark.parametrize("blob, message", [
         (b"P6\n4 ", "header ends at byte 5, before its height field"),

@@ -51,6 +51,12 @@ class TestRawTensor:
         with pytest.raises(ValueError, match="payload holds 3"):
             read_tensor(path)
 
+    def test_scale_outside_range_rejected(self, tmp_path):
+        path = tmp_path / "x.bin"
+        path.write_bytes(struct.pack("<IIIi", 1, 1, 1, 5) + b"\x00")
+        with pytest.raises(ValueError, match=r"scale_exp 5 outside \[-16, 0\]"):
+            read_tensor(path)
+
 
 class TestPpm:
     def test_gray_round_trip(self, tmp_path):

@@ -91,12 +91,6 @@ class TestConv2dRef:
         a3 = conv2d_ref(QTensor((3 * base).astype(np.int8), 0), ks, ALL)
         assert np.array_equal(a3, 3 * a1)
 
-    def test_counters_count_every_tap(self):
-        c = OpCounters()
-        x = QTensor(np.zeros((4, 6, 2), np.int8), 0)
-        conv2d_ref(x, _ks(np.zeros((3, 2, 3, 3))), ALL, counters=c)
-        assert c.multiplications == 9 * 4 * 6 * 2 * 3
-
 
 class TestDeconvNaive:
     def test_output_sizes(self):
@@ -281,20 +275,11 @@ class TestBnActRef:
             assert out.data[y, x, c] == want
 
 
-def test_counters_reject_negative_increments():
-    c = OpCounters()
-    with pytest.raises(ValueError):
-        c.add(multiplications=-1)
-
-
 def test_determinism():
     rng = np.random.default_rng(9)
     x = _rand_tensor(rng, 5, 5, 3)
     ks = _ks(rng.integers(-128, 128, (2, 3, 3, 3)).astype(np.int8),
              rng.integers(-100, 100, 2))
-    c1, c2 = OpCounters(), OpCounters()
-    a = conv2d_ref(x, ks, ALL, counters=c1)
-    b = conv2d_ref(x, ks, ALL, counters=c2)
+    a = conv2d_ref(x, ks, ALL)
+    b = conv2d_ref(x, ks, ALL)
     assert np.array_equal(a, b)
-    assert c1.multiplications == c2.multiplications
-    assert c1.additions == c2.additions

@@ -64,7 +64,6 @@ class TestPeEval:
         win = np.ones((2, 2), np.int8)
         _one_pe(pe, PeMode.DECONV, win, K123)
         assert pe.multiplications == 18
-        assert pe.evaluations == 2
 
 
 @pytest.mark.parametrize("mode", list(PeMode))
@@ -107,8 +106,8 @@ class TestArrayCycle:
                        bn_shift=np.zeros(4, np.uint8), scale_exp=0)
         window = x.data.transpose(2, 0, 1)  # one spatial position, (C, 3, 3)
         pe = PeArray(cfg)
-        psum = pe.array_cycle(PeMode.CONV, window[:8], wk[:, :8])
-        total = pe.array_cycle(PeMode.CONV, window[8:], wk[:, 8:], psum=psum)
+        total = (pe.array_cycle(PeMode.CONV, window[:8], wk[:, :8])
+                 + pe.array_cycle(PeMode.CONV, window[8:], wk[:, 8:]))
         want = conv2d_ref(x, ks, ())  # valid conv, single output pixel
         assert total.tolist() == want[0, 0].tolist()
 
@@ -130,18 +129,6 @@ class TestArrayCycle:
         # all-ones window x all-ones kernel: patch sums are (4, 2, 2, 1) x Tn
         assert out.tolist() == [[8, 4, 4, 2]] * 3
 
-    def test_accumulation_order_independence(self):
-        cfg = HwConfig(tn=4, tm=2)
-        rng = np.random.default_rng(2)
-        window = rng.integers(-128, 128, (8, 3, 3)).astype(np.int8)
-        wk = rng.integers(-128, 128, (2, 8, 3, 3)).astype(np.int8)
-        pe = PeArray(cfg)
-        a = pe.array_cycle(PeMode.CONV, window[:4], wk[:, :4])
-        a = pe.array_cycle(PeMode.CONV, window[4:], wk[:, 4:], psum=a)
-        b = pe.array_cycle(PeMode.CONV, window[4:], wk[:, 4:])
-        b = pe.array_cycle(PeMode.CONV, window[:4], wk[:, :4], psum=b)
-        assert np.array_equal(a, b)
-
     @pytest.mark.parametrize("mode, side", [(PeMode.DECONV, 3), (PeMode.CONV, 2)])
     def test_window_side_enforced(self, mode, side):
         """A window of the other mode's side raises; it is never cropped."""
@@ -149,7 +136,7 @@ class TestArrayCycle:
         with pytest.raises(ValueError, match=f"got \\({side}, {side}\\)"):
             pe.array_cycle(mode, np.ones((2, side, side), np.int8),
                            np.ones((2, 2, 3, 3), np.int8))
-        assert pe.evaluations == 0
+        assert pe.multiplications == 0
 
     def test_grid_limits_enforced(self):
         pe = PeArray(HwConfig(tn=2, tm=2))
@@ -162,7 +149,7 @@ class TestArrayCycle:
             pe.array_cycle(PeMode.CONV, win[:2], np.ones((3, 2, 3, 3), np.int8))
         with pytest.raises(ValueError, match="kernel slice"):
             pe.array_cycle(PeMode.CONV, win[:2], kern[:, :1])
-        assert pe.evaluations == 0
+        assert pe.multiplications == 0
 
 
 @given(st.sampled_from(list(PeMode)), st.sampled_from([1, 2, 4, 8]),
@@ -177,8 +164,6 @@ def test_array_cycle_matches_literal_references(mode, tn, tm, data, seed):
     k = mode.window
     windows = rng.integers(-128, 128, (n, k, k)).astype(np.int8)
     kernels = rng.integers(-128, 128, (m, n, 3, 3)).astype(np.int8)
-    psum = rng.integers(-(1 << 20), 1 << 20, (m, mode.beats))
-    carry = data.draw(st.booleans(), label="carry")
     window_map = np.moveaxis(windows, 0, 2)        # (k, k, n), one window
     if mode is PeMode.CONV:
         want = [[acc] for acc in ref.conv3x3_loops(window_map, kernels, [0] * m,
@@ -190,11 +175,10 @@ def test_array_cycle_matches_literal_references(mode, tn, tm, data, seed):
         block = np.array(ref.deconv_loops(window_map, kernels, [0] * m))[2:, 2:]
         assert block.reshape(4, m).T.tolist() == want
     pe = PeArray(HwConfig(tn=tn, tm=tm))
-    got = pe.array_cycle(mode, windows, kernels,
-                         psum=(psum if mode.beats > 1 else psum[:, 0]) if carry else None)
+    got = pe.array_cycle(mode, windows, kernels)
     assert got.shape == ((m, 4) if mode is PeMode.DECONV else (m,))
-    assert got.reshape(m, mode.beats).tolist() == (np.array(want) + carry * psum).tolist()
-    assert (pe.multiplications, pe.evaluations) == (9 * m * n, m * n)
+    assert got.reshape(m, mode.beats).tolist() == want
+    assert pe.multiplications == 9 * m * n
 
 
 class TestFuseBn:

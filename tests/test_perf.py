@@ -11,7 +11,6 @@ from ucda.perf import (
     LatencyScenario,
     conv_cycles_analytic,
     deconv_cycles_analytic,
-    dsp_equiv,
     effective_gops,
     latency_scenario,
     peak_gops,
@@ -25,17 +24,17 @@ CFG = HwConfig()
 
 class TestPeak:
     def test_default_dsp_count(self):
-        assert dsp_equiv(CFG) == 576
+        assert CFG.multiplier_count == 576
 
     def test_default_peak(self):
         # 2 ops per multiplier per cycle at 220 MHz
         assert peak_gops(CFG) == pytest.approx(253.44, abs=1e-9)
 
     def test_small_array(self):
-        assert dsp_equiv(HwConfig(tn=4, tm=4)) == 144
+        assert HwConfig(tn=4, tm=4).multiplier_count == 144
 
     def test_scales_with_arrays(self):
-        assert dsp_equiv(HwConfig(arrays=4)) == 2304
+        assert HwConfig(arrays=4).multiplier_count == 2304
         assert peak_gops(HwConfig(arrays=2)) == pytest.approx(506.88)
 
     def test_linear_in_clock(self):
