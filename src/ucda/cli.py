@@ -326,9 +326,12 @@ def cmd_bench(args) -> int:
 def cmd_convert(args) -> int:
     src, dst = args.src, args.dst
     if src.lower().endswith((".ppm", ".pgm")):
-        t = fileio.ppm_to_tensor(src, scale_exp=args.scale_exp)
+        t = (fileio.ppm_to_tensor(src) if args.scale_exp is None
+             else fileio.ppm_to_tensor(src, args.scale_exp))
         fileio.write_tensor(dst, t)
     elif dst.lower().endswith((".ppm", ".pgm")):
+        if args.scale_exp is not None:
+            raise NetParseError("--scale-exp applies only to PPM/PGM input")
         fileio.tensor_to_ppm(dst, fileio.read_tensor(src))
     else:
         raise NetParseError("one side of the conversion must be .ppm/.pgm")
@@ -388,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert between PPM/PGM and raw tensors")
     p.add_argument("src")
     p.add_argument("dst")
-    p.add_argument("--scale-exp", type=int, default=-7)
+    p.add_argument("--scale-exp", type=int, default=None,
+                   help="scale 2^N of the tensor read from PPM/PGM input"
+                        " (default -7); an error on tensor export")
 
     return parser
 

@@ -10,13 +10,15 @@ qtensor.apply_activation); tests/reference_impls.py checks it on its own.
 
 Both convolutions end in one valid 3x3 convolution, computed as a banded
 im2col GEMM: per band of output rows, the nine shifted taps form one
-(rows*ow, 9*cin) float64 matrix that meets the (9*cin, cout) weights in a
-single product. That is exact, since each product of two int8 values is at
-most 2**14 in magnitude, so every partial sum plus the bias is an integer
-of magnitude at most 9*cin*2**14 + 2**31, far below 2**53. BAND_BYTES
-bounds a band's float64 working set, and qtensor.BLOCK_BYTES the
-requantize tail's, which never copies the int32 map to float64; together
-they bound the oracle's memory beyond its int32 and int8 maps.
+(rows*ow, 9*cin) matrix that meets the (9*cin, cout) weights in a single
+product. The layer's shape alone picks the GEMM's dtype: each product of
+two int8 values is at most 2**14 in magnitude, so every partial sum of the
+9*cin products is an integer of magnitude at most 9*cin*2**14. When that is
+at most 2**24 (cin <= 113) the GEMM runs in float32, otherwise in float64;
+the bias is added in float64 after it, exact as the sums plus bias stay far
+below 2**53. BAND_BYTES bounds a band's working set, and qtensor.BLOCK_BYTES
+the requantize tail's, which never copies the int32 map to float64;
+together they bound the oracle's memory beyond its int32 and int8 maps.
 
 OpCounters counts multiplications only, for the dense/patch ratio:
 deconv_naive here, patchdeconv.deconv_full on the patch side. Every kernel
@@ -39,7 +41,8 @@ from .qtensor import (
 )
 
 _EDGES = ("top", "bottom", "left", "right")
-# float64 working set of one band of output rows in _valid_conv3x3; it
+# working set of one band of output rows in _valid_conv3x3, counted at 8
+# bytes per value whether the band's GEMM runs in float32 or float64; it
 # bounds the oracle's memory and never changes its results
 BAND_BYTES = 4 << 20
 
@@ -74,12 +77,16 @@ def _valid_conv3x3(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     """3x3 valid convolution over an already-padded map, bias included.
 
     Banded im2col: for each band of output rows the nine shifted tap views
-    are gathered into one (rows, ow, 9*cin) block, cast to float64 and
+    are gathered into one (rows, ow, 9*cin) block of the GEMM's dtype and
     multiplied in one GEMM by the (9*cin, cout) weight matrix, rows in
-    (u, v, ci) order. The result is exact: every product of two int8
-    values is at most 2**14 in magnitude, so every partial sum of the GEMM
-    plus the bias is an integer of magnitude at most 9*cin*2**14 + 2**31,
-    far below 2**53, whatever order the GEMM sums in. Each band is
+    (u, v, ci) order. The shape proves the result exact, reading no
+    weights: every product of two int8 values is at most 2**14 in
+    magnitude, so every partial sum of the k = 9*cin products is an
+    integer of magnitude at most k*2**14. When k*2**14 <= 2**24 (cin <=
+    113) float32 holds every such sum exactly, in any summation order,
+    fused or not, and the GEMM runs in float32; above that it runs in
+    float64. The bias (|bias| < 2**31) is added in float64 on the GEMM's
+    result, exact since sum plus bias stays far below 2**53. Each band is
     range-checked before it is written into the int32 output, so an
     overflow anywhere raises AccumulatorOverflow.
     """
@@ -92,20 +99,21 @@ def _valid_conv3x3(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     if oh < 1 or ow < 1:
         raise ValueError(f"padded map {hp}x{wp} smaller than the 3x3 window")
     k = 9 * cin
-    wmat = weights.transpose(2, 3, 1, 0).reshape(k, cout).astype(np.float64)
+    # float32 holds every integer of magnitude up to 2**24 exactly
+    dtype = np.float32 if k << 14 <= 1 << 24 else np.float64
+    wmat = weights.transpose(2, 3, 1, 0).reshape(k, cout).astype(dtype)
     b = bias.astype(np.float64)
     out = np.empty((oh, ow, cout), dtype=np.int32)
-    # the band's float64 working set: its im2col block and its sums
+    # the band's working set at 8 bytes a value: its im2col block and sums
     rows = max(1, BAND_BYTES // (8 * ow * (k + cout)))
     for r0 in range(0, oh, rows):
         n = min(rows, oh - r0)
-        cols = np.empty((n, ow, k), dtype=np.int8)
+        cols = np.empty((n, ow, k), dtype=dtype)
         for u in range(3):
             for v in range(3):
                 t = (3 * u + v) * cin
                 cols[:, :, t:t + cin] = padded[r0 + u:r0 + u + n, v:v + ow, :]
-        acc = cols.reshape(n * ow, k).astype(np.float64) @ wmat
-        acc += b
+        acc = np.add(cols.reshape(n * ow, k) @ wmat, b)
         check_accum(acc)
         out[r0:r0 + n] = acc.reshape(n, ow, cout)
     if counters is not None:

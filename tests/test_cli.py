@@ -535,6 +535,15 @@ class TestConvert:
         assert captured.err == f"error: scale_exp {scale} outside [-16, 0]\n"
         assert not raw.exists()
 
+    def test_scale_exp_on_export_is_a_parse_error(self, tmp_path, capsys):
+        raw = tmp_path / "in.tensor"
+        write_tensor(raw, QTensor(np.zeros((2, 2, 1), np.int8), -7))
+        pgm = tmp_path / "out.pgm"
+        assert _run(["convert", raw, pgm, "--scale-exp", "-12"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --scale-exp applies only to PPM/PGM input\n"
+        assert not pgm.exists()
+
     def test_tensor_with_scale_outside_range_is_a_parse_error(self, tmp_path, capsys):
         raw = tmp_path / "in.tensor"
         raw.write_bytes(struct.pack("<IIIi", 1, 1, 1, 5) + b"\x00")

@@ -129,8 +129,9 @@ class TestDeconvNaive:
 
 
 def _band_bytes(rows, ow, cin, cout):
-    """BAND_BYTES that gives bands of `rows` output rows: the band's float64
-    working set is its (rows*ow, 9*cin) im2col block plus its sums."""
+    """BAND_BYTES that gives bands of `rows` output rows: the band's working
+    set, at 8 bytes a value, is its (rows*ow, 9*cin) im2col block plus its
+    sums."""
     return rows * 8 * ow * (9 * cin + cout)
 
 
@@ -162,6 +163,36 @@ class TestBands:
         want = conv2d_ref(x, ks, ALL)
         monkeypatch.setattr(oracle, "BAND_BYTES", 0)
         assert np.array_equal(conv2d_ref(x, ks, ALL), want)
+
+
+class TestGemmDtype:
+    """The GEMM runs in float32 only while 9*cin products of 2**14 sum to at
+    most 2**24: cin <= 113."""
+
+    @pytest.mark.parametrize("cin, want", [(113, 16_646_145), (114, 16_793_601)])
+    def test_guard_on_both_sides_of_two_to_the_24(self, cin, want):
+        # one output pixel and channel: 9*cin - 1 products of (-128)**2 = 2**14
+        # and one of 1; at cin = 114 the odd sum lies above 2**24, where a
+        # float32 GEMM rounds it to 16,793,600
+        x = np.full((3, 3, cin), -128, np.int8)
+        wk = np.full((1, cin, 3, 3), -128, np.int8)
+        x[-1, -1, -1] = 1
+        wk[0, -1, -1, -1] = 1
+        acc = conv2d_ref(QTensor(x, 0), _ks(wk), ())
+        loops = ref.conv3x3_loops(x, wk, [0], (0, 0, 0, 0))
+        assert loops == [[[want]]]
+        assert acc.tolist() == loops
+
+    def test_widest_float32_layer_in_bands(self, monkeypatch):
+        rng = np.random.default_rng(113)
+        h, w, cin, cout = 5, 4, 113, 2
+        x = rng.choice(np.array([-128, 127], np.int8), (h, w, cin))
+        wk = rng.choice(np.array([-128, 127], np.int8), (cout, cin, 3, 3))
+        b = rng.integers(-2 ** 30, 2 ** 30, cout)
+        # bands of 2 rows over 5 output rows: the last band is ragged
+        monkeypatch.setattr(oracle, "BAND_BYTES", _band_bytes(2, w, cin, cout))
+        acc = conv2d_ref(QTensor(x, 0), _ks(wk, b), ALL)
+        assert acc.tolist() == ref.conv3x3_loops(x, wk, b, (1, 1, 1, 1))
 
 
 class TestOverflow:
