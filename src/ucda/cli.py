@@ -325,16 +325,17 @@ def cmd_bench(args) -> int:
 
 def cmd_convert(args) -> int:
     src, dst = args.src, args.dst
-    if src.lower().endswith((".ppm", ".pgm")):
+    src_image, dst_image = (p.lower().endswith((".ppm", ".pgm")) for p in (src, dst))
+    if src_image == dst_image:
+        raise NetParseError("exactly one side of the conversion must be .ppm/.pgm")
+    if src_image:
         t = (fileio.ppm_to_tensor(src) if args.scale_exp is None
              else fileio.ppm_to_tensor(src, args.scale_exp))
         fileio.write_tensor(dst, t)
-    elif dst.lower().endswith((".ppm", ".pgm")):
+    else:
         if args.scale_exp is not None:
             raise NetParseError("--scale-exp applies only to PPM/PGM input")
         fileio.tensor_to_ppm(dst, fileio.read_tensor(src))
-    else:
-        raise NetParseError("one side of the conversion must be .ppm/.pgm")
     print(f"wrote {dst}")
     return EXIT_OK
 

@@ -16,11 +16,26 @@ window rows of the padded input (a few MiB of operands and float64 output
 each), every band narrowed to int8 at once. The kernel proves the int32
 bound from the weights and then runs one exact GEMM per routing slot over
 all input channels, or falls back to Tn-tiled, range-checked passes.
-Pooling runs once, on the whole int8 pre-pool map. 'cells' drives the FIFO
-line buffer and, per window and Tm output tile, one PeArray.array_cycle
-(all Tn x Tm elements of one array step, exact int64 arithmetic, no GEMM);
-it is the cycle-faithful route and validates the fast one. Its whole slot
-map goes through the same tail as one band.
+'cells' drives the FIFO line buffer and, per window and Tm output tile, one
+PeArray.array_cycle (all Tn x Tm elements of one array step, exact int64
+arithmetic, no GEMM); it is the cycle-faithful route and validates the fast
+one. Its whole slot map goes through the same tail as one band, in the
+literal order requantize -> activation -> pool on the int8 pre-pool map.
+
+The fast engine keeps that order except on max-pooled layers, where it
+pools first: each band (an even number of rows, so no 2x2 block straddles
+two) is reduced 2x2 per channel on its float accumulators, then narrowed,
+then activated. This is exact because acc -> acc + bias -> requantize ->
+relu/leaky is monotone per channel: non-decreasing in acc for a multiplier
+>= 0, non-increasing below 0, constant at 0. So the block max of the
+literal tail is the tail of the block's max accumulator where the
+multiplier is >= 0 and of its min where it is negative, and only a quarter
+of the values are requantized. Every pre-pool acc + bias is still
+range-checked: the weights prove the whole layer inside int32
+(|acc| <= pearray.weight_bound per channel), or each band is checked
+element by element, raising AccumulatorOverflow as requantize_array would.
+Rounding does not commute with averaging, so avg pooling keeps the literal
+order.
 
 Cycle model per layer:
     priming  = (K - 1) * padded_width + K          (line-buffer fill)
@@ -39,8 +54,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linebuffer import LineBuffer, PaddingMode
-from .pearray import HwConfig, PeArray, PeMode, accumulate_bands, place_slots
+from .pearray import (
+    HwConfig,
+    PeArray,
+    PeMode,
+    accumulate_bands,
+    place_slots,
+    weight_bound,
+)
 from .qtensor import (
+    ACC_MAX,
+    ACC_MIN,
     KernelSet,
     QTensor,
     apply_activation,
@@ -205,17 +229,44 @@ def _narrow(acc: np.ndarray, ks: KernelSet) -> np.ndarray:
                             ks.bn_multiplier, ks.bn_shift)
 
 
+def _maxpool_acc(acc: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """2x2 blocks of placed accumulators (even dims) reduced per channel: the
+    block max, or its min where the channel's multiplier is negative."""
+    h, w, c = acc.shape
+    pairs = acc.reshape(h // 2, 2, w // 2, 2, c)
+
+    def pool(reduce):
+        rows = reduce(pairs[:, 0], pairs[:, 1])
+        return reduce(rows[:, :, 0], rows[:, :, 1])
+
+    out = pool(np.maximum)
+    neg = multiplier < 0
+    if neg.any():
+        out[..., neg] = pool(np.minimum)[..., neg]
+    return out
+
+
 def _compute_fast(cmd: LayerCommand, input: QTensor, ks: KernelSet) -> np.ndarray:
-    """Pre-pool q8 map, each band of pearray.accumulate_bands narrowed at once."""
+    """The layer's q8 output, each band of pearray.accumulate_bands narrowed at
+    once; a max-pooled layer pools each band's accumulators before narrowing."""
     padded = np.pad(input.data, (
         (cmd.padding.pad_top, cmd.padding.pad_bottom),
         (cmd.padding.pad_left, cmd.padding.pad_right),
         (0, 0)))
-    out = np.empty(compute_out_shape(cmd.op, cmd.in_shape, cmd.padding,
-                                     ks.out_channels), dtype=np.int8)
+    pooled = cmd.pool == "max"
+    out = np.empty(compute_out_shape(cmd.op, cmd.in_shape, cmd.padding, ks.out_channels,
+                                     "max" if pooled else "none"), dtype=np.int8)
+    # requantize_array checks what it narrows; pooling first hides the rest
+    # of acc + bias from it unless the weights prove it all inside int32
+    bound, bias = weight_bound(ks.weights), ks.bias.astype(np.int64)
+    check = pooled and not np.all((bias - bound >= ACC_MIN) & (bias + bound <= ACC_MAX))
     for y, acc in accumulate_bands(cmd.pe_mode, padded, ks.weights, cmd.tile_depth):
+        if check:
+            check_accum(acc + ks.bias.astype(np.float64))
+        if pooled:
+            y, acc = y // 2, _maxpool_acc(acc, ks.bn_multiplier)
         out[y:y + len(acc)] = _narrow(acc, ks)
-    return out
+    return pool_act(out, "none" if pooled else cmd.pool, cmd.activation)
 
 
 def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
@@ -367,9 +418,9 @@ def run_layer(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,
     if cmd.op in COMPUTE_OPS:
         if engine == "cells":
             q = _narrow(place_slots(_compute_cells(cmd, input, weights, cfg)), weights)
+            q = pool_act(q, cmd.pool, cmd.activation)
         else:
             q = _compute_fast(cmd, input, weights)
-        q = pool_act(q, cmd.pool, cmd.activation)
         out = QTensor(q, cmd.out_scale_exp)
     elif cmd.op in POOL_OPS:
         out = QTensor(pool_act(input.data, POOL_OPS[cmd.op]), input.scale_exp)

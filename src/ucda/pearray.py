@@ -15,9 +15,10 @@ own, so the cells engine stays an independent check on the GEMM kernel.
 
 accumulate_map proves the int32 accumulator bound from a layer's weights
 (b = 128 * max_co sum|w[co]|, the largest partial sum int8 inputs can
-reach) and, when it holds, reduces all input channels in one exact GEMM
-per slot (float32 up to 2**24, float64 above); only a layer whose bound
-fails runs the array's Tn-tiled schedule with a range check per tile.
+reach; weight_bound gives it per channel) and, when it holds, reduces all
+input channels in one exact GEMM per slot (float32 up to 2**24, float64
+above); only a layer whose bound fails runs the array's Tn-tiled schedule
+with a range check per tile.
 
 fuse_bn folds a layer's inference batch-norm, all channels at once, into the
 per-channel requantization (multiplier/shift) and a 32-bit accumulator bias.
@@ -181,6 +182,13 @@ class PeArray:
         return out[:, 0] if mode.beats == 1 else out
 
 
+def weight_bound(weights: np.ndarray) -> np.ndarray:
+    """Per output channel of (cout, cin, 3, 3) weights, 128 * sum|w[co]|:
+    no partial sum of that channel's products on int8 inputs (|x| <= 128)
+    leaves [-bound, bound]. int64, (cout,)."""
+    return 128 * np.abs(weights, dtype=np.int64).reshape(len(weights), -1).sum(axis=1)
+
+
 def accumulate_map(mode: PeMode, padded: np.ndarray, weights: np.ndarray,
                    tile_depth: int) -> np.ndarray:
     """Slot sums of every window of a padded (hp, wp, cin) int8 map.
@@ -206,8 +214,7 @@ def accumulate_map(mode: PeMode, padded: np.ndarray, weights: np.ndarray,
     cout = weights.shape[0]
     wh, ww = hp - mode.window + 1, wp - mode.window + 1
     n = wh * ww
-    per_channel = np.abs(weights, dtype=np.int64).reshape(cout, -1).sum(axis=1)
-    bound = 128 * int(per_channel.max(initial=0))
+    bound = int(weight_bound(weights).max(initial=0))
     proven = bound <= ACC_MAX
     dtype = np.float32 if bound <= 1 << 24 else np.float64
     depth = cin if proven else tile_depth
@@ -238,7 +245,10 @@ def accumulate_bands(mode: PeMode, padded: np.ndarray, weights: np.ndarray,
     Yields (first output row, placed band (rows, wp', cout)). A band's
     working set, its gathered operand block (one slot at a time) and its
     float64 output rows, is kept near BAND_BYTES, so a caller that narrows
-    each band at once never holds a full-map float temporary.
+    each band at once never holds a full-map float temporary. Every placed
+    band but a last one of odd height has an even row count (an odd conv
+    band takes one more window row; a deconv patch is two output rows), so
+    no 2x2 pooling block straddles two bands.
     """
     hp, wp, cin = padded.shape
     cout = weights.shape[0]
@@ -246,6 +256,8 @@ def accumulate_bands(mode: PeMode, padded: np.ndarray, weights: np.ndarray,
     wh, ww = hp - k + 1, wp - k + 1
     taps = max(len(route) for route in mode.routing)
     rows = max(1, BAND_BYTES // (8 * ww * (taps * cin + mode.beats * cout)))
+    if mode.patch * rows % 2:
+        rows += 1
     for y0 in range(0, wh, rows):
         slots = accumulate_map(mode, padded[y0:y0 + rows + k - 1], weights, tile_depth)
         yield mode.patch * y0, place_slots(slots)

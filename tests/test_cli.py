@@ -569,3 +569,14 @@ class TestConvert:
         write_tensor(a, QTensor(np.zeros((2, 2, 1), np.int8), -7))
         assert _run(["convert", a, tmp_path / "b.tensor"]) == 1
         assert ".ppm/.pgm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dst", ["b.pgm", "b.ppm"])
+    def test_image_to_image_is_a_parse_error(self, tmp_path, capsys, dst):
+        pgm = tmp_path / "a.pgm"
+        pgm.write_bytes(b"P5\n1 1\n255\n\x90")
+        out = tmp_path / dst
+        assert _run(["convert", pgm, out]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: exactly one side of the conversion must be "
+                       ".ppm/.pgm\n")
+        assert not out.exists()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ucda import pearray, qtensor
 from ucda.datapath import (
+    ACTIVATIONS,
     CapacityError,
     CycleReport,
     LayerCommand,
@@ -21,11 +22,12 @@ from ucda.datapath import (
     run_layer,
 )
 from ucda.linebuffer import PaddingMode, all_padding_modes
-from ucda.oracle import bn_act_ref, conv2d_ref, deconv_naive, maxpool_ref
+from ucda.oracle import bn_act_ref, conv2d_ref, deconv_naive, maxpool_ref, zero_pad
 from ucda.patchdeconv import deconv_full
-from ucda.pearray import HwConfig, accumulate_map, place_slots
+from ucda.pearray import HwConfig, PeMode, accumulate_bands, accumulate_map, place_slots
 from ucda.qtensor import (
     ACC_MAX,
+    ACC_MIN,
     AccumulatorOverflow,
     KernelSet,
     QTensor,
@@ -412,6 +414,53 @@ class TestPoolAct:
         assert rep.multiplications == 0
 
 
+class TestMaxPoolFirst:
+    """The fast engine max-pools accumulators before narrowing them; the
+    oracle chain and the cells engine narrow, activate, then pool."""
+
+    @staticmethod
+    def _oracle(op, x, ks, mode, act):
+        if op == "conv3x3":
+            acc = conv2d_ref(x, ks, mode)
+        else:
+            # deconv_naive pads top and left itself: pad bottom/right first,
+            # then drop the two output rows/columns of a missing top/left edge
+            lo_hi = {"bottom", "right"} & set(mode.edges)
+            acc = deconv_naive(QTensor(zero_pad(x.data, lo_hi), x.scale_exp), ks)
+            acc = acc[2 * (not mode.pad_top):, 2 * (not mode.pad_left):]
+        return maxpool_ref(bn_act_ref(acc, ks.bn_multiplier, ks.bn_shift, act=act,
+                                      out_scale_exp=-6))
+
+    @given(st.sampled_from(["conv3x3", "deconv2x"]), st.integers(1, 4),
+           st.integers(1, 4), st.integers(1, 12), st.integers(3, 10),
+           st.sampled_from(all_padding_modes()), st.sampled_from(ACTIVATIONS),
+           st.sampled_from([1, pearray.BAND_BYTES]), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle_and_cells(self, op, a, b, cin, cout, mode, act,
+                                      band_bytes, seed):
+        pads_v = mode.pad_top + mode.pad_bottom
+        pads_h = mode.pad_left + mode.pad_right
+        if op == "conv3x3":   # a 2a x 2b pre-pool map
+            h, w = 2 * a + 2 - pads_v, 2 * b + 2 - pads_h
+        else:                 # every deconv map is even; the window needs 2x2
+            h, w = a, b
+            assume(h + pads_v >= 2 and w + pads_h >= 2)
+        rng = np.random.default_rng(seed)
+        x = QTensorInt8(rng, h, w, cin)
+        ks = _rand_ks(rng, cin, cout, rotated=op == "deconv2x")
+        # negative, zero and positive multipliers in every layer
+        signs = rng.permutation(np.resize([-1, 0, 1], cout))
+        ks = replace(ks, bn_multiplier=(signs * ks.bn_multiplier).astype(np.int16))
+        cmd = layer_command(op, x.shape, cout, mode, CFG, activation=act,
+                            pool="max", out_scale_exp=-6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pearray, "BAND_BYTES", band_bytes)
+            fast, _ = run_layer(cmd, x, ks, CFG)
+        cells, _ = run_layer(cmd, x, ks, CFG, engine="cells")
+        assert np.array_equal(fast.data, self._oracle(op, x, ks, mode, act).data)
+        assert np.array_equal(fast.data, cells.data)
+
+
 class TestCapacity:
     def test_unbounded_by_default(self):
         cmd = layer_command("conv3x3", (360, 480, 64), 64,
@@ -552,8 +601,46 @@ class TestAccumulatorProof:
         with pytest.raises(AccumulatorOverflow):
             run_layer(cmd, x, ks, CFG)
 
+    @pytest.mark.parametrize("multiplier, bias", [(16384, ACC_MIN + 2),
+                                                  (-16384, ACC_MAX - 5)],
+                             ids=["max-pooled", "min-pooled"])
+    def test_pre_pool_overflow_outside_the_pooled_value(self, multiplier, bias):
+        """acc is the input itself; only the element the pool drops (-5 under
+        the max, 7 under the min) leaves int32 once biased."""
+        x = QTensor(np.array([[-5, 3], [4, 7]], np.int8).reshape(2, 2, 1), -7)
+        w = np.zeros((1, 1, 3, 3), np.int8)
+        w[0, 0, 1, 1] = 1
+        ks = KernelSet(weights=w, bias=np.array([bias], np.int32),
+                       bn_multiplier=np.array([multiplier], np.int16),
+                       bn_shift=np.zeros(1, np.uint8), scale_exp=-7)
+        cmd = layer_command("conv3x3", x.shape, 1, self.OPS["conv3x3"], CFG,
+                            pool="max")
+        biased = np.array([-5, 3, 4, 7]) + bias
+        message = (f"^accumulator out of 32-bit range: min={biased.min()} "
+                   f"max={biased.max()}$")
+        for engine in ("fast", "cells"):
+            with pytest.raises(AccumulatorOverflow, match=message):
+                run_layer(cmd, x, ks, CFG, engine=engine)
+
+    @pytest.mark.parametrize("h", [7, 8])
+    @pytest.mark.parametrize("budget_rows", [1, 3, 4])
+    @pytest.mark.parametrize("mode", list(PeMode))
+    def test_bands_have_even_rows(self, mode, budget_rows, h, monkeypatch):
+        """A budget of budget_rows window rows per band; only a last band of
+        odd height may be odd, so no 2x2 pool block straddles two bands."""
+        padded = np.zeros((h + 2, 6, 2), np.int8)
+        weights = np.zeros((3, 2, 3, 3), np.int8)
+        ww = 6 - mode.window + 1
+        taps = max(len(route) for route in mode.routing)
+        monkeypatch.setattr(pearray, "BAND_BYTES",
+                            budget_rows * 8 * ww * (taps * 2 + mode.beats * 3))
+        sizes = [len(acc) for _, acc in accumulate_bands(mode, padded, weights, 8)]
+        assert sum(sizes) == mode.patch * (h + 3 - mode.window)
+        assert all(n % 2 == 0 for n in sizes[:-1])
+        assert sizes[-1] % 2 == 0 or sum(sizes) % 2 == 1
+
     @pytest.mark.parametrize("op", list(OPS))
-    def test_one_row_bands_match(self, op, monkeypatch):
+    def test_minimum_bands_match(self, op, monkeypatch):
         rng = np.random.default_rng(12)
         x = QTensorInt8(rng, 7, 6, 5)
         ks = _rand_ks(rng, 5, 4, rotated=op == "deconv2x")
