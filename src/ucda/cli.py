@@ -385,9 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="print throughput and latency figures")
     p.add_argument("--hw", action="append", metavar="KEY=VALUE")
-    p.add_argument("--scenario", help="canned comparison (paper-latency)")
-    p.add_argument("--layer", help="one-layer spec: op=...,in=HxWxC[,out=N]"
-                                   "[,pad=..][,act=..][,pool=..]")
+    what = p.add_mutually_exclusive_group()
+    what.add_argument("--scenario", help="canned comparison (paper-latency)")
+    what.add_argument("--layer", help="one-layer spec: op=...,in=HxWxC[,out=N]"
+                                      "[,pad=..][,act=..][,pool=..]")
 
     p = sub.add_parser("convert", help="convert between PPM/PGM and raw tensors")
     p.add_argument("src")

@@ -8,19 +8,21 @@ reference implementations. layer_report gives the same command's capacity
 check and cycle report from its shapes alone, without running any data.
 
 A compute op is its PE mode (PE_MODES); window, patch side and beats come
-from the mode's routing table. Two engines produce identical slot maps,
-which pearray.place_slots places and one tail narrows: bias added in
-float64 (exact: |acc| + |bias| < 2**33) and qtensor.requantize_array to q8.
-'fast' runs pearray.accumulate_bands: pearray.accumulate_map over bands of
-window rows of the padded input (a few MiB of operands and float64 output
-each), every band narrowed to int8 at once. The kernel proves the int32
-bound from the weights and then runs one exact GEMM per routing slot over
-all input channels, or falls back to Tn-tiled, range-checked passes.
+from the mode's routing table. Two engines produce identical placed
+accumulator maps, each value with acc + bias inside int32, and one tail
+narrows them: bias added in int32 and qtensor.requantize_array to q8, which
+need not range-check an int32 map.
+'fast' runs pearray.accumulate_bands, one exact GEMM per routing slot over
+bands of window rows of the padded input (a few MiB of operands and float64
+output each), every band narrowed to int8 at once. The kernel proves, once
+per layer, the int32 bound of acc and of acc + bias from the weights and the
+bias, and range-checks only what the proof does not cover.
 'cells' drives the FIFO line buffer and, per window and Tm output tile, one
 PeArray.array_cycle (all Tn x Tm elements of one array step, exact int64
 arithmetic, no GEMM); it is the cycle-faithful route and validates the fast
-one. Its whole slot map goes through the same tail as one band, in the
-literal order requantize -> activation -> pool on the int8 pre-pool map.
+one. It uses no proof: it range-checks every depth pass and then its whole
+map's acc + bias, and runs that map through the same tail as one band, in
+the literal order requantize -> activation -> pool on the int8 pre-pool map.
 
 The fast engine keeps that order except on max-pooled layers, where it
 pools first: each band (an even number of rows, so no 2x2 block straddles
@@ -30,12 +32,9 @@ relu/leaky is monotone per channel: non-decreasing in acc for a multiplier
 >= 0, non-increasing below 0, constant at 0. So the block max of the
 literal tail is the tail of the block's max accumulator where the
 multiplier is >= 0 and of its min where it is negative, and only a quarter
-of the values are requantized. Every pre-pool acc + bias is still
-range-checked: the weights prove the whole layer inside int32
-(|acc| <= pearray.weight_bound per channel), or each band is checked
-element by element, raising AccumulatorOverflow as requantize_array would.
-Rounding does not commute with averaging, so avg pooling keeps the literal
-order.
+of the values are requantized. Every pre-pool acc + bias is still inside
+int32, proven or checked by the kernel before pooling. Rounding does not
+commute with averaging, so avg pooling keeps the literal order.
 
 Cycle model per layer:
     priming  = (K - 1) * padded_width + K          (line-buffer fill)
@@ -54,17 +53,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linebuffer import LineBuffer, PaddingMode
-from .pearray import (
-    HwConfig,
-    PeArray,
-    PeMode,
-    accumulate_bands,
-    place_slots,
-    weight_bound,
-)
+from .pearray import HwConfig, PeArray, PeMode, accumulate_bands, place_slots
 from .qtensor import (
-    ACC_MAX,
-    ACC_MIN,
     KernelSet,
     QTensor,
     apply_activation,
@@ -224,8 +214,9 @@ def _weight_image_bits(cin: int, cout: int) -> int:
 
 
 def _narrow(acc: np.ndarray, ks: KernelSet) -> np.ndarray:
-    """Placed accumulators -> biased (float64, exact) and requantized q8 rows."""
-    return requantize_array(acc + ks.bias.astype(np.float64),
+    """Placed accumulators whose acc + bias is known to lie inside int32 ->
+    the bias added in int32, then requantized q8 rows."""
+    return requantize_array(np.add(acc, ks.bias, dtype=np.int32, casting="unsafe"),
                             ks.bn_multiplier, ks.bn_shift)
 
 
@@ -256,13 +247,8 @@ def _compute_fast(cmd: LayerCommand, input: QTensor, ks: KernelSet) -> np.ndarra
     pooled = cmd.pool == "max"
     out = np.empty(compute_out_shape(cmd.op, cmd.in_shape, cmd.padding, ks.out_channels,
                                      "max" if pooled else "none"), dtype=np.int8)
-    # requantize_array checks what it narrows; pooling first hides the rest
-    # of acc + bias from it unless the weights prove it all inside int32
-    bound, bias = weight_bound(ks.weights), ks.bias.astype(np.int64)
-    check = pooled and not np.all((bias - bound >= ACC_MIN) & (bias + bound <= ACC_MAX))
-    for y, acc in accumulate_bands(cmd.pe_mode, padded, ks.weights, cmd.tile_depth):
-        if check:
-            check_accum(acc + ks.bias.astype(np.float64))
+    for y, acc in accumulate_bands(cmd.pe_mode, padded, ks.weights, ks.bias,
+                                   cmd.tile_depth):
         if pooled:
             y, acc = y // 2, _maxpool_acc(acc, ks.bn_multiplier)
         out[y:y + len(acc)] = _narrow(acc, ks)
@@ -271,7 +257,8 @@ def _compute_fast(cmd: LayerCommand, input: QTensor, ks: KernelSet) -> np.ndarra
 
 def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
                    cfg: HwConfig) -> np.ndarray:
-    """Cycle-faithful route: FIFO line buffer feeding the PE array; slot maps."""
+    """Cycle-faithful route: FIFO line buffer feeding the PE array. Returns the
+    placed accumulator map, every depth pass and acc + bias range-checked."""
     h, w, cin = input.shape
     cout = ks.out_channels
     mode = cmd.pe_mode
@@ -297,7 +284,9 @@ def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
         tile = np.stack(tile_out)          # (windows, cout, beats)
         psum = tile if psum is None else check_accum(psum + tile)
     wh, ww = lb.padded_height - k + 1, lb.padded_width - k + 1
-    return np.moveaxis(psum.reshape(wh, ww, cout, beats), 3, 0)
+    acc = place_slots(np.moveaxis(psum.reshape(wh, ww, cout, beats), 3, 0))
+    check_accum(acc + ks.bias)
+    return acc
 
 
 def _compute_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
@@ -417,7 +406,7 @@ def run_layer(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,
     report = layer_report(cmd, cfg)
     if cmd.op in COMPUTE_OPS:
         if engine == "cells":
-            q = _narrow(place_slots(_compute_cells(cmd, input, weights, cfg)), weights)
+            q = _narrow(_compute_cells(cmd, input, weights, cfg), weights)
             q = pool_act(q, cmd.pool, cmd.activation)
         else:
             q = _compute_fast(cmd, input, weights)

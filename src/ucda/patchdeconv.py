@@ -24,7 +24,7 @@ import numpy as np
 
 from .oracle import OpCounters
 from .pearray import PeMode, accumulate_bands
-from .qtensor import KernelSet, QTensor, check_accum
+from .qtensor import KernelSet, QTensor
 
 _CHANNEL_TILE = 8  # deconv_full's input-channel tile: the default Tn
 
@@ -63,8 +63,9 @@ def deconv_full(input: QTensor, weights: KernelSet,
     cout = weights.out_channels
     out = np.empty((2 * h, 2 * w, cout), dtype=np.int32)
     for y, acc in accumulate_bands(PeMode.DECONV, pad_for_patches(input).data,
-                                   weights.weights, _CHANNEL_TILE):
-        out[y:y + len(acc)] = check_accum(acc + weights.bias.astype(np.float64))
+                                   weights.weights, weights.bias, _CHANNEL_TILE):
+        # the kernel proved or checked acc + bias inside int32
+        np.add(acc, weights.bias, out=out[y:y + len(acc)], casting="unsafe")
     if counters is not None:
         counters.multiplications += 9 * h * w * cin * cout
     return out

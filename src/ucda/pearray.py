@@ -7,18 +7,15 @@ adder tree groups the products into accumulator slots. Convolution sums the
 9 products of a 3x3 window into one slot; deconvolution evaluates a 2x2
 window against the 9 kernel taps and groups the products 4/2/2/1 into a 2x2
 output patch. PeArray.array_cycle (one step of the whole array), the
-whole-map kernel accumulate_map (and its banded form accumulate_bands) and
-place_slots all run the mode's table. A Tn x Tm grid of these elements
-reduces over Tn input channels and computes Tm output channels in parallel;
-array_cycle evaluates all of them at once, in exact int64 arithmetic of its
-own, so the cells engine stays an independent check on the GEMM kernel.
+whole-map kernel accumulate_bands and place_slots all run the mode's table.
+A Tn x Tm grid of these elements reduces over Tn input channels and computes
+Tm output channels in parallel; array_cycle evaluates all of them at once,
+in exact int64 arithmetic of its own, so the cells engine stays an
+independent check on the GEMM kernel.
 
-accumulate_map proves the int32 accumulator bound from a layer's weights
-(b = 128 * max_co sum|w[co]|, the largest partial sum int8 inputs can
-reach; weight_bound gives it per channel) and, when it holds, reduces all
-input channels in one exact GEMM per slot (float32 up to 2**24, float64
-above); only a layer whose bound fails runs the array's Tn-tiled schedule
-with a range check per tile.
+accumulate_bands is also the one place that proves a layer's accumulator
+range: once per call it bounds acc from the weights (weight_bound) and
+acc + bias with the bias, and range-checks only what the bounds leave open.
 
 fuse_bn folds a layer's inference batch-norm, all channels at once, into the
 per-channel requantization (multiplier/shift) and a 32-bit accumulator bias.
@@ -189,78 +186,77 @@ def weight_bound(weights: np.ndarray) -> np.ndarray:
     return 128 * np.abs(weights, dtype=np.int64).reshape(len(weights), -1).sum(axis=1)
 
 
-def accumulate_map(mode: PeMode, padded: np.ndarray, weights: np.ndarray,
-                   tile_depth: int) -> np.ndarray:
-    """Slot sums of every window of a padded (hp, wp, cin) int8 map.
+def accumulate_bands(mode: PeMode, padded: np.ndarray, weights: np.ndarray,
+                     bias: np.ndarray, tile_depth: int):
+    """Slot sums of every window of a padded (hp, wp, cin) int8 map, placed
+    and yielded in bands of window rows.
 
-    weights: (cout, cin, 3, 3), pre-rotated for deconvolution. Returns float
-    slot maps (beats, hp - k + 1, wp - k + 1, cout), k the window side, no
-    bias; every value is an exact integer. Each routing slot is one GEMM
-    over its stacked (position, tap) pairs.
+    weights: (cout, cin, 3, 3), pre-rotated for deconvolution; bias: (cout,)
+    int32, not added. Yields (first output row, placed band (rows, wp', cout))
+    of exact integer floats. Each routing slot is one GEMM over its stacked
+    (position, tap) pairs.
 
-    The accumulator bound is proven from the weights first: with int8
-    inputs (|x| <= 128) every partial sum of any subset of one output
-    channel's products lies within b = 128 * max_co sum|w[co]|. When
-    b <= ACC_MAX no partial sum can leave int32, so all of cin goes in one
-    pass with no range check; the GEMM runs in float32 when b <= 2**24
+    This is the one place that proves the accumulator range, once per call,
+    from the weights: with int8 inputs (|x| <= 128) every partial sum of any
+    subset of output channel co's products lies within weight_bound[co], at
+    most b = 128 * max_co sum|w[co]|. When b <= ACC_MAX all of cin goes in
+    one pass with no range check; the GEMM runs in float32 when b <= 2**24
     (every partial sum in any summation order, fused or not, is then an
     integer float32 holds exactly) and in float64 otherwise (b < 2**53).
-    When the proof fails, the array's schedule is followed: tiles of
+    When that proof fails, the array's schedule is followed: tiles of
     tile_depth input channels in float64, the slot accumulators
-    range-checked after every tile, which raises AccumulatorOverflow on
-    the first tile that leaves int32.
-    """
-    hp, wp, cin = padded.shape
-    cout = weights.shape[0]
-    wh, ww = hp - mode.window + 1, wp - mode.window + 1
-    n = wh * ww
-    bound = int(weight_bound(weights).max(initial=0))
-    proven = bound <= ACC_MAX
-    dtype = np.float32 if bound <= 1 << 24 else np.float64
-    depth = cin if proven else tile_depth
-    slots = np.empty((mode.beats, n, cout), dtype=dtype)
-    for ci0 in range(0, cin, depth):
-        ct = min(depth, cin - ci0)
-        tile = padded[:, :, ci0:ci0 + ct]
-        for acc, route in zip(slots, mode.routing):
-            ops = np.empty((wh, ww, len(route), ct), dtype=dtype)
-            for j, ((r, c), _) in enumerate(route):
-                ops[:, :, j, :] = tile[r:r + wh, c:c + ww]
-            us, vs = zip(*(tap for _, tap in route))
-            km = weights[:, ci0:ci0 + ct, us, vs].transpose(0, 2, 1).astype(dtype)
-            a, b = ops.reshape(n, -1), km.reshape(cout, -1).T
-            if ci0:
-                acc += a @ b
-            else:
-                np.matmul(a, b, out=acc)
-        if not proven:
-            check_accum(slots)
-    return slots.reshape(-1, wh, ww, cout)
+    range-checked after every tile, which raises AccumulatorOverflow on the
+    first tile that leaves int32. Unless bias[co] +- weight_bound[co] lies
+    inside int32 for every channel, each band's acc + bias is range-checked
+    before it is yielded. So every band yielded has acc and acc + bias
+    inside int32, and a caller may add the bias in int32.
 
-
-def accumulate_bands(mode: PeMode, padded: np.ndarray, weights: np.ndarray,
-                     tile_depth: int):
-    """accumulate_map over bands of window rows, each band placed.
-
-    Yields (first output row, placed band (rows, wp', cout)). A band's
-    working set, its gathered operand block (one slot at a time) and its
-    float64 output rows, is kept near BAND_BYTES, so a caller that narrows
-    each band at once never holds a full-map float temporary. Every placed
-    band but a last one of odd height has an even row count (an odd conv
-    band takes one more window row; a deconv patch is two output rows), so
-    no 2x2 pooling block straddles two bands.
+    A band's working set, its gathered operand block (one slot at a time)
+    and its float64 output rows, is kept near BAND_BYTES, so a caller that
+    narrows each band at once never holds a full-map float temporary. Every
+    placed band but a last one of odd height has an even row count (an odd
+    conv band takes one more window row; a deconv patch is two output rows),
+    so no 2x2 pooling block straddles two bands.
     """
     hp, wp, cin = padded.shape
     cout = weights.shape[0]
     k = mode.window
     wh, ww = hp - k + 1, wp - k + 1
+    bound = weight_bound(weights)
+    top = int(bound.max(initial=0))
+    proven = top <= ACC_MAX
+    dtype = np.float32 if top <= 1 << 24 else np.float64
+    depth = cin if proven else tile_depth
+    biased_proven = np.all((bias - bound >= ACC_MIN) & (bias + bound <= ACC_MAX))
+    # per input-channel tile, each slot's (taps * ct, cout) weight matrix
+    taps_of = [tuple(zip(*(tap for _, tap in route))) for route in mode.routing]
+    mats = [(ci0, [weights[:, ci0:ci0 + depth, us, vs].transpose(0, 2, 1)
+                   .astype(dtype).reshape(cout, -1).T for us, vs in taps_of])
+            for ci0 in range(0, cin, depth)]
     taps = max(len(route) for route in mode.routing)
     rows = max(1, BAND_BYTES // (8 * ww * (taps * cin + mode.beats * cout)))
     if mode.patch * rows % 2:
         rows += 1
     for y0 in range(0, wh, rows):
-        slots = accumulate_map(mode, padded[y0:y0 + rows + k - 1], weights, tile_depth)
-        yield mode.patch * y0, place_slots(slots)
+        bh = min(rows, wh - y0)
+        slots = np.empty((mode.beats, bh * ww, cout), dtype=dtype)
+        for ci0, tile_mats in mats:
+            tile = padded[y0:y0 + bh + k - 1, :, ci0:ci0 + depth]
+            for acc, route, b in zip(slots, mode.routing, tile_mats):
+                ops = np.empty((bh, ww, len(route), tile.shape[2]), dtype=dtype)
+                for j, ((r, c), _) in enumerate(route):
+                    ops[:, :, j, :] = tile[r:r + bh, c:c + ww]
+                a = ops.reshape(bh * ww, -1)
+                if ci0:
+                    acc += a @ b
+                else:
+                    np.matmul(a, b, out=acc)
+            if not proven:
+                check_accum(slots)
+        band = place_slots(slots.reshape(-1, bh, ww, cout))
+        if not biased_proven:
+            check_accum(band + bias)
+        yield mode.patch * y0, band
 
 
 def place_slots(slots: np.ndarray) -> np.ndarray:

@@ -50,9 +50,12 @@ def round_half_away(x) -> np.ndarray:
 
 
 def check_accum(values):
-    """Range-check accumulator values; raises instead of wrapping silently."""
+    """Range-check accumulator values; raises instead of wrapping silently.
+    A dtype that cannot leave int32 (np.can_cast to int32: int32, narrower
+    integers, bool) is its own proof, so such an array returns unscanned."""
     arr = np.asarray(values)
-    if arr.size and (arr.min() < ACC_MIN or arr.max() > ACC_MAX):
+    if (arr.size and not np.can_cast(arr.dtype, np.int32)
+            and (arr.min() < ACC_MIN or arr.max() > ACC_MAX)):
         raise AccumulatorOverflow(
             f"accumulator out of 32-bit range: min={int(arr.min())} max={int(arr.max())}"
         )
@@ -105,7 +108,8 @@ def requantize_array(acc, multiplier, shift) -> np.ndarray:
     """Per-channel vector requantization over the last axis.
 
     acc: integer-valued array (..., C), integer or float dtype, inside the
-    32-bit accumulator range (checked first, on the whole array). multiplier:
+    32-bit accumulator range (check_accum, on the whole array, which an
+    int32 or narrower map passes by its type alone). multiplier:
     int16-valued array (C,), shift: array (C,) in [0, 31]; scalars are one
     channel broadcast over all of acc. Returns int8 in acc's shape.
 

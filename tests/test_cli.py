@@ -64,6 +64,16 @@ class TestBench:
         assert "priming delta: 184 cycles (0.836 us)" in out
         assert "deconv total savings: 2.72%" in out
 
+    def test_scenario_and_layer_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            _run(["bench", "--scenario", "paper-latency",
+                  "--layer", "op=conv3x3,in=8x8x4"])
+        assert e.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: argument --layer: not allowed with argument --scenario\n")
+
     def test_unknown_scenario(self, capsys):
         assert _run(["bench", "--scenario", "nope"]) == 1
         assert "unknown scenario" in capsys.readouterr().err

@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from ucda import pearray, qtensor
 from ucda.datapath import (
     ACTIVATIONS,
+    POOLS,
     CapacityError,
     CycleReport,
     LayerCommand,
@@ -22,9 +23,16 @@ from ucda.datapath import (
     run_layer,
 )
 from ucda.linebuffer import PaddingMode, all_padding_modes
-from ucda.oracle import bn_act_ref, conv2d_ref, deconv_naive, maxpool_ref, zero_pad
+from ucda.oracle import (
+    avgpool_ref,
+    bn_act_ref,
+    conv2d_ref,
+    deconv_naive,
+    maxpool_ref,
+    zero_pad,
+)
 from ucda.patchdeconv import deconv_full
-from ucda.pearray import HwConfig, PeMode, accumulate_bands, accumulate_map, place_slots
+from ucda.pearray import HwConfig, PeMode, accumulate_bands
 from ucda.qtensor import (
     ACC_MAX,
     ACC_MIN,
@@ -542,7 +550,8 @@ class TestAccumulatorProof:
         want = self._oracle_acc(op, x, ks).astype(np.int64)
         padded = np.pad(x.data, ((cmd.padding.pad_top, cmd.padding.pad_bottom),
                                  (cmd.padding.pad_left, cmd.padding.pad_right), (0, 0)))
-        got = place_slots(accumulate_map(cmd.pe_mode, padded, ks.weights, cmd.tile_depth))
+        got = np.concatenate([acc for _, acc in accumulate_bands(
+            cmd.pe_mode, padded, ks.weights, ks.bias, cmd.tile_depth)])
         assert np.array_equal(got + ks.bias, want)
         # a shift per case keeps the largest accumulator inside q8
         shift = np.full(2, max(0, int(np.abs(want).max()).bit_length() - 7), np.uint8)
@@ -595,11 +604,79 @@ class TestAccumulatorProof:
             run_layer(cmd, x, ks, CFG)
 
     @pytest.mark.parametrize("op", list(OPS))
-    def test_bias_overflow_is_caught_by_requant(self, op):
+    def test_bias_overflow_is_caught(self, op):
         cmd, x, ks = self._case(op, np.full((1, 1, 3, 3), -128), bias=ACC_MAX)
         assert self._bound(ks.weights) <= 1 << 24
         with pytest.raises(AccumulatorOverflow):
             run_layer(cmd, x, ks, CFG)
+
+    @given(st.sampled_from(list(OPS)), st.sampled_from(POOLS),
+           st.sampled_from(ACTIVATIONS), st.sampled_from([1, pearray.BAND_BYTES]),
+           st.sampled_from([0, 1, 127]), st.integers(1, 1 << 17), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_biases_at_the_int32_edges(self, op, pool, act, band_bytes, w_max,
+                                       small, data):
+        """Per-channel biases at and near both ends of int32, weights from
+        zero (the proof covers any bias) to full int8: the fast engine, the
+        cells engine and the oracle chain agree, or all three overflow."""
+        cin, cout = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        h, w = data.draw(st.sampled_from([2, 4])), data.draw(st.sampled_from([2, 4]))
+        edges = [ACC_MIN, ACC_MIN + small, 0, ACC_MAX - small, ACC_MAX]
+        bias = data.draw(st.lists(st.sampled_from(edges), min_size=cout,
+                                  max_size=cout))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+        x = QTensorInt8(rng, h, w, cin)
+        ks = KernelSet(
+            weights=rng.integers(-w_max, w_max + 1, (cout, cin, 3, 3)).astype(np.int8),
+            bias=np.array(bias, np.int32),
+            bn_multiplier=rng.integers(-32768, 32768, cout).astype(np.int16),
+            bn_shift=rng.integers(0, 32, cout).astype(np.uint8),
+            scale_exp=-7, rotated=op == "deconv2x")
+        cmd = layer_command(op, x.shape, cout, self.OPS[op], CFG, activation=act,
+                            pool=pool)
+
+        def outcome(run):
+            try:
+                return run().data
+            except AccumulatorOverflow:
+                return None
+
+        def oracle():
+            out = bn_act_ref(self._oracle_acc(op, x, ks), ks.bn_multiplier,
+                             ks.bn_shift, act=act)
+            return {"none": lambda q: q, "max": maxpool_ref, "avg": avgpool_ref}[pool](out)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pearray, "BAND_BYTES", band_bytes)
+            fast = outcome(lambda: run_layer(cmd, x, ks, CFG)[0])
+        cells = outcome(lambda: run_layer(cmd, x, ks, CFG, engine="cells")[0])
+        want = outcome(oracle)
+        event("overflow" if want is None else "in range")
+        if want is None:
+            assert fast is None and cells is None
+        else:
+            assert np.array_equal(fast, want) and np.array_equal(cells, want)
+
+    def test_bound_is_computed_once_per_layer(self, monkeypatch):
+        calls, bound = [], pearray.weight_bound
+
+        def counted(weights):
+            calls.append(weights)
+            return bound(weights)
+
+        monkeypatch.setattr(pearray, "weight_bound", counted)
+        # one window row per band: conv runs 3 bands of 2 rows, deconv 6
+        monkeypatch.setattr(pearray, "BAND_BYTES", 1)
+        rng = np.random.default_rng(14)
+        x = QTensorInt8(rng, 6, 6, 3)
+        for op in self.OPS:
+            ks = _rand_ks(rng, 3, 2, rotated=op == "deconv2x")
+            calls.clear()
+            run_layer(layer_command(op, x.shape, 2, self.OPS[op], CFG), x, ks, CFG)
+            assert len(calls) == 1, op
+        calls.clear()
+        deconv_full(x, ks)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("multiplier, bias", [(16384, ACC_MIN + 2),
                                                   (-16384, ACC_MAX - 5)],
@@ -634,7 +711,8 @@ class TestAccumulatorProof:
         taps = max(len(route) for route in mode.routing)
         monkeypatch.setattr(pearray, "BAND_BYTES",
                             budget_rows * 8 * ww * (taps * 2 + mode.beats * 3))
-        sizes = [len(acc) for _, acc in accumulate_bands(mode, padded, weights, 8)]
+        sizes = [len(acc) for _, acc in accumulate_bands(mode, padded, weights,
+                                                         np.zeros(3, np.int32), 8)]
         assert sum(sizes) == mode.patch * (h + 3 - mode.window)
         assert all(n % 2 == 0 for n in sizes[:-1])
         assert sizes[-1] % 2 == 0 or sum(sizes) % 2 == 1

@@ -284,6 +284,27 @@ def test_accumulator_overflow_checked():
         check_accum(np.array([ACC_MIN - 1], dtype=np.int64))
 
 
+@pytest.mark.parametrize("values", [
+    np.array([-128, 127], np.int8), np.array([-2 ** 15, 2 ** 15 - 1], np.int16),
+    np.array([ACC_MIN, ACC_MAX], np.int32), np.array([0, 255], np.uint8),
+    np.array([0, 2 ** 16 - 1], np.uint16), np.array([False, True])],
+    ids=["int8", "int16", "int32", "uint8", "uint16", "bool"])
+def test_check_accum_passes_dtypes_inside_int32(values):
+    # the dtype itself proves the range; the array comes back as it is
+    assert check_accum(values) is values
+
+
+@pytest.mark.parametrize("values, lo, hi", [
+    (np.array([0, 2 ** 31], np.uint32), 0, 2 ** 31),
+    (np.array([ACC_MIN - 1, 5], np.int64), ACC_MIN - 1, 5),
+    (np.array([-3.0, ACC_MAX + 1.0]), -3, ACC_MAX + 1),
+])
+def test_check_accum_still_checks_wider_dtypes(values, lo, hi):
+    with pytest.raises(AccumulatorOverflow,
+                       match=f"^accumulator out of 32-bit range: min={lo} max={hi}$"):
+        check_accum(values)
+
+
 def test_worst_case_macs_fit_32_bits():
     # 9 taps x Tn=8 lanes of maximal |products| stay well inside int32
     assert 9 * 8 * 16384 < 2 ** 31
