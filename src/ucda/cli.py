@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import fileio, oracle, patchdeconv, perf
+from . import fileio, perf
 from .controller import (
     BnParams,
     ExecutionError,
@@ -221,7 +221,8 @@ def cmd_compare(args) -> int:
     fault = _parse_fault(args.fault, len(program.commands))
     trace = []
     execute(program, sets, x, cfg, trace=trace, fault_layer=fault)
-    refs = reference_composition(net, sets, x)
+    dense = OpCounters()
+    refs = reference_composition(net, sets, x, counters=dense)
 
     first_bad = None
     for entry, ref in zip(trace, refs):
@@ -234,7 +235,9 @@ def cmd_compare(args) -> int:
             coord = tuple(int(v) for v in np.argwhere(diff)[0])
             first_bad = (entry, ref, coord)
 
-    _print_deconv_ratio(net, sets, x, refs)
+    patch = sum(e.report.multiplications for e in trace if e.command.op == "deconv2x")
+    if patch:
+        print(f"deconv multiplications dense/patch: {dense.multiplications / patch:.2f}")
     print(f"sha256 {_digest(refs[-1] if refs else x)}")
     if first_bad:
         entry, ref, coord = first_bad
@@ -245,23 +248,6 @@ def cmd_compare(args) -> int:
         return EXIT_MISMATCH
     print("all layers bit-exact")
     return EXIT_OK
-
-
-def _print_deconv_ratio(net, sets, x, refs):
-    """Dense vs patch multiplication count on the first upsampling layer."""
-    slot = 0
-    for i, spec in enumerate(net.layers):
-        if spec.kind not in COMPUTE_OPS:
-            continue
-        if spec.kind == "deconv2x":
-            src = x if i == 0 else refs[i - 1]
-            dense, patch = OpCounters(), OpCounters()
-            oracle.deconv_naive(src, sets[slot], counters=dense)
-            patchdeconv.deconv_full(src, sets[slot], counters=patch)
-            ratio = dense.multiplications / patch.multiplications
-            print(f"deconv multiplications dense/patch: {ratio:.2f}")
-            return
-        slot += 1
 
 
 _LAYER_KEYS = ("op", "in", "out", "pad", "act", "pool")
@@ -412,6 +398,9 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except (ExecutionError, AccumulatorOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as e:
+        print("error:", str(e) or "out of memory", file=sys.stderr)
         return EXIT_RUNTIME
     except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -92,6 +92,9 @@ class LayerSpec:
             raise NetParseError(f"unknown pool {self.pool!r}")
         if self.pool != "none" and self.kind not in COMPUTE_OPS:
             raise NetParseError("pool attachments only follow conv/deconv stages")
+        # a move stage keeps its input's scale: run_layer never rescales it
+        if self.scale_exp is not None and self.kind not in COMPUTE_OPS:
+            raise NetParseError("scale_exp only follows conv/deconv stages")
         _check_scale("scale_exp", self.scale_exp)
 
 
@@ -523,12 +526,14 @@ def execute(program: Program, kernel_sets, input: QTensor,
 
 # ------------------------------------------------- reference composition
 
-def reference_composition(net: NetDescription, kernel_sets, input: QTensor):
+def reference_composition(net: NetDescription, kernel_sets, input: QTensor,
+                          counters: oracle.OpCounters | None = None):
     """Layer-by-layer outputs using only the straight-line references.
 
     This is the comparison chain for the datapath: conv/deconv through the
     padded/zero-insertion reference, then the requantize/activation tail,
-    then reference pooling. Returns one QTensor per layer.
+    then reference pooling. Returns one QTensor per layer. counters, when
+    given, gains the dense multiplications of every deconvolution.
     """
     x = input
     outputs = []
@@ -541,7 +546,7 @@ def reference_composition(net: NetDescription, kernel_sets, input: QTensor):
             if spec.kind == "conv3x3":
                 acc = oracle.conv2d_ref(x, ks, default_padding("conv3x3"))
             else:
-                acc = oracle.deconv_naive(x, ks)
+                acc = oracle.deconv_naive(x, ks, counters)
             x = oracle.bn_act_ref(acc, ks.bn_multiplier, ks.bn_shift,
                                   act=spec.activation, out_scale_exp=out_scale)
             if spec.pool == "max":

@@ -12,11 +12,12 @@ from the mode's routing table. Two engines produce identical placed
 accumulator maps, each value with acc + bias inside int32, and one tail
 narrows them: bias added in int32 and qtensor.requantize_array to q8, which
 need not range-check an int32 map.
-'fast' runs pearray.accumulate_bands, one exact GEMM per routing slot over
-bands of window rows of the padded input (a few MiB of operands and float64
-output each), every band narrowed to int8 at once. The kernel proves, once
-per layer, the int32 bound of acc and of acc + bias from the weights and the
-bias, and range-checks only what the proof does not cover.
+'fast' runs accumulator_bands (the command validated, its input padded, then
+pearray.accumulate_bands; patchdeconv.deconv_full runs it too): one exact
+GEMM per routing slot over bands of window rows (a few MiB of operands and
+float64 output each), every band narrowed to int8 at once. The kernel
+proves, once per layer, the int32 bound of acc and of acc + bias from the
+weights and the bias, and range-checks only what the proof does not cover.
 'cells' drives the FIFO line buffer and, per window and Tm output tile, one
 PeArray.array_cycle (all Tn x Tm elements of one array step, exact int64
 arithmetic, no GEMM); it is the cycle-faithful route and validates the fast
@@ -237,18 +238,30 @@ def _maxpool_acc(acc: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compute_fast(cmd: LayerCommand, input: QTensor, ks: KernelSet) -> np.ndarray:
-    """The layer's q8 output, each band of pearray.accumulate_bands narrowed at
-    once; a max-pooled layer pools each band's accumulators before narrowing."""
+def accumulator_bands(cmd: LayerCommand, input: QTensor, ks: KernelSet,
+                      cfg: HwConfig):
+    """The fast engine's accumulator stage for a compute command.
+
+    Validates the command against input, kernels and config at the call
+    (ShapeMismatch), pads the input by cmd.padding and returns
+    pearray.accumulate_bands over it: (first output row, placed band) pairs,
+    every band's acc and acc + bias inside int32, the bias not added.
+    """
+    _validate(cmd, input, ks, cfg)
     padded = np.pad(input.data, (
         (cmd.padding.pad_top, cmd.padding.pad_bottom),
         (cmd.padding.pad_left, cmd.padding.pad_right),
         (0, 0)))
+    return accumulate_bands(cmd.pe_mode, padded, ks.weights, ks.bias, cmd.tile_depth)
+
+
+def _compute_fast(cmd: LayerCommand, bands, ks: KernelSet) -> np.ndarray:
+    """The layer's q8 output, each of its accumulator_bands narrowed at once;
+    a max-pooled layer pools each band's accumulators before narrowing."""
     pooled = cmd.pool == "max"
     out = np.empty(compute_out_shape(cmd.op, cmd.in_shape, cmd.padding, ks.out_channels,
                                      "max" if pooled else "none"), dtype=np.int8)
-    for y, acc in accumulate_bands(cmd.pe_mode, padded, ks.weights, ks.bias,
-                                   cmd.tile_depth):
+    for y, acc in bands:
         if pooled:
             y, acc = y // 2, _maxpool_acc(acc, ks.bn_multiplier)
         out[y:y + len(acc)] = _narrow(acc, ks)
@@ -402,15 +415,17 @@ def run_layer(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,
     """Execute one command; returns (QTensor, CycleReport)."""
     if engine not in ("fast", "cells"):
         raise ValueError(f"unknown engine {engine!r}")
-    _validate(cmd, input, weights, cfg)
+    fast = engine == "fast" and cmd.op in COMPUTE_OPS
+    if fast:    # accumulator_bands validates the command
+        bands = accumulator_bands(cmd, input, weights, cfg)
+    else:
+        _validate(cmd, input, weights, cfg)
     report = layer_report(cmd, cfg)
-    if cmd.op in COMPUTE_OPS:
-        if engine == "cells":
-            q = _narrow(_compute_cells(cmd, input, weights, cfg), weights)
-            q = pool_act(q, cmd.pool, cmd.activation)
-        else:
-            q = _compute_fast(cmd, input, weights)
-        out = QTensor(q, cmd.out_scale_exp)
+    if fast:
+        out = QTensor(_compute_fast(cmd, bands, weights), cmd.out_scale_exp)
+    elif cmd.op in COMPUTE_OPS:
+        q = _narrow(_compute_cells(cmd, input, weights, cfg), weights)
+        out = QTensor(pool_act(q, cmd.pool, cmd.activation), cmd.out_scale_exp)
     elif cmd.op in POOL_OPS:
         out = QTensor(pool_act(input.data, POOL_OPS[cmd.op]), input.scale_exp)
     else:  # identity

@@ -20,10 +20,11 @@ below 2**53. BAND_BYTES bounds a band's working set, and qtensor.BLOCK_BYTES
 the requantize tail's, which never copies the int32 map to float64;
 together they bound the oracle's memory beyond its int32 and int8 maps.
 
-OpCounters counts multiplications only, for the dense/patch ratio:
-deconv_naive here, patchdeconv.deconv_full on the patch side. Every kernel
-tap counts one multiplication even when an operand is an injected zero,
-because the modeled hardware spends the multiplier either way.
+OpCounters counts multiplications only: deconv_naive fills it, directly or
+through controller.reference_composition, for the dense side of the
+dense/patch ratio. Every kernel tap counts one multiplication even when an
+operand is an injected zero, because the modeled hardware spends the
+multiplier either way.
 """
 from __future__ import annotations
 

@@ -14,19 +14,19 @@ That is 9 multiplications and 5 additions per window per channel pair,
 against 36 multiplications for the zero-insertion route over the same four
 outputs; kernels arrive already rotated 180 degrees from pack time.
 The equations are the table pearray.PATCH_ROUTING: PeArray.array_cycle
-evaluates one window per element from it, and deconv_full runs whole maps
-through the shared kernel, in pearray.accumulate_bands' bands of window
-rows.
+evaluates one window per element from it. deconv_full runs a whole map as
+the deconv2x command a net stage compiles to, through the fast engine's own
+datapath.accumulator_bands, and counts it from that command's cycle report.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .datapath import accumulator_bands, layer_command, layer_report
+from .linebuffer import PaddingMode
 from .oracle import OpCounters
-from .pearray import PeMode, accumulate_bands
+from .pearray import HwConfig
 from .qtensor import KernelSet, QTensor
-
-_CHANNEL_TILE = 8  # deconv_full's input-channel tile: the default Tn
 
 
 def rotate180(kernel) -> np.ndarray:
@@ -37,35 +37,24 @@ def rotate180(kernel) -> np.ndarray:
     return k[..., ::-1, ::-1].copy()
 
 
-def pad_for_patches(input: QTensor) -> QTensor:
-    """Add the zero row on top and zero column on the left.
-
-    After this pad, the stride-1 2x2 windows of the (h+1, w+1) map are in
-    one-to-one correspondence with the h*w disjoint output patches of the
-    (2h, 2w) transposed convolution.
-    """
-    return QTensor(np.pad(input.data, ((1, 0), (1, 0), (0, 0))), input.scale_exp)
-
-
 def deconv_full(input: QTensor, weights: KernelSet,
                 counters: OpCounters | None = None) -> np.ndarray:
     """Whole-map patch deconvolution: (h, w, cin) -> (2h, 2w, cout) int32.
 
-    Equals deconv_naive bit for bit while spending
-    a quarter of the multiplications. Bias is added once per output value.
+    The top/left-padded deconv2x command at HwConfig() through
+    datapath.accumulator_bands, which raises ShapeMismatch for kernels that
+    are not pre-rotated or do not take cin channels; the bias is added once
+    per output value. Equals deconv_naive bit for bit while spending a
+    quarter of the multiplications; counters gains the command's
+    layer_report count.
     """
-    if not weights.rotated:
-        raise ValueError("deconvolution expects kernels rotated at pack time")
-    h, w, cin = input.shape
-    if weights.in_channels != cin:
-        raise ValueError(
-            f"weights expect {weights.in_channels} input channels, map has {cin}")
-    cout = weights.out_channels
-    out = np.empty((2 * h, 2 * w, cout), dtype=np.int32)
-    for y, acc in accumulate_bands(PeMode.DECONV, pad_for_patches(input).data,
-                                   weights.weights, weights.bias, _CHANNEL_TILE):
+    cfg = HwConfig()
+    cmd = layer_command("deconv2x", input.shape, weights.out_channels,
+                        PaddingMode.of("TL"), cfg)
+    out = np.empty(cmd.out_shape, dtype=np.int32)
+    for y, acc in accumulator_bands(cmd, input, weights, cfg):
         # the kernel proved or checked acc + bias inside int32
         np.add(acc, weights.bias, out=out[y:y + len(acc)], casting="unsafe")
     if counters is not None:
-        counters.multiplications += 9 * h * w * cin * cout
+        counters.multiplications += layer_report(cmd, cfg).multiplications
     return out

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from ucda import cli
+from ucda import cli, oracle, patchdeconv
 from ucda.controller import (
     LayerSpec,
     NetDescription,
@@ -247,6 +247,35 @@ class TestExitCodes:
             "error: layer 0: activations only follow conv/deconv stages\n")
         assert not (tmp_path / "o.tensor").exists()
 
+    @pytest.mark.parametrize("kind", ["maxpool", "avgpool", "identity"])
+    def test_scale_on_move_layer_is_a_parse_error(self, tmp_path, capsys, kind):
+        """A move stage keeps its input's scale; a scale_exp on it would
+        label the output at a scale the datapath never applied."""
+        doc = {"version": 1, "input": {"h": 8, "w": 8, "c": 2, "scale_exp": -7},
+               "layers": [{"kind": kind, "out_channels": 2, "scale_exp": -3},
+                          {"kind": "conv3x3", "out_channels": 2}]}
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        assert _run(["compare", "--net", net, "--random-weights",
+                     "--random-input"]) == 1
+        assert capsys.readouterr().err == (
+            "error: layer 0: scale_exp only follows conv/deconv stages\n")
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 8.05 TiB"), "Unable to allocate 8.05 TiB"),
+        (MemoryError(), "out of memory")], ids=["numpy", "bare"])
+    def test_out_of_memory_is_a_runtime_error(self, small_net, tmp_path, capsys,
+                                              monkeypatch, error, message):
+        def exhausted(net, seed):
+            raise error
+
+        monkeypatch.setattr(cli, "_random_params", exhausted)
+        assert _run(["run", "--net", small_net, "--random-weights",
+                     "--random-input", "--out-tensor", tmp_path / "o.tensor",
+                     "--out-perf", tmp_path / "p.json"]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.tensor").exists()
+
     def test_accumulator_overflow_is_a_runtime_error(self, tmp_path, capsys):
         net = self._net(tmp_path, LayerSpec("conv3x3", 4))
         ks = KernelSet(weights=np.full((4, 2, 3, 3), -128, np.int8),
@@ -392,6 +421,32 @@ class TestCompare:
         _run(["compare", "--net", small_net, "--random-weights",
               "--random-input"])
         assert ("deconv multiplications dense/patch: 4.00"
+                in capsys.readouterr().out)
+
+    def test_ratio_comes_from_the_run_already_made(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """The dense count is the reference chain's, one deconv_naive per
+        deconv layer; the patch count is the trace's deconv2x reports."""
+        net = tmp_path / "net.json"
+        net.write_text(net_to_json(NetDescription((4, 4, 2), -7, [
+            LayerSpec("deconv2x", 3), LayerSpec("conv3x3", 2),
+            LayerSpec("deconv2x", 2)])))
+        calls = []
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        counting(oracle, "deconv_naive")
+        counting(patchdeconv, "deconv_full")
+        assert _run(["compare", "--net", net, "--random-weights",
+                     "--random-input"]) == 0
+        assert calls == ["deconv_naive", "deconv_naive"]
+        assert ("deconv multiplications dense/patch: 4.00\n"
                 in capsys.readouterr().out)
 
     def test_fault_detected(self, small_net, capsys):

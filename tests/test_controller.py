@@ -72,6 +72,13 @@ class TestLayerSpec:
                            match="^activations only follow conv/deconv stages$"):
             LayerSpec(kind, 4, activation=act)
 
+    @pytest.mark.parametrize("kind", ["maxpool", "avgpool", "identity"])
+    def test_scale_only_on_compute(self, kind):
+        with pytest.raises(NetParseError,
+                           match="^scale_exp only follows conv/deconv stages$"):
+            LayerSpec(kind, 2, scale_exp=-3)
+        LayerSpec(kind, 2, scale_exp=None)  # fine: keeps its input's scale
+
 
 class TestNetDescription:
     def test_chain_scales(self):

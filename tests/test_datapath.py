@@ -16,6 +16,7 @@ from ucda.datapath import (
     ShapeMismatch,
     check_layer_capacity,
     UnsupportedOp,
+    accumulator_bands,
     compute_out_shape,
     layer_command,
     layer_report,
@@ -548,10 +549,7 @@ class TestAccumulatorProof:
     def _assert_equals_oracle(self, op, w, x_value=-128):
         cmd, x, ks = self._case(op, w, x_value)
         want = self._oracle_acc(op, x, ks).astype(np.int64)
-        padded = np.pad(x.data, ((cmd.padding.pad_top, cmd.padding.pad_bottom),
-                                 (cmd.padding.pad_left, cmd.padding.pad_right), (0, 0)))
-        got = np.concatenate([acc for _, acc in accumulate_bands(
-            cmd.pe_mode, padded, ks.weights, ks.bias, cmd.tile_depth)])
+        got = np.concatenate([acc for _, acc in accumulator_bands(cmd, x, ks, CFG)])
         assert np.array_equal(got + ks.bias, want)
         # a shift per case keeps the largest accumulator inside q8
         shift = np.full(2, max(0, int(np.abs(want).max()).bit_length() - 7), np.uint8)

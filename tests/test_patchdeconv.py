@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucda import datapath
+from ucda.datapath import ShapeMismatch
 from ucda.oracle import OpCounters, deconv_naive
-from ucda.patchdeconv import deconv_full, pad_for_patches, rotate180
+from ucda.patchdeconv import deconv_full, rotate180
 from ucda.pearray import HwConfig, PeArray, PeMode
 from ucda.qtensor import KernelSet, QTensor
 
@@ -55,24 +57,6 @@ class TestRotate180:
     def test_involution(self, seed):
         k = np.random.default_rng(seed).integers(-128, 128, (2, 3, 3, 3))
         assert np.array_equal(rotate180(rotate180(k)), k)
-
-
-class TestPadForPatches:
-    def test_2x2(self):
-        t = QTensor(np.array([[[1], [2]], [[3], [4]]], np.int8), -4)
-        p = pad_for_patches(t)
-        assert p.shape == (3, 3, 1)
-        assert np.array_equal(p.data[:, :, 0], [[0, 0, 0], [0, 1, 2], [0, 3, 4]])
-        assert p.scale_exp == -4
-
-    def test_1x1(self):
-        p = pad_for_patches(QTensor(np.full((1, 1, 1), 9, np.int8), 0))
-        assert np.array_equal(p.data[:, :, 0], [[0, 0], [0, 9]])
-
-    def test_zeros(self):
-        p = pad_for_patches(QTensor(np.zeros((3, 5, 2), np.int8), 0))
-        assert p.shape == (4, 6, 2)
-        assert not p.data.any()
 
 
 class TestDeconvPatch:
@@ -150,8 +134,27 @@ class TestDeconvFull:
             weights=np.zeros((1, 1, 3, 3), np.int8), bias=np.zeros(1, np.int32),
             bn_multiplier=np.full(1, 16384, np.int16),
             bn_shift=np.zeros(1, np.uint8), scale_exp=0, rotated=False)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatch, match="pre-rotated"):
             deconv_full(QTensor(np.zeros((2, 2, 1), np.int8), 0), ks)
+
+    def test_rejects_input_channel_mismatch(self):
+        ks = _ks(np.zeros((1, 2, 3, 3)))
+        with pytest.raises(ShapeMismatch, match="command needs 1x3"):
+            deconv_full(QTensor(np.zeros((2, 2, 3), np.int8), 0), ks)
+
+    def test_runs_the_fast_engines_accumulator_stage(self, monkeypatch):
+        calls, accumulate_bands = [], datapath.accumulate_bands
+
+        def counted(*args):
+            calls.append(args[0])
+            return accumulate_bands(*args)
+
+        monkeypatch.setattr(datapath, "accumulate_bands", counted)
+        rng = np.random.default_rng(3)
+        x = QTensor(rng.integers(-128, 128, (3, 4, 2)).astype(np.int8), 0)
+        ks = _ks(rng.integers(-128, 128, (3, 2, 3, 3)).astype(np.int8))
+        assert np.array_equal(deconv_full(x, ks), deconv_naive(x, ks))
+        assert calls == [PeMode.DECONV]
 
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 4),
            st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
