@@ -226,13 +226,14 @@ def cmd_compare(args) -> int:
 
     first_bad = None
     for entry, ref in zip(trace, refs):
-        diff = np.abs(entry.output.data.astype(np.int32)
-                      - ref.data.astype(np.int32))
-        worst = int(diff.max()) if diff.size else 0
+        # |int8 - int8| <= 255: one int16 map, made in place
+        diff = np.subtract(entry.output.data, ref.data, dtype=np.int16)
+        worst = int(np.abs(diff, out=diff).max()) if diff.size else 0
         print(f"layer {entry.index:2d} {entry.command.op:<10}"
               f" max|diff| = {worst}")
         if worst and first_bad is None:
-            coord = tuple(int(v) for v in np.argwhere(diff)[0])
+            first = int(np.argmax(diff != 0))    # raster order
+            coord = tuple(int(v) for v in np.unravel_index(first, diff.shape))
             first_bad = (entry, ref, coord)
 
     patch = sum(e.report.multiplications for e in trace if e.command.op == "deconv2x")

@@ -352,9 +352,7 @@ def parse_weight_image(blob: bytes):
 
     Raises ValueError naming the byte offset when the image ends early.
     """
-    if blob[:4] != WEIGHT_MAGIC:
-        raise ValueError("bad magic: not a weight image")
-    pos = 4
+    pos = 0
 
     def take(size: int, what: str) -> int:
         nonlocal pos
@@ -365,6 +363,8 @@ def parse_weight_image(blob: bytes):
         pos += size
         return pos - size
 
+    if blob[take(4, "magic"):4] != WEIGHT_MAGIC:
+        raise ValueError("bad magic: not a weight image")
     version, count = struct.unpack_from("<II", blob, take(8, "header"))
     if version != WEIGHT_VERSION:
         raise ValueError(f"unsupported weight image version {version}")
@@ -530,10 +530,12 @@ def reference_composition(net: NetDescription, kernel_sets, input: QTensor,
                           counters: oracle.OpCounters | None = None):
     """Layer-by-layer outputs using only the straight-line references.
 
-    This is the comparison chain for the datapath: conv/deconv through the
-    padded/zero-insertion reference, then the requantize/activation tail,
-    then reference pooling. Returns one QTensor per layer. counters, when
-    given, gains the dense multiplications of every deconvolution.
+    This is the comparison chain for the datapath: every compute stage
+    runs through oracle.reference_layer, the padded/zero-insertion
+    reference narrowed through the requantize/activation/pool tail band by
+    band; pooling stages run the reference pools. Returns one QTensor per
+    layer. counters, when given, gains the dense multiplications of every
+    deconvolution.
     """
     x = input
     outputs = []
@@ -541,18 +543,10 @@ def reference_composition(net: NetDescription, kernel_sets, input: QTensor,
     for spec, link in zip(net.layers, net.chain()):
         _, _, _, out_scale = link
         if spec.kind in COMPUTE_OPS:
-            ks = kernel_sets[slot]
+            x = oracle.reference_layer(x, kernel_sets[slot], spec.kind,
+                                       spec.activation, spec.pool, out_scale,
+                                       counters)
             slot += 1
-            if spec.kind == "conv3x3":
-                acc = oracle.conv2d_ref(x, ks, default_padding("conv3x3"))
-            else:
-                acc = oracle.deconv_naive(x, ks, counters)
-            x = oracle.bn_act_ref(acc, ks.bn_multiplier, ks.bn_shift,
-                                  act=spec.activation, out_scale_exp=out_scale)
-            if spec.pool == "max":
-                x = oracle.maxpool_ref(x)
-            elif spec.pool == "avg":
-                x = oracle.avgpool_ref(x)
         elif spec.kind == "maxpool":
             x = oracle.maxpool_ref(x)
         elif spec.kind == "avgpool":

@@ -9,22 +9,33 @@ arithmetic itself is shared with the datapath (qtensor.pool2x2 and
 qtensor.apply_activation); tests/reference_impls.py checks it on its own.
 
 Both convolutions end in one valid 3x3 convolution, computed as a banded
-im2col GEMM: per band of output rows, the nine shifted taps form one
-(rows*ow, 9*cin) matrix that meets the (9*cin, cout) weights in a single
-product. The layer's shape alone picks the GEMM's dtype: each product of
-two int8 values is at most 2**14 in magnitude, so every partial sum of the
-9*cin products is an integer of magnitude at most 9*cin*2**14. When that is
-at most 2**24 (cin <= 113) the GEMM runs in float32, otherwise in float64;
-the bias is added in float64 after it, exact as the sums plus bias stay far
-below 2**53. BAND_BYTES bounds a band's working set, and qtensor.BLOCK_BYTES
-the requantize tail's, which never copies the int32 map to float64;
-together they bound the oracle's memory beyond its int32 and int8 maps.
+im2col GEMM by one band generator: per band of output rows, the nine
+shifted taps form one (rows*ow, 9*cin) matrix that meets the (9*cin, cout)
+weights in a single product. The layer's shape alone picks the GEMM's
+dtype: each product of two int8 values is at most 2**14 in magnitude, so
+every partial sum of the 9*cin products is an integer of magnitude at most
+9*cin*2**14. When that is at most 2**24 (cin <= 113) the GEMM runs in
+float32, otherwise in float64; the bias is added in float64 after it,
+exact as the sums plus bias stay far below 2**53. Each band is
+range-checked and yielded as exact int32. A band reads its input rows from
+the zero-padded int8 map (conv) or from one reused buffer holding only its
+own rows of the zero-inserted map (deconv).
 
-OpCounters counts multiplications only: deconv_naive fills it, directly or
-through controller.reference_composition, for the dense side of the
-dense/patch ratio. Every kernel tap counts one multiplication even when an
-operand is an injected zero, because the modeled hardware spends the
-multiplier either way.
+reference_layer, the stage controller.reference_composition runs, narrows
+each band as it arrives, in this literal order: requantize_array, then
+apply_activation (both through bn_act_ref), then pool2x2. Bands have an
+even number of rows, so no 2x2 pooling block straddles two. conv2d_ref and
+deconv_naive assemble the same bands into a whole int32 map. So a
+reference stage holds its int8 input and output, the padded input (conv)
+and one band's working set: BAND_BYTES bounds the band's im2col block and
+sums, and qtensor.BLOCK_BYTES the requantize scratch. No full int32 or
+zero-inserted map is built.
+
+OpCounters counts multiplications only: deconv_naive and reference_layer
+fill it for deconvolutions, the dense side of the dense/patch ratio.
+Every kernel tap counts one multiplication even when an operand is an
+injected zero, because the modeled hardware spends the multiplier either
+way.
 """
 from __future__ import annotations
 
@@ -42,7 +53,7 @@ from .qtensor import (
 )
 
 _EDGES = ("top", "bottom", "left", "right")
-# working set of one band of output rows in _valid_conv3x3, counted at 8
+# working set of one band of output rows in _gemm_bands, counted at 8
 # bytes per value whether the band's GEMM runs in float32 or float64; it
 # bounds the oracle's memory and never changes its results
 BAND_BYTES = 4 << 20
@@ -73,14 +84,16 @@ def zero_pad(data: np.ndarray, pad) -> np.ndarray:
     return np.pad(data, ((t, b), (l, r), (0, 0)))
 
 
-def _valid_conv3x3(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                   counters: OpCounters | None = None) -> np.ndarray:
-    """3x3 valid convolution over an already-padded map, bias included.
+def _gemm_bands(rows_of, oh: int, ow: int, weights: np.ndarray,
+                bias: np.ndarray, counters: OpCounters | None = None):
+    """Yield (r0, band): the exact int32 rows r0.. of a 3x3 valid
+    convolution, bias included, one band at a time.
 
-    Banded im2col: for each band of output rows the nine shifted tap views
-    are gathered into one (rows, ow, 9*cin) block of the GEMM's dtype and
-    multiplied in one GEMM by the (9*cin, cout) weight matrix, rows in
-    (u, v, ci) order. The shape proves the result exact, reading no
+    rows_of(r0, n) returns the n + 2 input rows that output rows r0 to
+    r0 + n - 1 read. Banded im2col: the nine shifted tap views of those
+    rows are gathered into one reused (rows, ow, 9*cin) block of the GEMM's
+    dtype and multiplied in one GEMM by the (9*cin, cout) weight matrix,
+    rows in (u, v, ci) order. The shape proves the result exact, reading no
     weights: every product of two int8 values is at most 2**14 in
     magnitude, so every partial sum of the k = 9*cin products is an
     integer of magnitude at most k*2**14. When k*2**14 <= 2**24 (cin <=
@@ -88,37 +101,91 @@ def _valid_conv3x3(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     fused or not, and the GEMM runs in float32; above that it runs in
     float64. The bias (|bias| < 2**31) is added in float64 on the GEMM's
     result, exact since sum plus bias stays far below 2**53. Each band is
-    range-checked before it is written into the int32 output, so an
-    overflow anywhere raises AccumulatorOverflow.
+    range-checked before it is yielded, so an overflow anywhere raises
+    AccumulatorOverflow. counters, when given, gains the multiplications
+    of every tap once the last band is out.
     """
-    hp, wp, cin = padded.shape
-    cout = weights.shape[0]
-    if weights.shape[1] != cin:
-        raise ValueError(
-            f"weights expect {weights.shape[1]} input channels, map has {cin}")
-    oh, ow = hp - 2, wp - 2
-    if oh < 1 or ow < 1:
-        raise ValueError(f"padded map {hp}x{wp} smaller than the 3x3 window")
+    cout, cin = weights.shape[:2]
     k = 9 * cin
     # float32 holds every integer of magnitude up to 2**24 exactly
     dtype = np.float32 if k << 14 <= 1 << 24 else np.float64
     wmat = weights.transpose(2, 3, 1, 0).reshape(k, cout).astype(dtype)
     b = bias.astype(np.float64)
-    out = np.empty((oh, ow, cout), dtype=np.int32)
-    # the band's working set at 8 bytes a value: its im2col block and sums
-    rows = max(1, BAND_BYTES // (8 * ow * (k + cout)))
+    # the band's im2col block and sums at 8 bytes a value; an even count, so
+    # a band holds whole 2x2 pooling blocks and starts on a data row of a
+    # zero-inserted map
+    rows = BAND_BYTES // (8 * ow * (k + cout))
+    rows = max(2, rows - rows % 2)
+    cols = np.empty((min(rows, oh), ow, k), dtype=dtype)
     for r0 in range(0, oh, rows):
         n = min(rows, oh - r0)
-        cols = np.empty((n, ow, k), dtype=dtype)
+        src, block = rows_of(r0, n), cols[:n]
         for u in range(3):
             for v in range(3):
                 t = (3 * u + v) * cin
-                cols[:, :, t:t + cin] = padded[r0 + u:r0 + u + n, v:v + ow, :]
-        acc = np.add(cols.reshape(n * ow, k) @ wmat, b)
+                block[:, :, t:t + cin] = src[u:u + n, v:v + ow, :]
+        acc = np.add(block.reshape(n * ow, k) @ wmat, b)
         check_accum(acc)
-        out[r0:r0 + n] = acc.reshape(n, ow, cout)
+        yield r0, acc.astype(np.int32).reshape(n, ow, cout)
     if counters is not None:
         counters.multiplications += 9 * oh * ow * cin * cout
+
+
+def _inserted_rows(data: np.ndarray):
+    """Row source of the zero-inserted map of a 2x transposed convolution.
+
+    The map is (2h+2) x (2w+2): input pixel (i, j) sits at (2i+2, 2j+2) and
+    every other value is zero. Each band's rows are written into one zero
+    buffer, made for the first (tallest) band and reused. Bands start on
+    even rows, so every band's data rows fall on the buffer's even rows and
+    its odd rows and columns stay zero.
+    """
+    h, w, cin = data.shape
+    buf = None
+
+    def rows_of(r0: int, n: int) -> np.ndarray:
+        nonlocal buf
+        if buf is None:
+            buf = np.zeros((n + 2, 2 * w + 2, cin), dtype=np.int8)
+        i0 = r0 // 2 - 1             # the input row on the band's first row
+        k0 = 2 if i0 < 0 else 0      # map row 0 is the top zero row
+        buf[k0:n + 2:2, 2::2] = data[max(i0, 0):r0 // 2 + n // 2]
+        return buf[:n + 2]
+    return rows_of
+
+
+def _layer_bands(data: np.ndarray, weights: KernelSet, kind: str, pad=_EDGES,
+                 counters: OpCounters | None = None):
+    """(bands, oh, ow) of one layer's accumulators: conv3x3 over data padded
+    at the named edges, or deconv2x over its zero-inserted map. bands is a
+    _gemm_bands generator; counters, when given, gains a deconvolution's
+    dense multiplications once its last band is out."""
+    h, w, cin = data.shape
+    if kind == "deconv2x" and not weights.rotated:
+        raise ValueError("deconvolution expects kernels rotated at pack time")
+    if weights.in_channels != cin:
+        raise ValueError(f"weights expect {weights.in_channels} input"
+                         f" channels, map has {cin}")
+    if kind == "deconv2x":
+        rows_of, oh, ow = _inserted_rows(data), 2 * h, 2 * w
+    else:
+        padded = zero_pad(data, pad)
+        oh, ow = padded.shape[0] - 2, padded.shape[1] - 2
+        if oh < 1 or ow < 1:
+            raise ValueError(
+                f"padded map {oh + 2}x{ow + 2} smaller than the 3x3 window")
+        counters = None
+
+        def rows_of(r0, n):
+            return padded[r0:r0 + n + 2]
+    return _gemm_bands(rows_of, oh, ow, weights.weights, weights.bias,
+                       counters), oh, ow
+
+
+def _assemble(bands, oh: int, ow: int, cout: int) -> np.ndarray:
+    out = np.empty((oh, ow, cout), dtype=np.int32)
+    for r0, band in bands:
+        out[r0:r0 + len(band)] = band
     return out
 
 
@@ -129,8 +196,8 @@ def conv2d_ref(input: QTensor, weights: KernelSet, pad) -> np.ndarray:
     row/column. Output shape is (padded_h - 2, padded_w - 2, out_ch) at
     accumulator precision with the per-channel bias already added.
     """
-    padded = zero_pad(input.data, pad)
-    return _valid_conv3x3(padded, weights.weights, weights.bias)
+    bands, oh, ow = _layer_bands(input.data, weights, "conv3x3", pad)
+    return _assemble(bands, oh, ow, weights.out_channels)
 
 
 def deconv_naive(input: QTensor, weights: KernelSet,
@@ -142,15 +209,9 @@ def deconv_naive(input: QTensor, weights: KernelSet,
     on the left. A valid 3x3 convolution over that (2h+2) x (2w+2) map
     with the stored (pre-rotated) kernel gives exactly (2h, 2w).
     """
-    if not weights.rotated:
-        raise ValueError("deconvolution expects kernels rotated at pack time")
-    h, w, cin = input.shape
-    exp = np.zeros((2 * h + 1, 2 * w + 1, cin), dtype=np.int8)
-    exp[1::2, 1::2, :] = input.data
-    # two steps on purpose: one allocation of the final size moves decoder
-    # peak RSS by several percent, up or down with the heap's layout
-    exp = np.pad(exp, ((1, 0), (1, 0), (0, 0)))
-    return _valid_conv3x3(exp, weights.weights, weights.bias, counters)
+    bands, oh, ow = _layer_bands(input.data, weights, "deconv2x",
+                                 counters=counters)
+    return _assemble(bands, oh, ow, weights.out_channels)
 
 
 def maxpool_ref(input: QTensor) -> QTensor:
@@ -175,3 +236,29 @@ def bn_act_ref(acc, multiplier, shift, act: str = "none",
     """
     q = apply_activation(requantize_array(acc, multiplier, shift), act)
     return QTensor(q, out_scale_exp)
+
+
+def reference_layer(x: QTensor, ks: KernelSet, kind: str, activation: str,
+                    pool: str, out_scale_exp: int,
+                    counters: OpCounters | None = None) -> QTensor:
+    """One compute stage of a net: conv3x3 padded on all four edges, or
+    deconv2x, then requantize, activation and pool, band by band.
+
+    Equals bn_act_ref(conv2d_ref or deconv_naive) followed by maxpool_ref
+    or avgpool_ref, while holding beyond its input only the int8 result,
+    a conv's padded input and one band's working set at a time: bands have
+    an even number of rows, so no 2x2 pooling block straddles two.
+    counters, when given, gains the dense multiplications of a
+    deconvolution.
+    """
+    bands, oh, ow = _layer_bands(x.data, ks, kind, counters=counters)
+    f = 1 if pool == "none" else 2
+    if oh % f or ow % f:
+        raise ValueError(f"pooling needs even dims, got {oh}x{ow}")
+    out = np.empty((oh // f, ow // f, ks.out_channels), dtype=np.int8)
+    for r0, acc in bands:
+        q = bn_act_ref(acc, ks.bn_multiplier, ks.bn_shift, activation).data
+        if f == 2:
+            q = pool2x2(q, pool)
+        out[r0 // f:r0 // f + len(q)] = q
+    return QTensor(out, out_scale_exp)

@@ -425,27 +425,30 @@ class TestCompare:
 
     def test_ratio_comes_from_the_run_already_made(self, tmp_path, capsys,
                                                   monkeypatch):
-        """The dense count is the reference chain's, one deconv_naive per
-        deconv layer; the patch count is the trace's deconv2x reports."""
+        """The dense count is the reference chain's, one dense
+        deconvolution per deconv layer; the patch count is the trace's
+        deconv2x reports."""
         net = tmp_path / "net.json"
         net.write_text(net_to_json(NetDescription((4, 4, 2), -7, [
             LayerSpec("deconv2x", 3), LayerSpec("conv3x3", 2),
             LayerSpec("deconv2x", 2)])))
         calls = []
 
-        def counting(module, name):
+        def counting(module, name, counts=lambda *args: True):
             fn = getattr(module, name)
 
             def counted(*args, **kwargs):
-                calls.append(name)
+                if counts(*args):
+                    calls.append(name)
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
 
-        counting(oracle, "deconv_naive")
+        counting(oracle, "reference_layer",
+                 lambda x, ks, kind, *rest: kind == "deconv2x")
         counting(patchdeconv, "deconv_full")
         assert _run(["compare", "--net", net, "--random-weights",
                      "--random-input"]) == 0
-        assert calls == ["deconv_naive", "deconv_naive"]
+        assert calls == ["reference_layer", "reference_layer"]
         assert ("deconv multiplications dense/patch: 4.00\n"
                 in capsys.readouterr().out)
 

@@ -1,11 +1,15 @@
 """Network descriptions, program compilation, weight images, execution."""
 import hashlib
 import struct
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ucda import oracle
 from ucda.cli import _random_params
 from ucda.controller import (
     _LAYER_FIELD_TYPES,
@@ -29,7 +33,7 @@ from ucda.controller import (
 from ucda.datapath import CapacityError, run_layer
 from ucda.patchdeconv import rotate180
 from ucda.pearray import HwConfig
-from ucda.qtensor import QTensor, identity_kernel_set, quantize_array
+from ucda.qtensor import KernelSet, QTensor, identity_kernel_set, quantize_array
 
 
 def _net(layers, shape=(8, 8, 2), scale=-7):
@@ -273,6 +277,26 @@ class TestProgramText:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@st.composite
+def weight_images(draw):
+    """(kinds, kernel sets) of up to three entries, every field drawn
+    over its stored range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["conv3x3", "deconv2x"]),
+                          max_size=3))
+    sets = []
+    for kind in kinds:
+        cin, cout = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        sets.append(KernelSet(
+            weights=rng.integers(-128, 128, (cout, cin, 3, 3), dtype=np.int8),
+            bias=rng.integers(-2 ** 31, 2 ** 31, cout, dtype=np.int32),
+            bn_multiplier=rng.integers(-2 ** 15, 2 ** 15, cout, dtype=np.int16),
+            bn_shift=rng.integers(0, 32, cout, dtype=np.uint8),
+            scale_exp=draw(st.integers(-2 ** 31, 2 ** 31 - 1)),
+            rotated=kind == "deconv2x"))
+    return kinds, sets
+
+
 class TestWeightImage:
     def golden_blob(self):
         # built field by field, independent of the writer
@@ -339,6 +363,39 @@ class TestWeightImage:
         for cut in range(len(blob)):
             with pytest.raises(ValueError):
                 parse_weight_image(blob[:cut])
+
+    @given(weight_images())
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_returns_every_field(self, image):
+        kinds, sets = image
+        got_kinds, got = parse_weight_image(weight_image(kinds, sets))
+        assert got_kinds == kinds
+        for a, b in zip(sets, got, strict=True):
+            for f in ("weights", "bias", "bn_multiplier", "bn_shift"):
+                x, y = getattr(a, f), getattr(b, f)
+                assert x.dtype == y.dtype and np.array_equal(x, y), f
+            assert (a.scale_exp, a.rotated) == (b.scale_exp, b.rotated)
+
+    @given(weight_images())
+    @settings(max_examples=25, deadline=None)
+    def test_every_strict_prefix_names_a_byte_offset(self, image):
+        blob = weight_image(*image)
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError, match=r"truncated at byte \d+"):
+                parse_weight_image(blob[:cut])
+
+    @given(weight_images(), st.lists(st.tuples(st.integers(0, 2 ** 16),
+                                        st.integers(0, 255)),
+                              min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_corrupt_bytes_raise_only_value_errors(self, image, edits):
+        blob = bytearray(weight_image(*image))
+        for at, value in edits:
+            blob[at % len(blob)] = value
+        try:
+            parse_weight_image(bytes(blob))
+        except ValueError:
+            pass
 
     def test_trailing_bytes(self):
         with pytest.raises(ValueError, match="trailing"):
@@ -507,3 +564,32 @@ class TestReferenceComposition:
         for rec, ref in zip(trace, refs):
             assert np.array_equal(rec.output.data, ref.data)
             assert rec.output.scale_exp == ref.scale_exp
+
+    def test_chain_holds_bands_not_maps(self, monkeypatch):
+        """A conv + max-pool + deconv chain in 2-row bands allocates its int8
+        outputs, a padded copy of the input, two bands' working sets and one
+        band of the zero-inserted map: less than the conv's int32 pre-pool
+        map alone."""
+        h, w, cin, mid, cout = 192, 64, 8, 32, 8
+        net = _net([LayerSpec("conv3x3", mid, activation="relu", pool="max"),
+                    LayerSpec("deconv2x", cout)], shape=(h, w, cin))
+        _, sets = pack_weights(net, *_rand_params(net, 33))
+        x = QTensor(np.random.default_rng(34).integers(
+            -128, 128, (h, w, cin)).astype(np.int8), -7)
+        monkeypatch.setattr(oracle, "BAND_BYTES", 1)     # bands of two rows
+        outputs = h // 2 * (w // 2) * mid + h * w * cout
+        # a band's working set as BAND_BYTES counts it, at 8 bytes a value:
+        # the deconv's (9*mid + cout)-wide im2col block and sums
+        band = 2 * w * (9 * mid + cout) * 8
+        inserted = 4 * (w + 2) * mid
+        bound = outputs + x.data.nbytes + 2 * band + inserted
+        pre_pool = h * w * mid * 4
+        assert bound < pre_pool
+        tracemalloc.start()
+        try:
+            refs = reference_composition(net, sets, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(r.data.nbytes for r in refs) == outputs
+        assert peak < bound

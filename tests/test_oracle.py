@@ -12,6 +12,7 @@ from ucda.oracle import (
     conv2d_ref,
     deconv_naive,
     maxpool_ref,
+    reference_layer,
 )
 from ucda.qtensor import (
     ACC_MAX,
@@ -129,9 +130,9 @@ class TestDeconvNaive:
 
 
 def _band_bytes(rows, ow, cin, cout):
-    """BAND_BYTES that gives bands of `rows` output rows: the band's working
-    set, at 8 bytes a value, is its (rows*ow, 9*cin) im2col block plus its
-    sums."""
+    """BAND_BYTES that gives bands of `rows` output rows, rounded down to an
+    even count of at least two: the band's working set, at 8 bytes a
+    value, is its (rows*ow, 9*cin) im2col block plus its sums."""
     return rows * 8 * ow * (9 * cin + cout)
 
 
@@ -161,6 +162,7 @@ class TestBands:
         x = _rand_tensor(rng, 5, 4, 2)
         ks = _ks(rng.integers(-128, 128, (3, 2, 3, 3)), rng.integers(-9, 9, 3))
         want = conv2d_ref(x, ks, ALL)
+        # a budget below one row still gives bands, of the two-row minimum
         monkeypatch.setattr(oracle, "BAND_BYTES", 0)
         assert np.array_equal(conv2d_ref(x, ks, ALL), want)
 
@@ -225,9 +227,9 @@ class TestOverflow:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_deconv_overflow_in_last_band(self, monkeypatch, sign):
-        # 2*H = 10 output rows in bands of 3: the last band holds one row
+        # 2*H = 10 output rows in bands of 4: the last band holds two rows
         ow = 2 * self.W
-        monkeypatch.setattr(oracle, "BAND_BYTES", _band_bytes(3, ow, 1, 1))
+        monkeypatch.setattr(oracle, "BAND_BYTES", _band_bytes(4, ow, 1, 1))
         x, k, bias = self._case(0, sign)
         acc = deconv_naive(x, _ks(k, bias, rotated=True))
         assert acc.shape == (2 * self.H, ow, 1) and np.all(acc == bias[0])
@@ -243,6 +245,74 @@ class TestOverflow:
             bn_act_ref(acc, [16384], [0])
         with pytest.raises(AccumulatorOverflow):
             bn_act_ref(acc.astype(np.float64), [16384], [0])
+
+
+class TestReferenceLayer:
+    """reference_layer streams one stage band by band and equals the
+    whole-map chain: bn_act_ref over conv2d_ref or deconv_naive, then the
+    reference pool."""
+
+    POOLS = {"none": lambda q: q, "max": maxpool_ref, "avg": avgpool_ref}
+
+    @given(st.sampled_from(["conv3x3", "deconv2x"]),
+           st.sampled_from(sorted(POOLS)),
+           st.sampled_from(["none", "relu", "leaky"]),
+           st.sampled_from([1, oracle.BAND_BYTES]),
+           st.sampled_from([0, 1, 127]), st.integers(1, 1 << 17), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_whole_map_chain(self, kind, pool, act, band_bytes,
+                                        w_max, small, data):
+        h, w = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        cin, cout = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        # the biases of the engine's int32-edge test (both ends and near
+        # them), and small ones that leave the tail unsaturated
+        edges = [ACC_MIN, ACC_MIN + small, 0, ACC_MAX - small, ACC_MAX]
+        bias = data.draw(st.lists(
+            st.one_of(st.sampled_from(edges), st.integers(-4096, 4096)),
+            min_size=cout, max_size=cout))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+        x = _rand_tensor(rng, h, w, cin)
+        ks = KernelSet(
+            weights=rng.integers(-w_max, w_max + 1, (cout, cin, 3, 3)).astype(np.int8),
+            bias=np.array(bias, np.int32),
+            bn_multiplier=rng.integers(-32768, 32768, cout).astype(np.int16),
+            bn_shift=rng.integers(0, 32, cout).astype(np.uint8),
+            scale_exp=0, rotated=kind == "deconv2x")
+
+        def whole():
+            acc = (conv2d_ref(x, ks, ALL) if kind == "conv3x3"
+                   else deconv_naive(x, ks))
+            q = bn_act_ref(acc, ks.bn_multiplier, ks.bn_shift, act=act,
+                           out_scale_exp=-5)
+            return self.POOLS[pool](q)
+
+        def outcome(run):
+            try:
+                out = run()
+            except AccumulatorOverflow as e:
+                return str(e)
+            return out.scale_exp, out.data.dtype, out.data.tolist()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "BAND_BYTES", band_bytes)
+            streamed = lambda: reference_layer(x, ks, kind, act, pool, -5)
+            if kind == "conv3x3" and pool != "none" and (h % 2 or w % 2):
+                with pytest.raises(ValueError,
+                                   match=f"pooling needs even dims, got {h}x{w}"):
+                    streamed()
+                return
+            assert outcome(streamed) == outcome(whole)
+
+    def test_counts_dense_multiplications_of_deconvolutions_only(self):
+        rng = np.random.default_rng(12)
+        x = _rand_tensor(rng, 3, 4, 2)
+        counters = OpCounters()
+        reference_layer(x, _ks(rng.integers(-9, 9, (5, 2, 3, 3))), "conv3x3",
+                        "relu", "none", 0, counters)
+        assert counters.multiplications == 0
+        reference_layer(x, _ks(rng.integers(-9, 9, (5, 2, 3, 3)), rotated=True),
+                        "deconv2x", "relu", "max", 0, counters)
+        assert counters.multiplications == 9 * 6 * 8 * 2 * 5
 
 
 class TestPooling:
