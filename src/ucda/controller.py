@@ -185,6 +185,8 @@ def net_from_json(text: str) -> NetDescription:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise NetParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise NetParseError("arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise NetParseError("top level must be an object")
     _reject_unknown(doc, ("version", "input", "layers"), "top level")

@@ -9,17 +9,18 @@ arithmetic itself is shared with the datapath (qtensor.pool2x2 and
 qtensor.apply_activation); tests/reference_impls.py checks it on its own.
 
 Both convolutions end in one valid 3x3 convolution, computed as a banded
-im2col GEMM by one band generator: per band of output rows, the nine
-shifted taps form one (rows*ow, 9*cin) matrix that meets the (9*cin, cout)
-weights in a single product. The layer's shape alone picks the GEMM's
-dtype: each product of two int8 values is at most 2**14 in magnitude, so
-every partial sum of the 9*cin products is an integer of magnitude at most
-9*cin*2**14. When that is at most 2**24 (cin <= 113) the GEMM runs in
-float32, otherwise in float64; the bias is added in float64 after it,
-exact as the sums plus bias stay far below 2**53. Each band is
-range-checked and yielded as exact int32. A band reads its input rows from
-the zero-padded int8 map (conv) or from one reused buffer holding only its
-own rows of the zero-inserted map (deconv).
+im2col GEMM by one band generator: per band of output rows, the nine taps
+form one (rows*ow, 9*cin) matrix, gathered with one strided copy per
+kernel row, that meets the (9*cin, cout) weights in a single product. Two
+proofs from the layer's shape and bias, reading no weights, keep it exact:
+every partial sum of the 9*cin int8 products is at most 9*cin*2**14 in
+magnitude, so the GEMM runs in float32 when that is at most 2**24 (cin <=
+113) and in float64 otherwise; and when every |bias| is at most ACC_MAX
+minus that bound, each band is cast to int32 and the bias added there.
+A layer outside the second proof adds its bias in float64 and range-checks
+every band. A band reads its input rows from the zero-padded int8 map
+(conv) or from one reused buffer holding only its own rows of the
+zero-inserted map (deconv).
 
 reference_layer, the stage controller.reference_composition runs, narrows
 each band as it arrives, in this literal order: requantize_array, then
@@ -42,8 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .qtensor import (
+    ACC_MAX,
     KernelSet,
     QTensor,
     apply_activation,
@@ -90,27 +93,30 @@ def _gemm_bands(rows_of, oh: int, ow: int, weights: np.ndarray,
     convolution, bias included, one band at a time.
 
     rows_of(r0, n) returns the n + 2 input rows that output rows r0 to
-    r0 + n - 1 read. Banded im2col: the nine shifted tap views of those
-    rows are gathered into one reused (rows, ow, 9*cin) block of the GEMM's
-    dtype and multiplied in one GEMM by the (9*cin, cout) weight matrix,
-    rows in (u, v, ci) order. The shape proves the result exact, reading no
-    weights: every product of two int8 values is at most 2**14 in
-    magnitude, so every partial sum of the k = 9*cin products is an
-    integer of magnitude at most k*2**14. When k*2**14 <= 2**24 (cin <=
-    113) float32 holds every such sum exactly, in any summation order,
-    fused or not, and the GEMM runs in float32; above that it runs in
-    float64. The bias (|bias| < 2**31) is added in float64 on the GEMM's
-    result, exact since sum plus bias stays far below 2**53. Each band is
-    range-checked before it is yielded, so an overflow anywhere raises
-    AccumulatorOverflow. counters, when given, gains the multiplications
-    of every tap once the last band is out.
+    r0 + n - 1 read. Banded im2col: a window's taps (u, 0..2) are one run
+    of 3*cin values of input row r + u, already in the weight matrix's
+    (u, v, ci) order, so per kernel row one strided view of the rows is
+    copied into a reused (rows, ow, 9*cin) block of the GEMM's dtype.
+
+    Both proofs read only the shape and the bias. Every partial sum of the
+    k = 9*cin int8 products has magnitude at most k*2**14: float32 holds
+    it exactly, in any summation order, when k*2**14 <= 2**24 (cin <= 113),
+    else the GEMM runs in float64. When every |bias| <= ACC_MAX - k*2**14,
+    acc + bias lies inside int32, so a band is cast to int32 and the bias
+    added there. Otherwise the bias is added in float64 (exact, far below
+    2**53) and each band is range-checked before it is yielded, so an
+    overflow raises AccumulatorOverflow. counters, when given, gains the
+    multiplications of every tap once the last band is out.
     """
     cout, cin = weights.shape[:2]
     k = 9 * cin
+    acc_bound = k << 14
     # float32 holds every integer of magnitude up to 2**24 exactly
-    dtype = np.float32 if k << 14 <= 1 << 24 else np.float64
+    dtype = np.float32 if acc_bound <= 1 << 24 else np.float64
     wmat = weights.transpose(2, 3, 1, 0).reshape(k, cout).astype(dtype)
-    b = bias.astype(np.float64)
+    bias_bound = int(np.abs(bias, dtype=np.int64).max(initial=0))
+    in_range = bias_bound <= ACC_MAX - acc_bound
+    b = bias.astype(np.int32 if in_range else np.float64)
     # the band's im2col block and sums at 8 bytes a value; an even count, so
     # a band holds whole 2x2 pooling blocks and starts on a data row of a
     # zero-inserted map
@@ -119,14 +125,19 @@ def _gemm_bands(rows_of, oh: int, ow: int, weights: np.ndarray,
     cols = np.empty((min(rows, oh), ow, k), dtype=dtype)
     for r0 in range(0, oh, rows):
         n = min(rows, oh - r0)
-        src, block = rows_of(r0, n), cols[:n]
+        src, block = np.ascontiguousarray(rows_of(r0, n)), cols[:n]
+        # runs[r, x] is input row r's columns x..x+2, every channel of each
+        runs = as_strided(src, (n + 2, ow, 3 * cin), src.strides,
+                          writeable=False)
         for u in range(3):
-            for v in range(3):
-                t = (3 * u + v) * cin
-                block[:, :, t:t + cin] = src[u:u + n, v:v + ow, :]
-        acc = np.add(block.reshape(n * ow, k) @ wmat, b)
-        check_accum(acc)
-        yield r0, acc.astype(np.int32).reshape(n, ow, cout)
+            block[:, :, 3 * u * cin:3 * (u + 1) * cin] = runs[u:u + n]
+        acc = block.reshape(n * ow, k) @ wmat
+        if in_range:
+            acc = acc.astype(np.int32)
+            acc += b
+        else:
+            acc = check_accum(np.add(acc, b)).astype(np.int32)
+        yield r0, acc.reshape(n, ow, cout)
     if counters is not None:
         counters.multiplications += 9 * oh * ow * cin * cout
 

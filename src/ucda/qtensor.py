@@ -169,17 +169,29 @@ def pool2x2(x: np.ndarray, kind: str) -> np.ndarray:
 
     'max' keeps the block maximum; 'avg' divides the block sum by 4 with
     the quotient truncated toward zero (not toward -inf).
+
+    Both kinds reduce pairwise with elementwise ops: first each block's two
+    rows into a half-height map (int8 maxima, or int16 sums), then that
+    map's column pairs. Beyond its input the call holds at most the
+    half-height map and a quarter-size one besides the int8 result.
     """
     h, w, c = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"pooling needs even dims, got {h}x{w}")
-    blocks = x.reshape(h // 2, 2, w // 2, 2, c)
+    rows = x.reshape(h // 2, 2, w, c)
     if kind == "max":
-        return blocks.max(axis=(1, 3)).astype(np.int8)
+        cols = np.maximum(rows[:, 0], rows[:, 1]).reshape(h // 2, w // 2, 2, c)
+        return np.maximum(cols[:, :, 0], cols[:, :, 1])
     if kind == "avg":
-        s = blocks.sum(axis=(1, 3), dtype=np.int16)   # |sum| <= 512
-        # +3 on a negative sum turns the flooring shift into truncation
-        np.add(s, 3, out=s, where=s < 0)
+        cols = np.add(rows[:, 0], rows[:, 1], dtype=np.int16)
+        cols = cols.reshape(h // 2, w // 2, 2, c)
+        s = np.add(cols[:, :, 0], cols[:, :, 1])     # |sum| <= 512
+        del cols
+        # s >> 15 is -1 on a negative sum and 0 otherwise: adding 3 there
+        # turns the flooring shift into truncation
+        neg = s >> 15
+        neg &= 3
+        s += neg
         s >>= 2
         return s.astype(np.int8)
     raise ValueError(f"unknown pool {kind!r}")

@@ -293,6 +293,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "error: accumulator out of 32-bit range")
 
+    @pytest.mark.parametrize("text", ["[" * 200_000 + "]" * 200_000,
+                                      '{"a":' * 200_000 + "1" + "}" * 200_000],
+                             ids=["arrays", "objects"])
+    def test_deeply_nested_net_is_a_parse_error(self, tmp_path, capsys, text):
+        # json's decoder gives up with a RecursionError long before this depth
+        net = tmp_path / "deep.json"
+        net.write_text(text)
+        assert _run(["compile", "--net", net]) == 1
+        assert capsys.readouterr().err == (
+            "error: arrays or objects nested too deeply\n")
+
     def test_unwritable_output_is_a_runtime_error(self, small_net, tmp_path,
                                                   capsys):
         assert _run(["run", "--net", small_net, "--random-weights",

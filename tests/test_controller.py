@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ucda import oracle
@@ -21,6 +21,7 @@ from ucda.controller import (
     Program,
     compile_network,
     execute,
+    load_net,
     net_from_json,
     net_to_json,
     pack_weights,
@@ -110,6 +111,36 @@ class TestNetDescription:
         assert net.output_shape() == (8, 8, 6)
 
 
+@st.composite
+def nets(draw):
+    """Valid nets of up to three stages over a small input, every stage
+    kind and attachment drawn."""
+    layers = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["conv3x3", "deconv2x", "maxpool",
+                                     "avgpool", "identity"]))
+        if kind in ("conv3x3", "deconv2x"):
+            layers.append(LayerSpec(
+                kind, draw(st.integers(1, 16)),
+                draw(st.sampled_from(["none", "relu", "leaky"])),
+                draw(st.sampled_from(["none", "max", "avg"])),
+                draw(st.one_of(st.none(), st.integers(-16, 0)))))
+        else:
+            layers.append(LayerSpec(kind, draw(st.integers(1, 16))))
+    shape = tuple(draw(st.sampled_from([2, 4, 8])) for _ in range(2))
+    try:
+        return NetDescription((*shape, draw(st.integers(1, 4))),
+                              draw(st.integers(-16, 0)), layers)
+    except NetParseError:
+        assume(False)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    """One file that each fuzz example overwrites."""
+    return tmp_path_factory.mktemp("fuzz") / "net.json"
+
+
 class TestNetJson:
     def test_round_trip(self):
         net = _net([LayerSpec("conv3x3", 4, activation="relu", pool="max"),
@@ -194,6 +225,29 @@ class TestNetJson:
                 ' "scale_exp": -7}, "layers": []}')
         with pytest.raises(NetParseError, match="input.h"):
             net_from_json(text)
+
+    @given(nets())
+    @settings(max_examples=20, deadline=None)
+    def test_every_strict_prefix_is_a_parse_error(self, net):
+        text = net_to_json(net).rstrip()   # trailing whitespace is optional
+        assert net_from_json(text) == net
+        for cut in range(len(text)):
+            with pytest.raises(NetParseError):
+                net_from_json(text[:cut])
+
+    @given(nets(), st.lists(st.tuples(st.integers(0, 2 ** 16),
+                                      st.integers(0, 255)),
+                            min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_corrupt_bytes_raise_only_parse_errors(self, fuzz_file, net, edits):
+        blob = bytearray(net_to_json(net).encode())
+        for at, value in edits:
+            blob[at % len(blob)] = value
+        fuzz_file.write_bytes(blob)
+        try:
+            load_net(fuzz_file)
+        except (NetParseError, UnicodeDecodeError):
+            pass
 
     def test_boolean_input_field(self):
         text = ('{"version": 1, "input": {"h": true, "w": 4, "c": 1,'

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucda.fileio import (
     ppm_to_tensor,
@@ -17,6 +19,30 @@ from ucda.qtensor import QTensor
 def _tensor(seed=0, shape=(3, 4, 2), scale=-7):
     rng = np.random.default_rng(seed)
     return QTensor(rng.integers(-128, 128, shape).astype(np.int8), scale)
+
+
+@st.composite
+def tensors(draw, channels=st.integers(1, 4)):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(channels))
+    return _tensor(draw(st.integers(0, 2 ** 31 - 1)), shape,
+                   draw(st.integers(-16, 0)))
+
+
+EDITS = st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 255)),
+                 min_size=1, max_size=3)
+
+
+def _corrupt(blob: bytes, edits) -> bytes:
+    blob = bytearray(blob)
+    for at, value in edits:
+        blob[at % len(blob)] = value
+    return bytes(blob)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    """One file that each fuzz example overwrites."""
+    return tmp_path_factory.mktemp("fuzz") / "file"
 
 
 class TestRawTensor:
@@ -56,6 +82,24 @@ class TestRawTensor:
         path.write_bytes(struct.pack("<IIIi", 1, 1, 1, 5) + b"\x00")
         with pytest.raises(ValueError, match=r"scale_exp 5 outside \[-16, 0\]"):
             read_tensor(path)
+
+    @given(tensors())
+    @settings(max_examples=20, deadline=None)
+    def test_every_strict_prefix_is_a_value_error(self, fuzz_file, t):
+        blob = tensor_bytes(t)
+        for cut in range(len(blob)):
+            fuzz_file.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match="truncated|payload holds"):
+                read_tensor(fuzz_file)
+
+    @given(tensors(), EDITS)
+    @settings(max_examples=60, deadline=None)
+    def test_corrupt_bytes_raise_only_value_errors(self, fuzz_file, t, edits):
+        fuzz_file.write_bytes(_corrupt(tensor_bytes(t), edits))
+        try:
+            read_tensor(fuzz_file)
+        except ValueError:
+            pass
 
 
 class TestPpm:
@@ -100,3 +144,23 @@ class TestPpm:
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(ValueError, match="maxval"):
             ppm_to_tensor(path)
+
+    @given(tensors(st.sampled_from([1, 3])))
+    @settings(max_examples=20, deadline=None)
+    def test_every_strict_prefix_is_a_value_error(self, fuzz_file, t):
+        tensor_to_ppm(fuzz_file, t)
+        blob = fuzz_file.read_bytes()
+        for cut in range(len(blob)):
+            fuzz_file.write_bytes(blob[:cut])
+            with pytest.raises(ValueError):
+                ppm_to_tensor(fuzz_file)
+
+    @given(tensors(st.sampled_from([1, 3])), EDITS)
+    @settings(max_examples=60, deadline=None)
+    def test_corrupt_bytes_raise_only_value_errors(self, fuzz_file, t, edits):
+        tensor_to_ppm(fuzz_file, t)
+        fuzz_file.write_bytes(_corrupt(fuzz_file.read_bytes(), edits))
+        try:
+            ppm_to_tensor(fuzz_file)
+        except ValueError:
+            pass

@@ -1,4 +1,6 @@
 """Reference layer ops against independently written loop implementations."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from ucda.qtensor import (
     AccumulatorOverflow,
     KernelSet,
     QTensor,
+    check_accum,
     requantize,
 )
 
@@ -195,6 +198,137 @@ class TestGemmDtype:
         monkeypatch.setattr(oracle, "BAND_BYTES", _band_bytes(2, w, cin, cout))
         acc = conv2d_ref(QTensor(x, 0), _ks(wk, b), ALL)
         assert acc.tolist() == ref.conv3x3_loops(x, wk, b, (1, 1, 1, 1))
+
+
+def _extremes(rng, shape):
+    """int8 values of the largest magnitudes, both signs."""
+    return rng.choice(np.array([-128, 127], np.int8), shape)
+
+
+def _streamed_acc(x, ks, kind):
+    """The int32 map reference_layer narrows, gathered band by band from
+    its calls to bn_act_ref, and the layer's output."""
+    bands = []
+
+    def spy(acc, *args, **kwargs):
+        bands.append(acc)
+        return bn_act_ref(acc, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "bn_act_ref", spy)
+        out = reference_layer(x, ks, kind, "none", "none", 0)
+    assert all(b.dtype == np.int32 for b in bands)
+    return np.concatenate(bands), out
+
+
+class TestRangeProof:
+    """Shape and bias prove acc + bias inside int32 once per layer when
+    every |bias| <= ACC_MAX - 9*cin*2**14: such a layer adds its bias in
+    int32 and checks no band. One past that edge, every band is checked."""
+
+    @staticmethod
+    def _edge(cin):
+        return ACC_MAX - (9 * cin << 14)
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The dtypes of the bands _gemm_bands range-checks."""
+        calls = []
+
+        def spy(values):
+            calls.append(values.dtype)
+            return check_accum(values)
+
+        monkeypatch.setattr(oracle, "check_accum", spy)
+        return calls
+
+    # (cin, h, w); cin = 114 runs the GEMM in float64
+    SHAPES = [(1, 3, 3), (2, 2, 1), (3, 1, 2), (114, 2, 2)]
+
+    @pytest.mark.parametrize("cin, h, w", SHAPES)
+    @pytest.mark.parametrize("past", [(0, 0), (1, 0), (0, 1)],
+                             ids=["proven", "checked-high", "checked-low"])
+    def test_maps_at_the_edge_equal_loops(self, checked, cin, h, w, past):
+        rng = np.random.default_rng(cin)
+        edge = self._edge(cin)
+        bias = [edge + past[0], -edge - past[1]]
+        x = QTensor(_extremes(rng, (h, w, cin)), 0)
+        wk = _extremes(rng, (2, cin, 3, 3))
+        ks, ks_r = _ks(wk, bias), _ks(wk, bias, rotated=True)
+        conv = np.array(ref.conv3x3_loops(x.data, wk, bias, (1, 1, 1, 1)))
+        deconv = np.array(ref.deconv_loops(x.data, wk, bias))
+        assert np.array_equal(conv2d_ref(x, ks, ALL), conv)
+        assert np.array_equal(deconv_naive(x, ks_r), deconv)
+        for kind, k, want in (("conv3x3", ks, conv), ("deconv2x", ks_r, deconv)):
+            acc, out = _streamed_acc(x, k, kind)
+            assert np.array_equal(acc, want)
+            assert np.array_equal(out.data, bn_act_ref(
+                want, k.bn_multiplier, k.bn_shift).data)
+        if past == (0, 0):
+            assert checked == []
+        else:
+            # conv2d_ref, deconv_naive and two reference_layer calls, one
+            # band each
+            assert checked == [np.float64] * 4
+
+    @pytest.mark.parametrize("cin", [1, 114])
+    def test_edge_is_tight_and_one_past_overflows(self, cin):
+        # every product is (-128)**2 = 2**14, so the centre of a 3x3 map
+        # reaches 9*cin*2**14: the edge bias puts it at ACC_MAX exactly
+        x = QTensor(np.full((3, 3, cin), -128, np.int8), 0)
+        wk = np.full((1, cin, 3, 3), -128, np.int8)
+        edge = self._edge(cin)
+        want = np.array(ref.conv3x3_loops(x.data, wk, [edge], (1, 1, 1, 1)))
+        assert want.max() == ACC_MAX
+        assert np.array_equal(conv2d_ref(x, _ks(wk, [edge]), ALL), want)
+        ks = _ks(wk, [edge + 1])
+        message = re.escape("accumulator out of 32-bit range: "
+                            f"min={want.min() + 1} max={ACC_MAX + 1}")
+        with pytest.raises(AccumulatorOverflow, match=f"^{message}$"):
+            conv2d_ref(x, ks, ALL)
+        with pytest.raises(AccumulatorOverflow, match=f"^{message}$"):
+            reference_layer(x, ks, "conv3x3", "relu", "none", 0)
+
+    def test_deconv_overflow_keeps_its_message(self):
+        # a zero-inserted window holds at most four input pixels
+        x = QTensor(np.full((2, 2, 1), -128, np.int8), 0)
+        wk = np.full((1, 1, 3, 3), -128, np.int8)
+        want = np.array(ref.deconv_loops(x.data, wk, [ACC_MAX]))
+        message = re.escape("accumulator out of 32-bit range: "
+                            f"min={want.min()} max={want.max()}")
+        ks = _ks(wk, [ACC_MAX], rotated=True)
+        with pytest.raises(AccumulatorOverflow, match=f"^{message}$"):
+            deconv_naive(x, ks)
+        with pytest.raises(AccumulatorOverflow, match=f"^{message}$"):
+            reference_layer(x, ks, "deconv2x", "none", "max", 0)
+
+
+class TestRowRunGather:
+    """The im2col block is gathered one kernel row at a time, each window's
+    three taps a run of 3*cin input values."""
+
+    @pytest.mark.parametrize("view", [False, True], ids=["contiguous", "view"])
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    @pytest.mark.parametrize("cin", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["conv3x3", "deconv2x"])
+    def test_narrow_maps_equal_loops(self, kind, cin, w, view):
+        rng = np.random.default_rng(10 * cin + w)
+        data = rng.integers(-128, 128, (2, 2 * w, cin + 1)).astype(np.int8)
+        # every other column and all channels but the first, backwards
+        data = data[:, ::2, :0:-1]
+        x = QTensor(data if view else np.ascontiguousarray(data), 0)
+        assert x.data.flags.c_contiguous != view
+        wk = rng.integers(-128, 128, (3, cin, 3, 3)).astype(np.int8)
+        b = rng.integers(-1000, 1000, 3)
+        ks = _ks(wk, b, rotated=kind == "deconv2x")
+        if kind == "conv3x3":
+            got = conv2d_ref(x, ks, ALL)
+            want = ref.conv3x3_loops(data, wk, b, (1, 1, 1, 1))
+        else:
+            got = deconv_naive(x, ks)
+            want = ref.deconv_loops(data, wk, b)
+        assert np.array_equal(got, want)
+        assert np.array_equal(_streamed_acc(x, ks, kind)[0], want)
 
 
 class TestOverflow:

@@ -26,7 +26,7 @@ from ucda.qtensor import (
     round_half_away,
 )
 
-from reference_impls import avgpool_loops, clamp8, rhafz
+from reference_impls import avgpool_loops, clamp8, maxpool_loops, rhafz
 
 
 def test_round_half_away_table():
@@ -264,6 +264,10 @@ class TestTailMemory:
         assert _traced_peak(apply_activation, q, "leaky") <= 2 * q.nbytes
         assert _traced_peak(pool2x2, q, "avg") <= 2 * q.nbytes
 
+    def test_max_pool_stays_narrow(self):
+        q = np.random.default_rng(6).integers(-128, 128, (128, 128, 64), dtype=np.int8)
+        assert _traced_peak(pool2x2, q, "max") <= 2 * q.nbytes
+
 
 def test_avg_pool_extreme_sums():
     # |sum| reaches 512, the widest the int16 block sums get
@@ -274,6 +278,15 @@ def test_avg_pool_extreme_sums():
     got = pool2x2(x, "avg")
     assert got.tolist() == [[[-128, 127], [-127, 126]]]
     assert np.array_equal(got, avgpool_loops(x))
+
+
+@pytest.mark.parametrize("kind, loops", [("max", maxpool_loops),
+                                         ("avg", avgpool_loops)])
+def test_pool_of_a_non_contiguous_view(kind, loops):
+    base = np.random.default_rng(7).integers(-128, 128, (6, 9, 5), dtype=np.int8)
+    view = base[::-1, 1::2, 4:1:-1]   # (6, 4, 3), every axis strided
+    assert not view.flags.c_contiguous
+    assert np.array_equal(pool2x2(view, kind), loops(view))
 
 
 def test_accumulator_overflow_checked():
