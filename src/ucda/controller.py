@@ -39,7 +39,6 @@ from .datapath import (
     run_layer,
 )
 from .pearray import HwConfig, fuse_bn
-from .patchdeconv import rotate180
 from .qtensor import (
     LEAKY_SHIFT,
     SCALE_EXP_MAX,
@@ -418,6 +417,14 @@ def _weight_scale_exp(w: np.ndarray) -> int:
     if s > 0:
         raise ValueError(f"weights reach {peak}, beyond the q8 range at scale 1")
     return max(s, -16)
+
+
+def rotate180(kernel) -> np.ndarray:
+    """Flip a 3x3 tap grid in both dimensions (its own inverse)."""
+    k = np.asarray(kernel)
+    if k.shape[-2:] != (3, 3):
+        raise ValueError(f"expected 3x3 taps, got {k.shape}")
+    return k[..., ::-1, ::-1].copy()
 
 
 def pack_weights(net: NetDescription, weights, bn_params=None, biases=None):

@@ -18,12 +18,14 @@ GEMM per routing slot over bands of window rows (a few MiB of operands and
 float64 output each), every band narrowed to int8 at once. The kernel
 proves, once per layer, the int32 bound of acc and of acc + bias from the
 weights and the bias, and range-checks only what the proof does not cover.
-'cells' drives the FIFO line buffer and, per window and Tm output tile, one
-PeArray.array_cycle (all Tn x Tm elements of one array step, exact int64
-arithmetic, no GEMM); it is the cycle-faithful route and validates the fast
-one. It uses no proof: it range-checks every depth pass and then its whole
-map's acc + bias, and runs that map through the same tail as one band, in
-the literal order requantize -> activation -> pool on the int8 pre-pool map.
+'cells' streams each depth pass of the input through the line buffer with
+linebuffer.window_stream, the one frame loop, and runs per window and Tm
+output tile one PeArray.array_cycle (all Tn x Tm elements of one array
+step, exact int64 arithmetic, no GEMM); it is the cycle-faithful route and
+validates the fast one. It uses no proof: it range-checks every depth pass
+and then its whole map's acc + bias, and runs that map through the same
+tail as one band, in the literal order requantize -> activation -> pool on
+the int8 pre-pool map.
 
 The fast engine keeps that order except on max-pooled layers, where it
 pools first: each band (an even number of rows, so no 2x2 block straddles
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linebuffer import LineBuffer, PaddingMode
+from .linebuffer import PaddingMode, window_stream
 from .pearray import HwConfig, PeArray, PeMode, accumulate_bands, place_slots
 from .qtensor import (
     KernelSet,
@@ -270,34 +272,27 @@ def _compute_fast(cmd: LayerCommand, bands, ks: KernelSet) -> np.ndarray:
 
 def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
                    cfg: HwConfig) -> np.ndarray:
-    """Cycle-faithful route: FIFO line buffer feeding the PE array. Returns the
-    placed accumulator map, every depth pass and acc + bias range-checked."""
+    """Cycle-faithful route: per depth pass, the line buffer's windows feed
+    the PE array. Returns the placed accumulator map, every depth pass and
+    acc + bias range-checked."""
     h, w, cin = input.shape
     cout = ks.out_channels
     mode = cmd.pe_mode
-    k = mode.window
-    beats = mode.beats
+    k, beats = mode.window, mode.beats
     pe = PeArray(cfg)
     psum = None
     for ci0 in range(0, cin, cmd.tile_depth):
-        ct = min(cmd.tile_depth, cin - ci0)
-        lb = LineBuffer(w, h, cmd.padding, k)
-        tile_out = []
-        for y in range(h):
-            for x in range(w):
-                for win in lb.push(input.data[y, x, ci0:ci0 + ct]):
-                    row = np.zeros((cout, beats), dtype=np.int64)
-                    for co0 in range(0, cout, cfg.tm):
-                        cm = min(cfg.tm, cout - co0)
-                        part = pe.array_cycle(mode, np.moveaxis(win, 2, 0),
-                                              ks.weights[co0:co0 + cm, ci0:ci0 + ct])
-                        row[co0:co0 + cm] = part.reshape(cm, beats)
-                    tile_out.append(row)
-        assert lb.first_window_slot == lb.priming_slots
-        tile = np.stack(tile_out)          # (windows, cout, beats)
+        ci = slice(ci0, ci0 + cmd.tile_depth)
+        rows = []
+        for win in window_stream(input.data[:, :, ci], cmd.padding, k):
+            chw = np.moveaxis(win, 2, 0)
+            rows.append(np.concatenate([
+                pe.array_cycle(mode, chw, ks.weights[co0:co0 + cfg.tm, ci]).reshape(-1, beats)
+                for co0 in range(0, cout, cfg.tm)]))
+        tile = np.stack(rows)          # (windows, cout, beats)
         psum = tile if psum is None else check_accum(psum + tile)
-    wh, ww = lb.padded_height - k + 1, lb.padded_width - k + 1
-    acc = place_slots(np.moveaxis(psum.reshape(wh, ww, cout, beats), 3, 0))
+    ph, pw = padded_dims(h, w, cmd.padding)
+    acc = place_slots(np.moveaxis(psum.reshape(ph - k + 1, pw - k + 1, cout, beats), 3, 0))
     check_accum(acc + ks.bias)
     return acc
 

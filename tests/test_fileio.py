@@ -1,4 +1,5 @@
 """Raw tensor files and PPM/PGM conversion."""
+import re
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucda import cli
 from ucda.fileio import (
     ppm_to_tensor,
     read_tensor,
@@ -83,6 +85,18 @@ class TestRawTensor:
         with pytest.raises(ValueError, match=r"scale_exp 5 outside \[-16, 0\]"):
             read_tensor(path)
 
+    @pytest.mark.parametrize("dims", [(0, 2, 1), (2, 0, 1), (2, 2, 0), (0, 0, 0)])
+    def test_zero_dimension_rejected(self, tmp_path, capsys, dims):
+        path = tmp_path / "x.tensor"
+        path.write_bytes(struct.pack("<IIIi", *dims, -7))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header has a zero dimension")):
+            read_tensor(path)
+        out = tmp_path / "x.pgm"
+        assert cli.main(["convert", str(path), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: header has a zero dimension")
+        assert not out.exists()
+
     @given(tensors())
     @settings(max_examples=20, deadline=None)
     def test_every_strict_prefix_is_a_value_error(self, fuzz_file, t):
@@ -144,6 +158,25 @@ class TestPpm:
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(ValueError, match="maxval"):
             ppm_to_tensor(path)
+
+    @pytest.mark.parametrize("magic", [b"P5", b"P6"])
+    @pytest.mark.parametrize("dims, message", [
+        (b"0 3", "width field at byte 3 is 0"),
+        (b"3 0", "height field at byte 5 is 0"),
+        (b"00 3", "width field at byte 3 is 0"),
+    ], ids=["width", "height", "width-00"])
+    @pytest.mark.parametrize("tail", [b"\n", b"", b"\n" + bytes(9)],
+                             ids=["no-payload", "no-byte-after-maxval", "payload"])
+    def test_zero_size_rejected(self, tmp_path, capsys, magic, dims, message, tail):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(magic + b"\n" + dims + b"\n255" + tail)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            ppm_to_tensor(path)
+        out = tmp_path / "x.tensor"
+        assert cli.main(["convert", str(path), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {message}\n"
+        assert not out.exists()
 
     @given(tensors(st.sampled_from([1, 3])))
     @settings(max_examples=20, deadline=None)

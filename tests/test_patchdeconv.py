@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ucda import datapath
 from ucda.datapath import ShapeMismatch
 from ucda.oracle import OpCounters, deconv_naive
-from ucda.patchdeconv import deconv_full, rotate180
+from ucda.patchdeconv import deconv_full
 from ucda.pearray import HwConfig, PeArray, PeMode
 from ucda.qtensor import KernelSet, QTensor
 
@@ -33,30 +33,6 @@ def _patch(window, kernel) -> np.ndarray:
     pe = PeArray(HwConfig(tn=1, tm=1))
     win = np.asarray(window, dtype=np.int64).reshape(1, 2, 2)
     return pe.array_cycle(PeMode.DECONV, win, np.asarray(kernel)[None, None]).reshape(2, 2)
-
-
-class TestRotate180:
-    def test_point_mass_center_unchanged(self):
-        k = np.zeros((3, 3), np.int8)
-        k[1, 1] = 5
-        assert np.array_equal(rotate180(k), k)
-
-    def test_corner_moves(self):
-        k = np.zeros((3, 3), np.int8)
-        k[0, 0] = 1
-        r = rotate180(k)
-        assert r[2, 2] == 1 and r[0, 0] == 0
-
-    def test_definition(self):
-        r = rotate180(K123)
-        for u in range(3):
-            for v in range(3):
-                assert r[u, v] == K123[2 - u, 2 - v]
-
-    @given(st.integers(0, 2 ** 31 - 1))
-    def test_involution(self, seed):
-        k = np.random.default_rng(seed).integers(-128, 128, (2, 3, 3, 3))
-        assert np.array_equal(rotate180(rotate180(k)), k)
 
 
 class TestDeconvPatch:
