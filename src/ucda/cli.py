@@ -260,6 +260,8 @@ def _parse_layer_spec(text: str):
         key, sep, val = item.partition("=")
         if not sep or key not in _LAYER_KEYS:
             raise NetParseError(f"bad --layer field {item!r}")
+        if key in kv:
+            raise NetParseError(f"--layer field {key!r} given twice")
         kv[key] = val
     try:
         op = kv["op"]

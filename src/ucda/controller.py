@@ -179,9 +179,18 @@ def _reject_unknown(obj: dict, allowed, where: str) -> None:
         raise NetParseError(f"{where}: unknown fields {sorted(unknown)}")
 
 
+def _unique_fields(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise NetParseError(f"duplicate field {key!r}")
+        obj[key] = value
+    return obj
+
+
 def net_from_json(text: str) -> NetDescription:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as e:
         raise NetParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from e
     except RecursionError:

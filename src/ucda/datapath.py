@@ -19,10 +19,11 @@ float64 output each), every band narrowed to int8 at once. The kernel
 proves, once per layer, the int32 bound of acc and of acc + bias from the
 weights and the bias, and range-checks only what the proof does not cover.
 'cells' streams each depth pass of the input through the line buffer with
-linebuffer.window_stream, the one frame loop, and runs per window and Tm
-output tile one PeArray.array_cycle (all Tn x Tm elements of one array
-step, exact int64 arithmetic, no GEMM); it is the cycle-faithful route and
-validates the fast one. It uses no proof: it range-checks every depth pass
+linebuffer.window_stream, the one frame loop, one row per step, and runs
+per row of windows and Tm output tile one PeArray.array_cycle (all Tn x Tm
+elements of one array step at every position of the row, exact int64
+arithmetic, no GEMM); it is the cycle-faithful route and validates the
+fast one. It uses no proof: it range-checks every depth pass
 and then its whole map's acc + bias, and runs that map through the same
 tail as one band, in the literal order requantize -> activation -> pool on
 the int8 pre-pool map.
@@ -51,6 +52,7 @@ Cycle model per layer:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,27 +274,26 @@ def _compute_fast(cmd: LayerCommand, bands, ks: KernelSet) -> np.ndarray:
 
 def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
                    cfg: HwConfig) -> np.ndarray:
-    """Cycle-faithful route: per depth pass, the line buffer's windows feed
-    the PE array. Returns the placed accumulator map, every depth pass and
-    acc + bias range-checked."""
+    """Cycle-faithful route: per depth pass, each row of the line buffer's
+    windows feeds the PE array, one array step per Tm tile. Returns the
+    placed accumulator map, every depth pass and acc + bias range-checked."""
     h, w, cin = input.shape
     cout = ks.out_channels
     mode = cmd.pe_mode
     k, beats = mode.window, mode.beats
+    ph, pw = padded_dims(h, w, cmd.padding)
     pe = PeArray(cfg)
     psum = None
     for ci0 in range(0, cin, cmd.tile_depth):
         ci = slice(ci0, ci0 + cmd.tile_depth)
-        rows = []
-        for win in window_stream(input.data[:, :, ci], cmd.padding, k):
-            chw = np.moveaxis(win, 2, 0)
-            rows.append(np.concatenate([
-                pe.array_cycle(mode, chw, ks.weights[co0:co0 + cfg.tm, ci]).reshape(-1, beats)
-                for co0 in range(0, cout, cfg.tm)]))
-        tile = np.stack(rows)          # (windows, cout, beats)
+        wins = window_stream(input.data[:, :, ci], cmd.padding, k)
+        # per window row, (positions, channels, K, K)
+        rows = wins.reshape(ph - k + 1, pw - k + 1, k, k, -1).transpose(0, 1, 4, 2, 3)
+        tile = np.stack([np.concatenate([
+            pe.array_cycle(mode, row, ks.weights[co0:co0 + cfg.tm, ci]).reshape(len(row), -1, beats)
+            for co0 in range(0, cout, cfg.tm)], axis=1) for row in rows])
         psum = tile if psum is None else check_accum(psum + tile)
-    ph, pw = padded_dims(h, w, cmd.padding)
-    acc = place_slots(np.moveaxis(psum.reshape(ph - k + 1, pw - k + 1, cout, beats), 3, 0))
+    acc = place_slots(np.moveaxis(psum, 3, 0))    # (rows, positions, cout, beats)
     check_accum(acc + ks.bias)
     return acc
 
@@ -323,7 +324,7 @@ def _compute_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
     r.buffer_reads = out_rounds * windows * k * cin + (passes_in - 1) * acc_elems
     r.buffer_writes = h * w * cin + passes_in * acc_elems
     if cmd.pool != "none":
-        r.buffer_writes += int(np.prod(cmd.out_shape))
+        r.buffer_writes += math.prod(cmd.out_shape)
     return r
 
 
@@ -333,7 +334,7 @@ def _move_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
     if cmd.op in POOL_OPS:
         r.priming_cycles = w + 2
     r.compute_cycles = _ceil_div(c, cfg.tn) * h * w
-    out_elems = int(np.prod(cmd.out_shape))
+    out_elems = math.prod(cmd.out_shape)
     if cmd.op == "avgpool":
         r.additions = 3 * out_elems
     r.buffer_reads = h * w * c
@@ -345,7 +346,7 @@ def _add_transfer(r: CycleReport, cmd: LayerCommand, cfg: HwConfig) -> CycleRepo
     """Feature-stream transfer, its overlap with compute, and the total."""
     h, w, c = cmd.in_shape
     in_xfer = _ceil_div(h * w * c * 8, cfg.stream_bits)
-    out_xfer = _ceil_div(int(np.prod(cmd.out_shape)) * 8, cfg.stream_bits)
+    out_xfer = _ceil_div(math.prod(cmd.out_shape) * 8, cfg.stream_bits)
     r.transfer_cycles = in_xfer + out_xfer
     overlapped = min(in_xfer, r.compute_cycles) + min(out_xfer, r.compute_cycles)
     r.total_cycles = (r.priming_cycles + r.compute_cycles + r.drain_cycles
@@ -380,11 +381,11 @@ def check_layer_capacity(cmd: LayerCommand, cfg: HwConfig,
     ph, pw = padded_dims(h, w, cmd.padding)
     if_bits = ph * pw * cmd.tile_depth * 8
     if cmd.op in COMPUTE_OPS:   # the OF buffer holds the pre-pool int32 map
-        of_bits = int(np.prod(compute_out_shape(
-            cmd.op, cmd.in_shape, cmd.padding, cmd.out_channels))) * 32
+        of_bits = math.prod(compute_out_shape(
+            cmd.op, cmd.in_shape, cmd.padding, cmd.out_channels)) * 32
         weight_bits = _weight_image_bits(cin, cmd.out_channels)
     else:
-        of_bits = int(np.prod(cmd.out_shape)) * 8
+        of_bits = math.prod(cmd.out_shape) * 8
         weight_bits = 0
     need = {"if_bits": if_bits, "of_bits": of_bits, "weight_bits": weight_bits}
     for key, buf, cap in (("if_bits", "IF bank", cfg.if_capacity_bits),

@@ -1,10 +1,10 @@
 """Stream-to-window conversion: a K-row line buffer.
 
-A raster-order pixel stream enters one element per slot into a ring of the
-last K padded rows, so every slot past the first K-1 rows and K-1 columns
-completes one KxK window. A small padding controller walks the padded
-raster and injects zero elements for the edges named by the pre-loaded
-padding mode, so the core never sees a special case at borders.
+A raster-order stream enters one row at a time into a ring of the last K
+padded rows, so every padded row past the first K-1 completes one KxK
+window per slot past its first K-1 columns. Zeros fill the edges named by
+the pre-loaded padding mode, so the core never sees a special case at
+borders.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, List
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .qtensor import QTensor
 
@@ -79,9 +80,6 @@ class PaddingMode:
     def __iter__(self) -> Iterator[str]:
         return iter(e for e in _EDGE_ORDER if e in self.edges)
 
-    def __contains__(self, edge: str) -> bool:
-        return edge in self.edges
-
     @property
     def pad_top(self) -> int:
         return int(EDGE_TOP in self.edges)
@@ -110,14 +108,15 @@ class LineBuffer:
     """Stateful window generator for one frame.
 
     Construct with the unpadded frame geometry, a padding mode and the
-    window size, then push real pixels in raster order. Each push returns
-    the windows that became complete; in steady state that is one window
-    per padded slot, and the final push flushes any trailing padding.
+    window size, then push real rows in raster order. Each push returns the
+    windows that became complete: past priming, one row of windows per
+    padded row, and the final push adds the bottom padding row's.
 
-    Storage is one zeroed (K, padded_width, C) ring: padded slot (y, x) is
-    written to ring row y % K, so the window ending at (y, x) is ring rows
-    (y + 1 + i) % K, i = 0..K-1, at columns x-K+1..x. Each window is read
-    out as a copy, so a window the caller holds never changes.
+    Storage is one zeroed (K, padded_width, C) ring: padded row y is written
+    to ring row y % K, real columns only, so pad columns stay zero and the
+    zeroed ring already holds a top padding row. The windows ending on row y
+    are ring rows (y + 1 + i) % K, i = 0..K-1, read out as one copy and
+    slid along the row, so a window the caller holds never changes.
     """
 
     def __init__(self, width: int, height: int, mode: PaddingMode,
@@ -138,8 +137,7 @@ class LineBuffer:
                 f"smaller than window {window}"
             )
         self._ring = None        # allocated by the first push, which fixes C
-        self._slots = 0          # padded raster slots consumed
-        self._pushed = 0         # real pixels accepted
+        self._row = mode.pad_top  # padded row the next push writes
         self.first_window_slot = None
         self.frame_complete = False
 
@@ -152,46 +150,42 @@ class LineBuffer:
         return ((self.padded_height - self.window + 1)
                 * (self.padded_width - self.window + 1))
 
-    def _is_real_slot(self, y: int, x: int) -> bool:
-        m = self.mode
-        return (m.pad_top <= y < m.pad_top + self.height
-                and m.pad_left <= x < m.pad_left + self.width)
-
-    def _advance(self, payload, out: list) -> None:
+    def _windows(self, y: int) -> np.ndarray:
+        """The (n, K, K, C) windows ending on padded row y; none before K-1."""
         k = self.window
-        y, x = divmod(self._slots, self.padded_width)
-        self._ring[y % k, x] = payload
-        self._slots += 1
-        if y >= k - 1 and x >= k - 1:
-            if self.first_window_slot is None:
-                self.first_window_slot = self._slots
-            rows = [(y + 1 + i) % k for i in range(k)]
-            out.append(self._ring[rows, x - k + 1:x + 1])
+        rows = self._ring[[(y + 1 + i) % k for i in range(k)]]
+        win = sliding_window_view(rows, k, axis=1).transpose(1, 0, 3, 2)
+        if y < k - 1:
+            return win[:0]
+        if self.first_window_slot is None:
+            self.first_window_slot = y * self.padded_width + k
+        return win
 
-    def push(self, pixel) -> list:
-        """Feed the next real pixel (a channel vector); returns new windows."""
+    def push(self, row) -> np.ndarray:
+        """Feed the next real row, (width, C); returns its windows, (n, K, K, C)."""
         if self.frame_complete:
             raise RuntimeError("push after the frame completed")
-        pix = np.atleast_1d(pixel)
+        row = np.asarray(row)
+        if row.ndim != 2 or len(row) != self.width:
+            raise ValueError(f"a row is ({self.width}, C), got {row.shape}")
         if self._ring is None:
-            self._ring = np.zeros((self.window, self.padded_width) + pix.shape,
-                                  dtype=pix.dtype)
-        out: list = []
-        while not self._is_real_slot(*divmod(self._slots, self.padded_width)):
-            self._advance(0, out)
-        self._advance(pix, out)
-        self._pushed += 1
-        if self._pushed == self.width * self.height:
-            total = self.padded_width * self.padded_height
-            while self._slots < total:
-                self._advance(0, out)
+            self._ring = np.zeros((self.window, self.padded_width, row.shape[1]),
+                                  dtype=row.dtype)
+        y, k, left = self._row, self.window, self.mode.pad_left
+        self._ring[y % k, left:left + self.width] = row
+        out = [self._windows(y)]
+        self._row = y = y + 1
+        if y == self.mode.pad_top + self.height:
+            if self.mode.pad_bottom:
+                self._ring[y % k] = 0
+                out.append(self._windows(y))
             self.frame_complete = True
-        return out
+        return np.concatenate(out)
 
 
-def window_stream(input: QTensor, mode: PaddingMode,
-                  window: int) -> List[np.ndarray]:
-    """Run a whole frame through the line buffer; windows in raster order.
+def window_stream(input: QTensor, mode: PaddingMode, window: int) -> np.ndarray:
+    """Run a whole frame through the line buffer, one row per push; returns
+    its windows in raster order, (n, K, K, C).
 
     The one loop that streams a frame through a LineBuffer. It asserts the
     frame's invariants: the frame completes, yields expected_windows()
@@ -200,11 +194,9 @@ def window_stream(input: QTensor, mode: PaddingMode,
     data = input.data if isinstance(input, QTensor) else np.asarray(input)
     if data.ndim != 3:
         raise ValueError("expected (h, w, c) input")
-    h, w, c = data.shape
+    h, w, _ = data.shape
     lb = LineBuffer(w, h, mode, window)
-    out: List[np.ndarray] = []
-    for pixel in data.reshape(h * w, c):
-        out.extend(lb.push(pixel))
+    out = np.concatenate([lb.push(row) for row in data])
     assert lb.frame_complete
     assert len(out) == lb.expected_windows()
     assert lb.first_window_slot == lb.priming_slots

@@ -69,21 +69,13 @@ class OpCounters:
     multiplications: int = 0
 
 
-def _edge_set(pad) -> frozenset:
+def zero_pad(data: np.ndarray, pad) -> np.ndarray:
+    """Pad an (h, w, c) array with one zero row/column per named edge."""
     edges = frozenset(pad)
     bad = edges - set(_EDGES)
     if bad:
         raise ValueError(f"unknown edges {sorted(bad)}")
-    return edges
-
-
-def zero_pad(data: np.ndarray, pad) -> np.ndarray:
-    """Pad an (h, w, c) array with one zero row/column per named edge."""
-    edges = _edge_set(pad)
-    t = int("top" in edges)
-    b = int("bottom" in edges)
-    l = int("left" in edges)
-    r = int("right" in edges)
+    t, b, l, r = (int(e in edges) for e in _EDGES)
     return np.pad(data, ((t, b), (l, r), (0, 0)))
 
 

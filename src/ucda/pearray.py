@@ -10,8 +10,9 @@ output patch. PeArray.array_cycle (one step of the whole array), the
 whole-map kernel accumulate_bands and place_slots all run the mode's table.
 A Tn x Tm grid of these elements reduces over Tn input channels and computes
 Tm output channels in parallel; array_cycle evaluates all of them at once,
-in exact int64 arithmetic of its own, so the cells engine stays an
-independent check on the GEMM kernel.
+for a batch of positions, in exact int64 arithmetic of its own (an einsum
+numpy never hands to BLAS), so the cells engine stays an independent check
+on the GEMM kernel.
 
 accumulate_bands is also the one place that proves a layer's accumulator
 range: once per call it bounds acc from the weights (weight_bound) and
@@ -143,40 +144,41 @@ class PeArray:
         self.multiplications = 0
 
     def array_cycle(self, mode: PeMode, windows, kernels) -> np.ndarray:
-        """One array step at a single spatial position: m x n elements at once.
+        """One array step at each of b spatial positions: m x n elements at once.
 
-        windows: (n, K, K), n <= Tn per-channel windows from the same
-        position, K the mode's window side; channels beyond the live ones
-        are simply not driven. kernels: (m, n, 3, 3) with m <= Tm output
-        channels. Every element multiplies its 9 routed (window position,
-        kernel tap) pairs in int64; the products are summed over the n
-        channels and then per adder-tree group. Returns the int64 slot sums,
-        (m,) for convolution or (m, 4) for deconvolution (patch raster
-        order: top-left, top-right, bottom-left, bottom-right); the caller
-        carries them across depth passes.
+        windows: (b, n, K, K), per position n <= Tn per-channel windows, K
+        the mode's window side; channels beyond the live ones are simply not
+        driven. kernels: (m, n, 3, 3) with m <= Tm output channels. Every
+        element multiplies its 9 routed (window position, kernel tap) pairs;
+        one int64 einsum sums the products over the n channels, then they
+        are summed per adder-tree group. Returns the int64 slot sums, (b, m)
+        for convolution or (b, m, 4) for deconvolution (patch raster order:
+        top-left, top-right, bottom-left, bottom-right); the caller carries
+        them across depth passes.
         """
         win = np.asarray(windows)
         kern = np.asarray(kernels)
         if kern.ndim != 4 or kern.shape[2:] != (3, 3):
             raise ValueError(f"kernels must be (m, n, 3, 3), got {kern.shape}")
-        n = len(win)
+        b, n = win.shape[:2]
         m = kern.shape[0]
         if n == 0 or n > self.cfg.tn:
             raise ValueError(f"need 1..{self.cfg.tn} channel windows, got {n}")
         side = mode.window
-        if win.shape[1:] != (side, side):
+        if win.shape[2:] != (side, side):
             raise ValueError(f"{mode.value} takes {side}x{side} windows, "
-                             f"got {win.shape[1:]}")
+                             f"got {win.shape[2:]}")
         if kern.shape[1] != n:
             raise ValueError("one kernel slice per driven channel")
         if m > self.cfg.tm:
             raise ValueError(f"at most {self.cfg.tm} output channels per array, got {m}")
         (pr, pc), (tr, tc), starts = _GATHER[mode]
-        products = kern[:, :, tr, tc].astype(np.int64) * win[:, pr, pc].astype(np.int64)
-        out = np.add.reduceat(products.sum(axis=1), starts, axis=1)
-        self.multiplications += 9 * m * n
+        taps = np.einsum("bnj,mnj->bmj", win[:, :, pr, pc].astype(np.int64),
+                         kern[:, :, tr, tc].astype(np.int64))
+        out = np.add.reduceat(taps, starts, axis=2)
+        self.multiplications += 9 * b * m * n
         check_accum(out)
-        return out[:, 0] if mode.beats == 1 else out
+        return out[:, :, 0] if mode.beats == 1 else out
 
 
 def weight_bound(weights: np.ndarray) -> np.ndarray:

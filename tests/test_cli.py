@@ -101,6 +101,25 @@ class TestBench:
                      "--hw", "if_capacity_bits=8"]) == 2
         assert capsys.readouterr().err.startswith("infeasible:")
 
+    def test_layer_capacity_beyond_int64_is_infeasible(self, capsys):
+        assert _run(["bench", "--layer", "op=conv3x3,in=4294967296x67108864x1,out=64",
+                     "--hw", "of_capacity_bits=19000000"]) == 2
+        assert capsys.readouterr().err == (
+            "infeasible: layer: OF buffer needs 590295810358705651712 bits,"
+            " capacity 19000000\n")
+
+    def test_layer_transfer_beyond_int64_is_exact(self, capsys):
+        assert _run(["bench", "--layer", "op=conv3x3,in=3000000000x3000000000x64"]) == 0
+        assert " transfer 144000000000000000000 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", ["op=conv3x3,in=8x8x4,op=deconv2x",
+                                      "op=conv3x3,in=8x8x4,out=4,out=8"])
+    def test_repeated_layer_field_is_a_parse_error(self, capsys, spec):
+        assert _run(["bench", "--layer", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --layer field ") and "given twice" in err
+        assert "Traceback" not in err
+
     def test_bad_layer_spec(self, capsys):
         assert _run(["bench", "--layer", "op=conv3x3"]) == 1
         assert "op=...,in=HxWxC" in capsys.readouterr().err
@@ -174,6 +193,23 @@ class TestCompile:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("infeasible: layer 0 (conv3x3)")
+
+    def test_capacity_beyond_int64_is_infeasible(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(net_to_json(NetDescription(
+            (4294967296, 67108864, 1), -7, [LayerSpec("conv3x3", 64)])))
+        assert _run(["compile", "--net", path, "--hw", "of_capacity_bits=19000000"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "infeasible: layer 0 (conv3x3): OF buffer needs 590295810358705651712 bits")
+
+    def test_duplicate_net_field_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text('{"version": 1, "input": {"h": 8, "w": 8, "c": 2, "scale_exp": -7},'
+                        ' "layers": [{"kind": "conv3x3", "out_channels": 4,'
+                        ' "out_channels": 8}]}')
+        assert _run(["compile", "--net", path]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: duplicate field 'out_channels'\n"
 
     def test_missing_net_file(self, tmp_path, capsys):
         assert _run(["compile", "--net", tmp_path / "absent.json"]) == 1

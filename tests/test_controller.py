@@ -216,6 +216,20 @@ class TestNetJson:
         with pytest.raises(NetParseError, match="layer 0: unknown fields"):
             net_from_json(text)
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"version": 1, "version": 1, "input": {"h": 4, "w": 4, "c": 1,'
+         ' "scale_exp": -7}, "layers": []}', "version"),
+        ('{"version": 1, "input": {"h": 4, "w": 4, "c": 1, "scale_exp": -7,'
+         ' "h": 8}, "layers": []}', "h"),
+        ('{"version": 1, "input": {"h": 4, "w": 4, "c": 1, "scale_exp": -7},'
+         ' "layers": [{"kind": "conv3x3", "out_channels": 4,'
+         ' "out_channels": 8}]}', "out_channels"),
+    ], ids=["top level", "input", "layer"])
+    def test_duplicate_field_rejected(self, text, key):
+        """The last duplicate never silently wins."""
+        with pytest.raises(NetParseError, match=f"^duplicate field '{key}'$"):
+            net_from_json(text)
+
     def test_malformed_json_reports_position(self):
         with pytest.raises(NetParseError, match=r"line 1 column"):
             net_from_json("{,}")

@@ -514,6 +514,31 @@ class TestCapacity:
         with pytest.raises(CapacityError):
             check_layer_capacity(cfg=cfg, cmd=cmd)
 
+    def test_capacity_beyond_int64_is_exact(self):
+        """2**32 x 2**26 x 64 int32 outputs need 2**69 OF bits, not a wrapped 0."""
+        cfg = HwConfig(of_capacity_bits=19_000_000)
+        cmd = layer_command("conv3x3", (2 ** 32, 2 ** 26, 1), 64,
+                            PaddingMode.all_edges(), cfg)
+        with pytest.raises(CapacityError,
+                           match="OF buffer needs 590295810358705651712 bits"):
+            check_layer_capacity(cmd, cfg)
+        cmd = layer_command("maxpool", (2 ** 32, 2 ** 32, 64), 64,
+                            PaddingMode.none(), cfg)
+        with pytest.raises(CapacityError, match=f"needs {2 ** 68 * 8} bits"):
+            check_layer_capacity(cmd, cfg)
+
+
+def test_layer_report_beyond_int64_is_exact():
+    """Element counts past 2**63 stay exact in transfer, writes and additions."""
+    big = (3_000_000_000, 3_000_000_000, 64)
+    cmd = layer_command("conv3x3", big, 64, PaddingMode.all_edges(), CFG)
+    rep = layer_report(cmd, CFG)
+    assert rep.transfer_cycles == 144_000_000_000_000_000_000
+    pooled = layer_report(replace(cmd, pool="max"), CFG)
+    assert pooled.buffer_writes - rep.buffer_writes == 1_500_000_000 ** 2 * 64
+    cmd = layer_command("avgpool", (2 ** 32, 2 ** 32, 64), 64, PaddingMode.none(), CFG)
+    assert layer_report(cmd, CFG).additions == 3 * 2 ** 68
+
 
 class TestValidation:
     def test_shape_mismatch(self):

@@ -1,4 +1,4 @@
-"""FIFO line buffer vs the pad-then-slice window oracle."""
+"""Row-stepped K-row line buffer vs the pad-then-slice window oracle."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,8 +49,8 @@ def test_first_window_and_count_full_padding():
     data = np.arange(1, 17, dtype=np.int8).reshape(4, 4, 1)
     lb = LineBuffer(4, 4, PaddingMode.all_edges(), window=3)
     windows = []
-    for pix in data.reshape(-1, 1):
-        windows.extend(lb.push(pix))
+    for row in data:
+        windows.extend(lb.push(row))
     assert len(windows) == 16
     first = windows[0][:, :, 0]
     assert np.array_equal(first, [[0, 0, 0], [0, 1, 2], [0, 5, 6]])
@@ -62,8 +62,8 @@ def test_priming_slot_count():
     lb = LineBuffer(4, 4, PaddingMode.all_edges(), window=3)
     assert lb.priming_slots == 2 * 6 + 3
     emitted_at = None
-    for pix in data.reshape(-1, 1):
-        if lb.push(pix) and emitted_at is None:
+    for row in data:
+        if len(lb.push(row)) and emitted_at is None:
             emitted_at = lb.first_window_slot
     assert emitted_at == lb.priming_slots == 15
 
@@ -83,26 +83,63 @@ def test_no_padding_window2_count():
 
 def test_push_after_complete_rejected():
     lb = LineBuffer(2, 2, PaddingMode.none(), window=2)
-    pix = np.zeros(1, np.int8)
-    for _ in range(4):
-        lb.push(pix)
+    row = np.zeros((2, 1), np.int8)
+    for _ in range(2):
+        lb.push(row)
     assert lb.frame_complete
     with pytest.raises(RuntimeError):
-        lb.push(pix)
+        lb.push(row)
 
 
 def test_emission_cadence_steady_state():
-    """After priming, every pushed pixel yields exactly one window (full pad)."""
+    """After priming, every pushed row yields one row of windows (full pad);
+    the last push adds the bottom padding row's."""
     lb = LineBuffer(8, 8, PaddingMode.all_edges(), window=3)
-    pix = np.zeros(3, np.int8)
-    seen_first = False
-    for i in range(64):
-        out = lb.push(pix)
-        if seen_first and i % 8 not in (0, 7):
-            # interior of a row: no boundary flushes in flight
-            assert len(out) >= 1
-        if out:
-            seen_first = True
+    counts = [len(lb.push(row)) for row in np.zeros((8, 8, 3), np.int8)]
+    n = lb.padded_width - 3 + 1
+    assert counts == [0] + [n] * 6 + [2 * n]
+
+
+@pytest.mark.parametrize("mode", all_padding_modes(),
+                         ids=lambda m: m.short_name() or "none")
+@pytest.mark.parametrize("window", [2, 3])
+def test_emission_cadence_every_mode(mode, window):
+    """Real row y (padded) yields padded_width - K + 1 windows once y >= K-1,
+    and the last push also yields the bottom padding row's."""
+    lb = LineBuffer(5, 4, mode, window)
+    n = lb.padded_width - window + 1
+    want = [n * (mode.pad_top + i >= window - 1) for i in range(4)]
+    want[-1] += n * mode.pad_bottom
+    rows = np.zeros((4, 5, 2), np.int8)
+    assert [lb.push(row).shape for row in rows] == [(c, window, window, 2) for c in want]
+    assert lb.frame_complete
+
+
+def test_row_of_wrong_width_rejected():
+    lb = LineBuffer(4, 3, PaddingMode.all_edges(), window=3)
+    with pytest.raises(ValueError, match="a row is"):
+        lb.push(np.zeros((5, 2), np.int8))
+    with pytest.raises(ValueError, match="a row is"):
+        lb.push(np.zeros(4, np.int8))
+    assert len(lb.push(np.zeros((4, 2), np.int8))) == 0   # still at the first row
+
+
+@pytest.mark.parametrize("mode", all_padding_modes(),
+                         ids=lambda m: m.short_name() or "none")
+@pytest.mark.parametrize("window", [2, 3])
+def test_first_window_slot_is_priming(mode, window):
+    """Counted in padded slots, the first window comes after priming_slots,
+    on every mode, one-row frames included."""
+    for h, w in ((1, 1), (1, 4), (2, 3), (3, 3), (4, 6)):
+        ph = h + mode.pad_top + mode.pad_bottom
+        pw = w + mode.pad_left + mode.pad_right
+        if ph < window or pw < window:
+            continue
+        lb = LineBuffer(w, h, mode, window)
+        for row in np.ones((h, w, 1), np.int8):
+            lb.push(row)
+        assert lb.frame_complete
+        assert lb.first_window_slot == lb.priming_slots
 
 
 @pytest.mark.parametrize("mode", all_padding_modes(),

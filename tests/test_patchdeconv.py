@@ -31,7 +31,7 @@ K123 = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]], np.int8)
 def _patch(window, kernel) -> np.ndarray:
     """One 2x2 window through a one-PE array step: its 2x2 output patch."""
     pe = PeArray(HwConfig(tn=1, tm=1))
-    win = np.asarray(window, dtype=np.int64).reshape(1, 2, 2)
+    win = np.asarray(window, dtype=np.int64).reshape(1, 1, 2, 2)
     return pe.array_cycle(PeMode.DECONV, win, np.asarray(kernel)[None, None]).reshape(2, 2)
 
 

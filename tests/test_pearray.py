@@ -34,8 +34,8 @@ class TestHwConfig:
 
 
 def _one_pe(pe, mode, window, kernel) -> tuple:
-    """One element's slot values: a one-window, one-kernel array step."""
-    out = pe.array_cycle(mode, np.asarray(window)[None], np.asarray(kernel)[None, None])
+    """One element's slot values: a one-position, one-window, one-kernel array step."""
+    out = pe.array_cycle(mode, np.asarray(window)[None, None], np.asarray(kernel)[None, None])
     return tuple(int(v) for v in out.ravel())
 
 
@@ -82,7 +82,7 @@ class TestArrayCycle:
         pe = PeArray(cfg)
         windows = np.ones((2, 3, 3), np.int8)
         kernels = np.ones((2, 2, 3, 3), np.int8)
-        out = pe.array_cycle(PeMode.CONV, windows, kernels)
+        out = pe.array_cycle(PeMode.CONV, windows[None], kernels)[0]
         assert out.tolist() == [18, 18]  # 2 channels x 9 taps
 
     def test_identical_weights_identical_outputs(self):
@@ -92,7 +92,7 @@ class TestArrayCycle:
         windows = rng.integers(-128, 128, (8, 3, 3)).astype(np.int8)
         one = rng.integers(-128, 128, (1, 8, 3, 3)).astype(np.int8)
         kernels = np.repeat(one, 8, axis=0)
-        out = pe.array_cycle(PeMode.CONV, windows, kernels)
+        out = pe.array_cycle(PeMode.CONV, windows[None], kernels)[0]
         assert len(set(out.tolist())) == 1
 
     def test_depth_tiling_matches_untiled_oracle(self):
@@ -104,10 +104,10 @@ class TestArrayCycle:
         ks = KernelSet(weights=wk, bias=np.zeros(4, np.int32),
                        bn_multiplier=np.full(4, 16384, np.int16),
                        bn_shift=np.zeros(4, np.uint8), scale_exp=0)
-        window = x.data.transpose(2, 0, 1)  # one spatial position, (C, 3, 3)
+        window = x.data.transpose(2, 0, 1)[None]  # one spatial position, (1, C, 3, 3)
         pe = PeArray(cfg)
-        total = (pe.array_cycle(PeMode.CONV, window[:8], wk[:, :8])
-                 + pe.array_cycle(PeMode.CONV, window[8:], wk[:, 8:]))
+        total = (pe.array_cycle(PeMode.CONV, window[:, :8], wk[:, :8])
+                 + pe.array_cycle(PeMode.CONV, window[:, 8:], wk[:, 8:]))[0]
         want = conv2d_ref(x, ks, ())  # valid conv, single output pixel
         assert total.tolist() == want[0, 0].tolist()
 
@@ -116,7 +116,7 @@ class TestArrayCycle:
         pe = PeArray(cfg)
         windows = np.ones((3, 3, 3), np.int8)  # only 3 live channels
         kernels = np.ones((2, 3, 3, 3), np.int8)
-        out = pe.array_cycle(PeMode.CONV, windows, kernels)
+        out = pe.array_cycle(PeMode.CONV, windows[None], kernels)[0]
         assert out.tolist() == [27, 27]
 
     def test_deconv_beats_shape(self):
@@ -124,7 +124,7 @@ class TestArrayCycle:
         pe = PeArray(cfg)
         windows = np.ones((2, 2, 2), np.int8)
         kernels = np.ones((3, 2, 3, 3), np.int8)
-        out = pe.array_cycle(PeMode.DECONV, windows, kernels)
+        out = pe.array_cycle(PeMode.DECONV, windows[None], kernels)[0]
         assert out.shape == (3, 4)
         # all-ones window x all-ones kernel: patch sums are (4, 2, 2, 1) x Tn
         assert out.tolist() == [[8, 4, 4, 2]] * 3
@@ -134,21 +134,21 @@ class TestArrayCycle:
         """A window of the other mode's side raises; it is never cropped."""
         pe = PeArray(HwConfig(tn=2, tm=2))
         with pytest.raises(ValueError, match=f"got \\({side}, {side}\\)"):
-            pe.array_cycle(mode, np.ones((2, side, side), np.int8),
+            pe.array_cycle(mode, np.ones((1, 2, side, side), np.int8),
                            np.ones((2, 2, 3, 3), np.int8))
         assert pe.multiplications == 0
 
     def test_grid_limits_enforced(self):
         pe = PeArray(HwConfig(tn=2, tm=2))
-        win, kern = np.ones((3, 3, 3), np.int8), np.ones((2, 3, 3, 3), np.int8)
+        win, kern = np.ones((1, 3, 3, 3), np.int8), np.ones((2, 3, 3, 3), np.int8)
         with pytest.raises(ValueError, match="channel windows"):
             pe.array_cycle(PeMode.CONV, win, kern)            # 3 > Tn
         with pytest.raises(ValueError, match="channel windows"):
-            pe.array_cycle(PeMode.CONV, win[:0], kern[:, :0])
+            pe.array_cycle(PeMode.CONV, win[:, :0], kern[:, :0])
         with pytest.raises(ValueError, match="output channels"):
-            pe.array_cycle(PeMode.CONV, win[:2], np.ones((3, 2, 3, 3), np.int8))
+            pe.array_cycle(PeMode.CONV, win[:, :2], np.ones((3, 2, 3, 3), np.int8))
         with pytest.raises(ValueError, match="kernel slice"):
-            pe.array_cycle(PeMode.CONV, win[:2], kern[:, :1])
+            pe.array_cycle(PeMode.CONV, win[:, :2], kern[:, :1])
         assert pe.multiplications == 0
 
 
@@ -156,29 +156,32 @@ class TestArrayCycle:
        st.sampled_from([1, 2, 4, 8]), st.data(), st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=100, deadline=None)
 def test_array_cycle_matches_literal_references(mode, tn, tm, data, seed):
-    """One step of a one-PE, full or partial Tn x Tm grid against the patch
-    equations written out and a single-window conv3x3_loops."""
+    """One step of a one-PE, full or partial Tn x Tm grid at 1-5 positions,
+    each position against the patch equations written out and a
+    single-window conv3x3_loops."""
     n = data.draw(st.integers(1, tn), label="n")
     m = data.draw(st.integers(1, tm), label="m")
+    b = data.draw(st.integers(1, 5), label="b")
     rng = np.random.default_rng(seed)
     k = mode.window
-    windows = rng.integers(-128, 128, (n, k, k)).astype(np.int8)
+    batch = rng.integers(-128, 128, (b, n, k, k)).astype(np.int8)
     kernels = rng.integers(-128, 128, (m, n, 3, 3)).astype(np.int8)
-    window_map = np.moveaxis(windows, 0, 2)        # (k, k, n), one window
-    if mode is PeMode.CONV:
-        want = [[acc] for acc in ref.conv3x3_loops(window_map, kernels, [0] * m,
-                                                   (0, 0, 0, 0))[0][0]]
-    else:
-        want = [[sum(ref.patch_equations(windows[ci], kernels[co, ci])[s]
-                     for ci in range(n)) for s in range(4)] for co in range(m)]
-        # deconvolved alone, the window's patch is the bottom-right 2x2 block
-        block = np.array(ref.deconv_loops(window_map, kernels, [0] * m))[2:, 2:]
-        assert block.reshape(4, m).T.tolist() == want
     pe = PeArray(HwConfig(tn=tn, tm=tm))
-    got = pe.array_cycle(mode, windows, kernels)
-    assert got.shape == ((m, 4) if mode is PeMode.DECONV else (m,))
-    assert got.reshape(m, mode.beats).tolist() == want
-    assert pe.multiplications == 9 * m * n
+    got = pe.array_cycle(mode, batch, kernels)
+    assert got.shape == ((b, m, 4) if mode is PeMode.DECONV else (b, m))
+    assert pe.multiplications == 9 * b * m * n
+    for windows, at in zip(batch, got):
+        window_map = np.moveaxis(windows, 0, 2)        # (k, k, n), one window
+        if mode is PeMode.CONV:
+            want = [[acc] for acc in ref.conv3x3_loops(window_map, kernels, [0] * m,
+                                                       (0, 0, 0, 0))[0][0]]
+        else:
+            want = [[sum(ref.patch_equations(windows[ci], kernels[co, ci])[s]
+                         for ci in range(n)) for s in range(4)] for co in range(m)]
+            # deconvolved alone, the window's patch is the bottom-right 2x2 block
+            block = np.array(ref.deconv_loops(window_map, kernels, [0] * m))[2:, 2:]
+            assert block.reshape(4, m).T.tolist() == want
+        assert at.reshape(m, mode.beats).tolist() == want
 
 
 class TestFuseBn:
