@@ -48,6 +48,7 @@ from .qtensor import (
     check_accum,
     quantize_array,
     round_half_away,
+    weight_entry,
 )
 
 KIND_CODES = {kind: code for code, kind in enumerate(LAYER_OPS)}
@@ -350,10 +351,8 @@ def weight_image(kinds, kernel_sets) -> bytes:
         out.write(struct.pack(
             "<IIIi", KIND_CODES[kind], ks.in_channels, ks.out_channels,
             ks.scale_exp))
-        out.write(ks.weights.tobytes())
-        out.write(ks.bias.astype("<i4").tobytes())
-        out.write(ks.bn_multiplier.astype("<i2").tobytes())
-        out.write(ks.bn_shift.tobytes())
+        for name, dtype, _, _ in weight_entry(ks.in_channels, ks.out_channels):
+            out.write(getattr(ks, name).astype(dtype, copy=False).tobytes())
     return out.getvalue()
 
 
@@ -385,21 +384,13 @@ def parse_weight_image(blob: bytes):
         kind = _CODE_KINDS.get(code)
         if kind not in COMPUTE_OPS:
             raise ValueError(f"weight entry with non-compute kind code {code}")
-        nw = cout * cin * 9
-        weights = np.frombuffer(blob, np.int8, nw, take(nw, f"entry {i} weights"))
-        bias = np.frombuffer(blob, "<i4", cout, take(4 * cout, f"entry {i} biases"))
-        mult = np.frombuffer(blob, "<i2", cout,
-                             take(2 * cout, f"entry {i} bn multipliers"))
-        shift = np.frombuffer(blob, np.uint8, cout, take(cout, f"entry {i} bn shifts"))
+        entry = {name: np.frombuffer(blob, dtype, n, take(n * dtype.itemsize,
+                                                          f"entry {i} {label}"))
+                 .astype(dtype.newbyteorder("="))
+                 for name, dtype, label, n in weight_entry(cin, cout)}
+        entry["weights"] = entry["weights"].reshape(cout, cin, 3, 3)
         kinds.append(kind)
-        sets.append(KernelSet(
-            weights=weights.reshape(cout, cin, 3, 3).copy(),
-            bias=bias.astype(np.int32),
-            bn_multiplier=mult.astype(np.int16),
-            bn_shift=shift.copy(),
-            scale_exp=scale_exp,
-            rotated=(kind == "deconv2x"),
-        ))
+        sets.append(KernelSet(**entry, scale_exp=scale_exp, rotated=(kind == "deconv2x")))
     if pos != len(blob):
         raise ValueError(f"{len(blob) - pos} trailing bytes in weight image")
     return kinds, sets

@@ -40,12 +40,13 @@ of the values are requantized. Every pre-pool acc + bias is still inside
 int32, proven or checked by the kernel before pooling. Rounding does not
 commute with averaging, so avg pooling keeps the literal order.
 
-Cycle model per layer:
-    priming  = (K - 1) * padded_width + K          (line-buffer fill)
+Cycle model per layer (layer_report; linebuffer.priming_slots, window_grid and
+PaddingMode.padded give the line-buffer terms, qtensor.WEIGHT_ENTRY the weight bits):
+    priming  = priming_slots(padded_width, K)      (line-buffer fill)
     compute  = passes_in * ceil(passes_out / arrays) * windows * beats
-               (PeMode.beats; the arrays split the output-channel passes)
-    drain    = attached-pool priming (one stream row + 2 slots), else 0
-    weight   = ceil(weight_image_bits / stream_bits), never overlapped
+               (windows of window_grid; PeMode.beats; arrays split the passes)
+    drain    = attached pool: priming_slots(pre-pool width, 2), else 0
+    weight   = ceil(weight entry bits / stream_bits), never overlapped
     transfer = ceil(in_bits / stream) + ceil(out_bits / stream), overlapped
                with compute per direction (double-buffered feature streams)
     total    = priming + compute + drain + weight + max(0, transfer - overlapped)
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linebuffer import PaddingMode, window_stream
+from .linebuffer import PaddingMode, priming_slots, window_grid, window_stream
 from .pearray import HwConfig, PeArray, PeMode, accumulate_bands, place_slots
 from .qtensor import (
     KernelSet,
@@ -66,6 +67,7 @@ from .qtensor import (
     check_accum,
     pool2x2,
     requantize_array,
+    weight_entry,
 )
 
 PE_MODES = {"conv3x3": PeMode.CONV, "deconv2x": PeMode.DECONV}
@@ -154,24 +156,20 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def padded_dims(h: int, w: int, mode: PaddingMode):
-    return h + mode.pad_top + mode.pad_bottom, w + mode.pad_left + mode.pad_right
-
-
 def compute_out_shape(op: str, in_shape, mode: PaddingMode, out_channels: int,
                       pool: str = "none"):
     """Final output shape of a command, pooling included."""
     h, w, c = in_shape
     if min(h, w, c) < 1:
         raise ShapeMismatch(f"input dimensions must be at least 1, got {h}x{w}x{c}")
-    ph, pw = padded_dims(h, w, mode)
     if op in PE_MODES:
         k, side = PE_MODES[op].window, PE_MODES[op].patch
+        ph, pw = mode.padded(h, w)
         if ph < k or pw < k:
             raise ShapeMismatch(f"padded {ph}x{pw} too small for a {k}x{k} window")
         if out_channels < 1:
             raise ShapeMismatch(f"out_channels must be at least 1, got {out_channels}")
-        oh, ow = side * (ph - k + 1), side * (pw - k + 1)
+        oh, ow = (side * n for n in window_grid(ph, pw, k))
     elif op in POOL_OPS:
         if out_channels != c:
             raise ShapeMismatch("pooling keeps the channel count")
@@ -213,11 +211,6 @@ def pool_act(data: np.ndarray, pool: str = "none", act: str = "none") -> np.ndar
     return out
 
 
-def _weight_image_bits(cin: int, cout: int) -> int:
-    # int8 taps + int32 bias + int16 bn multiplier + uint8 bn shift
-    return cout * cin * 9 * 8 + cout * 32 + cout * 16 + cout * 8
-
-
 def _narrow(acc: np.ndarray, ks: KernelSet) -> np.ndarray:
     """Placed accumulators whose acc + bias is known to lie inside int32 ->
     the bias added in int32, then requantized q8 rows."""
@@ -228,17 +221,10 @@ def _narrow(acc: np.ndarray, ks: KernelSet) -> np.ndarray:
 def _maxpool_acc(acc: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     """2x2 blocks of placed accumulators (even dims) reduced per channel: the
     block max, or its min where the channel's multiplier is negative."""
-    h, w, c = acc.shape
-    pairs = acc.reshape(h // 2, 2, w // 2, 2, c)
-
-    def pool(reduce):
-        rows = reduce(pairs[:, 0], pairs[:, 1])
-        return reduce(rows[:, :, 0], rows[:, :, 1])
-
-    out = pool(np.maximum)
+    out = pool2x2(acc, "max")
     neg = multiplier < 0
     if neg.any():
-        out[..., neg] = pool(np.minimum)[..., neg]
+        out[..., neg] = -pool2x2(-acc[..., neg], "max")
     return out
 
 
@@ -281,14 +267,14 @@ def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
     cout = ks.out_channels
     mode = cmd.pe_mode
     k, beats = mode.window, mode.beats
-    ph, pw = padded_dims(h, w, cmd.padding)
+    grid = window_grid(*cmd.padding.padded(h, w), k)
     pe = PeArray(cfg)
     psum = None
     for ci0 in range(0, cin, cmd.tile_depth):
         ci = slice(ci0, ci0 + cmd.tile_depth)
         wins = window_stream(input.data[:, :, ci], cmd.padding, k)
         # per window row, (positions, channels, K, K)
-        rows = wins.reshape(ph - k + 1, pw - k + 1, k, k, -1).transpose(0, 1, 4, 2, 3)
+        rows = wins.reshape(*grid, k, k, -1).transpose(0, 1, 4, 2, 3)
         tile = np.stack([np.concatenate([
             pe.array_cycle(mode, row, ks.weights[co0:co0 + cfg.tm, ci]).reshape(len(row), -1, beats)
             for co0 in range(0, cout, cfg.tm)], axis=1) for row in rows])
@@ -296,62 +282,6 @@ def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
     acc = place_slots(np.moveaxis(psum, 3, 0))    # (rows, positions, cout, beats)
     check_accum(acc + ks.bias)
     return acc
-
-
-def _compute_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
-    h, w, cin = cmd.in_shape
-    cout = cmd.out_channels
-    ph, pw = padded_dims(h, w, cmd.padding)
-    k = cmd.pe_mode.window
-    windows = (ph - k + 1) * (pw - k + 1)
-    beats = cmd.pe_mode.beats
-    passes_in = _ceil_div(cin, cmd.tile_depth)
-    passes_out = _ceil_div(cout, cmd.unroll[1])
-    r = CycleReport()
-    r.priming_cycles = (k - 1) * pw + k
-    # `arrays` output passes run at once from one shared input stream
-    out_rounds = _ceil_div(passes_out, cfg.arrays)
-    r.compute_cycles = passes_in * out_rounds * windows * beats
-    # the pool's pre-pool stream is twice its output width in either mode
-    r.drain_cycles = (2 * cmd.out_shape[1] + 2) if cmd.pool != "none" else 0
-    r.weight_cycles = _ceil_div(_weight_image_bits(cin, cout), cfg.stream_bits)
-    # one addition per product: per window and output channel, conv 8*cin tree
-    # + (cin - 1) channel + 1 bias, deconv 5*cin + 4*(cin - 1) + 4; both 9*cin
-    r.multiplications = r.additions = 9 * windows * cin * cout
-    if cmd.pool == "avg":
-        r.additions += 3 * windows * beats * cout // 4
-    acc_elems = windows * beats * cout
-    r.buffer_reads = out_rounds * windows * k * cin + (passes_in - 1) * acc_elems
-    r.buffer_writes = h * w * cin + passes_in * acc_elems
-    if cmd.pool != "none":
-        r.buffer_writes += math.prod(cmd.out_shape)
-    return r
-
-
-def _move_layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
-    h, w, c = cmd.in_shape
-    r = CycleReport()
-    if cmd.op in POOL_OPS:
-        r.priming_cycles = w + 2
-    r.compute_cycles = _ceil_div(c, cfg.tn) * h * w
-    out_elems = math.prod(cmd.out_shape)
-    if cmd.op == "avgpool":
-        r.additions = 3 * out_elems
-    r.buffer_reads = h * w * c
-    r.buffer_writes = h * w * c + out_elems
-    return r
-
-
-def _add_transfer(r: CycleReport, cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
-    """Feature-stream transfer, its overlap with compute, and the total."""
-    h, w, c = cmd.in_shape
-    in_xfer = _ceil_div(h * w * c * 8, cfg.stream_bits)
-    out_xfer = _ceil_div(math.prod(cmd.out_shape) * 8, cfg.stream_bits)
-    r.transfer_cycles = in_xfer + out_xfer
-    overlapped = min(in_xfer, r.compute_cycles) + min(out_xfer, r.compute_cycles)
-    r.total_cycles = (r.priming_cycles + r.compute_cycles + r.drain_cycles
-                      + r.weight_cycles + max(0, r.transfer_cycles - overlapped))
-    return r
 
 
 def _validate(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,
@@ -378,12 +308,13 @@ def check_layer_capacity(cmd: LayerCommand, cfg: HwConfig,
                          label: str = "layer") -> dict:
     """Working-set bits per buffer; raises CapacityError on finite overrun."""
     h, w, cin = cmd.in_shape
-    ph, pw = padded_dims(h, w, cmd.padding)
-    if_bits = ph * pw * cmd.tile_depth * 8
+    if_bits = math.prod(cmd.padding.padded(h, w)) * cmd.tile_depth * 8
     if cmd.op in COMPUTE_OPS:   # the OF buffer holds the pre-pool int32 map
         of_bits = math.prod(compute_out_shape(
             cmd.op, cmd.in_shape, cmd.padding, cmd.out_channels)) * 32
-        weight_bits = _weight_image_bits(cin, cmd.out_channels)
+        # the layer's weight-image entry past its header
+        weight_bits = sum(8 * dtype.itemsize * n
+                          for _, dtype, _, n in weight_entry(cin, cmd.out_channels))
     else:
         of_bits = math.prod(cmd.out_shape) * 8
         weight_bits = 0
@@ -401,9 +332,49 @@ def layer_report(cmd: LayerCommand, cfg: HwConfig) -> CycleReport:
 
     Raises CapacityError when a working set overruns a finite buffer.
     """
-    check_layer_capacity(cmd, cfg)
-    build = _compute_layer_report if cmd.op in COMPUTE_OPS else _move_layer_report
-    return _add_transfer(build(cmd, cfg), cmd, cfg)
+    weight_bits = check_layer_capacity(cmd, cfg)["weight_bits"]
+    h, w, cin = cmd.in_shape
+    cout = cmd.out_channels
+    out_elems = math.prod(cmd.out_shape)
+    r = CycleReport()
+    r.weight_cycles = _ceil_div(weight_bits, cfg.stream_bits)
+    r.buffer_writes = h * w * cin
+    if cmd.op in COMPUTE_OPS:
+        k, beats = cmd.pe_mode.window, cmd.pe_mode.beats
+        ph, pw = cmd.padding.padded(h, w)
+        windows = math.prod(window_grid(ph, pw, k))
+        passes_in = _ceil_div(cin, cmd.tile_depth)
+        # `arrays` output passes run at once from one shared input stream
+        out_rounds = _ceil_div(_ceil_div(cout, cmd.unroll[1]), cfg.arrays)
+        r.priming_cycles = priming_slots(pw, k)
+        r.compute_cycles = passes_in * out_rounds * windows * beats
+        if cmd.pool != "none":
+            # the pool primes on its pre-pool stream, twice its output width
+            r.drain_cycles = priming_slots(2 * cmd.out_shape[1], 2)
+            r.buffer_writes += out_elems
+        # one addition per product: per window and output channel, conv 8*cin tree
+        # + (cin - 1) channel + 1 bias, deconv 5*cin + 4*(cin - 1) + 4; both 9*cin
+        r.multiplications = r.additions = 9 * windows * cin * cout
+        if cmd.pool == "avg":
+            r.additions += 3 * windows * beats * cout // 4
+        acc_elems = windows * beats * cout
+        r.buffer_reads = out_rounds * windows * k * cin + (passes_in - 1) * acc_elems
+        r.buffer_writes += passes_in * acc_elems
+    else:
+        if cmd.op in POOL_OPS:
+            r.priming_cycles = priming_slots(w, 2)
+        r.compute_cycles = _ceil_div(cin, cfg.tn) * h * w
+        if cmd.op == "avgpool":
+            r.additions = 3 * out_elems
+        r.buffer_reads = h * w * cin
+        r.buffer_writes += out_elems
+    in_xfer = _ceil_div(h * w * cin * 8, cfg.stream_bits)
+    out_xfer = _ceil_div(out_elems * 8, cfg.stream_bits)
+    r.transfer_cycles = in_xfer + out_xfer
+    overlapped = min(in_xfer, r.compute_cycles) + min(out_xfer, r.compute_cycles)
+    r.total_cycles = (r.priming_cycles + r.compute_cycles + r.drain_cycles
+                      + r.weight_cycles + max(0, r.transfer_cycles - overlapped))
+    return r
 
 
 def run_layer(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,

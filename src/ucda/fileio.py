@@ -15,14 +15,13 @@ from .qtensor import QTensor
 _HEADER = struct.Struct("<IIIi")
 
 
-def write_tensor(path, t: QTensor) -> None:
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(t.height, t.width, t.channels, t.scale_exp))
-        f.write(t.data.tobytes())
-
-
 def tensor_bytes(t: QTensor) -> bytes:
     return _HEADER.pack(t.height, t.width, t.channels, t.scale_exp) + t.data.tobytes()
+
+
+def write_tensor(path, t: QTensor) -> None:
+    with open(path, "wb") as f:
+        f.write(tensor_bytes(t))
 
 
 def read_tensor(path) -> QTensor:

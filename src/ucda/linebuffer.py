@@ -8,6 +8,7 @@ borders.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List
 
@@ -96,6 +97,20 @@ class PaddingMode:
     def pad_right(self) -> int:
         return int(EDGE_RIGHT in self.edges)
 
+    def padded(self, height: int, width: int):
+        """(height, width) of a frame once this mode's zero edges are added."""
+        return height + self.pad_top + self.pad_bottom, width + self.pad_left + self.pad_right
+
+
+def window_grid(height: int, width: int, window: int):
+    """(rows, columns) of KxK windows over a height x width padded frame."""
+    return height - window + 1, width - window + 1
+
+
+def priming_slots(width: int, window: int) -> int:
+    """Slots of a width-wide padded stream before its first KxK window: K-1 rows + K."""
+    return (window - 1) * width + window
+
 
 def all_padding_modes() -> List[PaddingMode]:
     """The 13 supported modes in a stable order (by short name)."""
@@ -129,8 +144,7 @@ class LineBuffer:
         self.height = height
         self.mode = mode
         self.window = window
-        self.padded_width = width + mode.pad_left + mode.pad_right
-        self.padded_height = height + mode.pad_top + mode.pad_bottom
+        self.padded_height, self.padded_width = mode.padded(height, width)
         if self.padded_width < window or self.padded_height < window:
             raise ValueError(
                 f"padded frame {self.padded_height}x{self.padded_width} "
@@ -144,11 +158,10 @@ class LineBuffer:
     @property
     def priming_slots(self) -> int:
         """Slots before the first window: (K-1) rows plus K elements."""
-        return (self.window - 1) * self.padded_width + self.window
+        return priming_slots(self.padded_width, self.window)
 
     def expected_windows(self) -> int:
-        return ((self.padded_height - self.window + 1)
-                * (self.padded_width - self.window + 1))
+        return math.prod(window_grid(self.padded_height, self.padded_width, self.window))
 
     def _windows(self, y: int) -> np.ndarray:
         """The (n, K, K, C) windows ending on padded row y; none before K-1."""
@@ -166,8 +179,9 @@ class LineBuffer:
         if self.frame_complete:
             raise RuntimeError("push after the frame completed")
         row = np.asarray(row)
-        if row.ndim != 2 or len(row) != self.width:
-            raise ValueError(f"a row is ({self.width}, C), got {row.shape}")
+        channels = "C" if self._ring is None else self._ring.shape[2]
+        if row.ndim != 2 or len(row) != self.width or channels not in ("C", row.shape[1]):
+            raise ValueError(f"a row is ({self.width}, {channels}), got {row.shape}")
         if self._ring is None:
             self._ring = np.zeros((self.window, self.padded_width, row.shape[1]),
                                   dtype=row.dtype)

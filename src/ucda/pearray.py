@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linebuffer import window_grid
 from .qtensor import (
     ACC_MAX,
     ACC_MIN,
@@ -223,7 +224,7 @@ def accumulate_bands(mode: PeMode, padded: np.ndarray, weights: np.ndarray,
     hp, wp, cin = padded.shape
     cout = weights.shape[0]
     k = mode.window
-    wh, ww = hp - k + 1, wp - k + 1
+    wh, ww = window_grid(hp, wp, k)
     bound = weight_bound(weights)
     top = int(bound.max(initial=0))
     proven = top <= ACC_MAX

@@ -167,8 +167,8 @@ def apply_activation(q: np.ndarray, act: str) -> np.ndarray:
 def pool2x2(x: np.ndarray, kind: str) -> np.ndarray:
     """2x2/stride-2 pooling of an (h, w, c) q8 map with even dims; int8.
 
-    'max' keeps the block maximum; 'avg' divides the block sum by 4 with
-    the quotient truncated toward zero (not toward -inf).
+    'max' keeps the block maximum in x's dtype (any dtype); 'avg' divides
+    the int8 block sum by 4, the quotient truncated toward zero (not -inf).
 
     Both kinds reduce pairwise with elementwise ops: first each block's two
     rows into a half-height map (int8 maxima, or int16 sums), then that
@@ -280,6 +280,19 @@ class KernelSet:
     @property
     def in_channels(self) -> int:
         return self.weights.shape[1]
+
+
+# A KernelSet's weight-image entry, field by field in stored order: its name,
+# little-endian dtype, and label in truncation messages.
+WEIGHT_ENTRY = (("weights", "<i1", "weights"), ("bias", "<i4", "biases"),
+                ("bn_multiplier", "<i2", "bn multipliers"), ("bn_shift", "<u1", "bn shifts"))
+
+
+def weight_entry(in_ch: int, out_ch: int):
+    """WEIGHT_ENTRY's rows for an in_ch -> out_ch layer as (field, stored
+    dtype, label, value count): 9 * in_ch weights per output channel, else one."""
+    return [(name, np.dtype(dtype), label, out_ch * (9 * in_ch if name == "weights" else 1))
+            for name, dtype, label in WEIGHT_ENTRY]
 
 
 def identity_kernel_set(in_ch: int, out_ch: int, scale_exp: int = 0,

@@ -1,5 +1,6 @@
 """Network descriptions, program compilation, weight images, execution."""
 import hashlib
+import math
 import struct
 import tracemalloc
 from dataclasses import fields
@@ -32,7 +33,14 @@ from ucda.controller import (
     segnet_basic_preset,
     weight_image,
 )
-from ucda.datapath import CapacityError, run_layer
+from ucda.datapath import (
+    CapacityError,
+    check_layer_capacity,
+    layer_command,
+    layer_report,
+    run_layer,
+)
+from ucda.linebuffer import PaddingMode
 from ucda.pearray import HwConfig
 from ucda.qtensor import KernelSet, QTensor, identity_kernel_set, quantize_array
 
@@ -442,6 +450,7 @@ class TestWeightImage:
             for f in ("weights", "bias", "bn_multiplier", "bn_shift"):
                 x, y = getattr(a, f), getattr(b, f)
                 assert x.dtype == y.dtype and np.array_equal(x, y), f
+                assert y.flags.writeable, f
             assert (a.scale_exp, a.rotated) == (b.scale_exp, b.rotated)
 
     @given(weight_images())
@@ -464,6 +473,25 @@ class TestWeightImage:
             parse_weight_image(bytes(blob))
         except ValueError:
             pass
+
+    @given(st.lists(st.tuples(st.sampled_from(["conv3x3", "deconv2x"]),
+                              st.integers(1, 40), st.integers(1, 40)), max_size=4),
+           st.sampled_from([8, 24, 64, 256]))
+    @settings(max_examples=50, deadline=None)
+    def test_image_holds_the_bits_the_cycle_account_streams(self, layers, stream_bits):
+        """Each entry is a 16-byte header and the weight bits the cycle
+        account sizes and streams for its layer."""
+        cfg = HwConfig(stream_bits=stream_bits)
+        sets = [identity_kernel_set(cin, cout, rotated=kind == "deconv2x")
+                for kind, cin, cout in layers]
+        size = 12
+        for kind, cin, cout in layers:
+            cmd = layer_command(kind, (4, 4, cin), cout, PaddingMode.all_edges(), cfg)
+            bits = check_layer_capacity(cmd, cfg)["weight_bits"]
+            assert bits % 8 == 0
+            assert layer_report(cmd, cfg).weight_cycles == math.ceil(bits / stream_bits)
+            size += 16 + bits // 8
+        assert len(weight_image([kind for kind, _, _ in layers], sets)) == size
 
     def test_trailing_bytes(self):
         with pytest.raises(ValueError, match="trailing"):

@@ -1,4 +1,5 @@
 """Layer pipeline: bit-exactness against oracles and the cycle model."""
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -538,6 +539,38 @@ def test_layer_report_beyond_int64_is_exact():
     assert pooled.buffer_writes - rep.buffer_writes == 1_500_000_000 ** 2 * 64
     cmd = layer_command("avgpool", (2 ** 32, 2 ** 32, 64), 64, PaddingMode.none(), CFG)
     assert layer_report(cmd, CFG).additions == 3 * 2 ** 68
+
+
+def _report_grid_digest() -> str:
+    """sha256 over the layer_report and check_layer_capacity figures of 5 ops
+    x 13 modes x 3 shapes x 3 pools x 3 configs; a case that raises hashes
+    its exception class. Only ints and names are hashed, never a repr."""
+    cfgs = (CFG, HwConfig(tn=4, tm=2, arrays=3, stream_bits=24),
+            HwConfig(tn=16, tm=4, if_capacity_bits=1500, of_capacity_bits=20000,
+                     weight_capacity_bits=6000))
+    h = hashlib.sha256()
+    for op in ("conv3x3", "deconv2x", "maxpool", "avgpool", "identity"):
+        for mode in all_padding_modes():
+            for shape in ((2, 3, 1), (4, 6, 5), (8, 10, 20)):
+                for pool in ("none", "max", "avg"):
+                    for i, cfg in enumerate(cfgs):
+                        cout = 7 if op in ("conv3x3", "deconv2x") else shape[2]
+                        fields = [op, mode.short_name(), *shape, pool, i]
+                        try:
+                            cmd = layer_command(op, shape, cout, mode, cfg, pool=pool)
+                            need = check_layer_capacity(cmd, cfg)
+                            rep = layer_report(cmd, cfg)
+                            fields += [*need.values(), *vars(rep).values()]
+                        except (ShapeMismatch, UnsupportedOp, CapacityError) as e:
+                            fields.append(type(e).__name__)
+                        h.update(" ".join(map(str, fields)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_layer_report_grid_is_pinned():
+    """The cycle account's figures over a grid of commands, pinned."""
+    assert _report_grid_digest() == (
+        "9cd62e31144d798c02c15c857c6c6048ee18493271988c1c7f4a3aa0e518a6db")
 
 
 class TestValidation:

@@ -124,6 +124,17 @@ def test_row_of_wrong_width_rejected():
     assert len(lb.push(np.zeros((4, 2), np.int8))) == 0   # still at the first row
 
 
+def test_row_of_other_channel_count_rejected():
+    """The first row fixes C; a later row of fewer channels is not broadcast."""
+    lb = LineBuffer(3, 3, PaddingMode.none(), window=3)
+    lb.push(np.zeros((3, 4), np.int8))
+    with pytest.raises(ValueError, match=r"a row is \(3, 4\), got \(3, 1\)"):
+        lb.push(np.full((3, 1), 7, np.int8))
+    lb.push(np.ones((3, 4), np.int8))
+    (win,) = lb.push(np.ones((3, 4), np.int8))
+    assert win[:, 0].tolist() == [[0] * 4, [1] * 4, [1] * 4]
+
+
 @pytest.mark.parametrize("mode", all_padding_modes(),
                          ids=lambda m: m.short_name() or "none")
 @pytest.mark.parametrize("window", [2, 3])
