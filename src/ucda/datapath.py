@@ -23,10 +23,11 @@ linebuffer.window_stream, the one frame loop, one row per step, and runs
 per row of windows and Tm output tile one PeArray.array_cycle (all Tn x Tm
 elements of one array step at every position of the row, exact int64
 arithmetic, no GEMM); it is the cycle-faithful route and validates the
-fast one. It uses no proof: it range-checks every depth pass
-and then its whole map's acc + bias, and runs that map through the same
-tail as one band, in the literal order requantize -> activation -> pool on
-the int8 pre-pool map.
+fast one. Output-stationary, it adds each step's slot sums in place into
+their patch rows of one placed int64 map. It uses no proof: it range-checks
+that map after every depth pass, and its acc + bias from each channel's min
+and max, and runs the map through the same tail as one band, in the literal
+order requantize -> activation -> pool on the int8 pre-pool map.
 
 The fast engine keeps that order except on max-pooled layers, where it
 pools first: each band (an even number of rows, so no 2x2 block straddles
@@ -164,12 +165,13 @@ def compute_out_shape(op: str, in_shape, mode: PaddingMode, out_channels: int,
         raise ShapeMismatch(f"input dimensions must be at least 1, got {h}x{w}x{c}")
     if op in PE_MODES:
         k, side = PE_MODES[op].window, PE_MODES[op].patch
-        ph, pw = mode.padded(h, w)
-        if ph < k or pw < k:
-            raise ShapeMismatch(f"padded {ph}x{pw} too small for a {k}x{k} window")
+        try:
+            grid = window_grid(*mode.padded(h, w), k)
+        except ValueError as e:
+            raise ShapeMismatch(str(e)) from e
         if out_channels < 1:
             raise ShapeMismatch(f"out_channels must be at least 1, got {out_channels}")
-        oh, ow = (side * n for n in window_grid(ph, pw, k))
+        oh, ow = (side * n for n in grid)
     elif op in POOL_OPS:
         if out_channels != c:
             raise ShapeMismatch("pooling keeps the channel count")
@@ -261,26 +263,28 @@ def _compute_fast(cmd: LayerCommand, bands, ks: KernelSet) -> np.ndarray:
 def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
                    cfg: HwConfig) -> np.ndarray:
     """Cycle-faithful route: per depth pass, each row of the line buffer's
-    windows feeds the PE array, one array step per Tm tile. Returns the
-    placed accumulator map, every depth pass and acc + bias range-checked."""
+    windows feeds the PE array, one array step per Tm tile, and each step's
+    slot sums are added in place into their patch rows of one placed int64
+    accumulator map, which is returned. Every depth pass and the map's
+    acc + bias (from each channel's extremes) are range-checked."""
     h, w, cin = input.shape
     cout = ks.out_channels
     mode = cmd.pe_mode
-    k, beats = mode.window, mode.beats
-    grid = window_grid(*cmd.padding.padded(h, w), k)
+    k, s = mode.window, mode.patch
+    rows, cols = window_grid(*cmd.padding.padded(h, w), k)
     pe = PeArray(cfg)
-    psum = None
+    acc = np.zeros((s * rows, s * cols, cout), dtype=np.int64)
     for ci0 in range(0, cin, cmd.tile_depth):
         ci = slice(ci0, ci0 + cmd.tile_depth)
         wins = window_stream(input.data[:, :, ci], cmd.padding, k)
         # per window row, (positions, channels, K, K)
-        rows = wins.reshape(*grid, k, k, -1).transpose(0, 1, 4, 2, 3)
-        tile = np.stack([np.concatenate([
-            pe.array_cycle(mode, row, ks.weights[co0:co0 + cfg.tm, ci]).reshape(len(row), -1, beats)
-            for co0 in range(0, cout, cfg.tm)], axis=1) for row in rows])
-        psum = tile if psum is None else check_accum(psum + tile)
-    acc = place_slots(np.moveaxis(psum, 3, 0))    # (rows, positions, cout, beats)
-    check_accum(acc + ks.bias)
+        for y, row in enumerate(wins.reshape(rows, cols, k, k, -1).transpose(0, 1, 4, 2, 3)):
+            for co0 in range(0, cout, cfg.tm):
+                step = pe.array_cycle(mode, row, ks.weights[co0:co0 + cfg.tm, ci])
+                acc[s * y:s * y + s, :, co0:co0 + cfg.tm] += place_slots(
+                    np.moveaxis(step.reshape(1, cols, -1, mode.beats), 3, 0))
+        check_accum(acc)
+    check_accum(np.stack([acc.min((0, 1)), acc.max((0, 1))]) + ks.bias)
     return acc
 
 
@@ -382,13 +386,10 @@ def run_layer(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,
     """Execute one command; returns (QTensor, CycleReport)."""
     if engine not in ("fast", "cells"):
         raise ValueError(f"unknown engine {engine!r}")
-    fast = engine == "fast" and cmd.op in COMPUTE_OPS
-    if fast:    # accumulator_bands validates the command
-        bands = accumulator_bands(cmd, input, weights, cfg)
-    else:
-        _validate(cmd, input, weights, cfg)
+    _validate(cmd, input, weights, cfg)
     report = layer_report(cmd, cfg)
-    if fast:
+    if cmd.op in COMPUTE_OPS and engine == "fast":
+        bands = accumulator_bands(cmd, input, weights, cfg)
         out = QTensor(_compute_fast(cmd, bands, weights), cmd.out_scale_exp)
     elif cmd.op in COMPUTE_OPS:
         q = _narrow(_compute_cells(cmd, input, weights, cfg), weights)

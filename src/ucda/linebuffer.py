@@ -103,7 +103,10 @@ class PaddingMode:
 
 
 def window_grid(height: int, width: int, window: int):
-    """(rows, columns) of KxK windows over a height x width padded frame."""
+    """(rows, columns) of KxK windows over a height x width padded frame;
+    ValueError if the frame holds none."""
+    if height < window or width < window:
+        raise ValueError(f"padded {height}x{width} too small for a {window}x{window} window")
     return height - window + 1, width - window + 1
 
 
@@ -123,9 +126,10 @@ class LineBuffer:
     """Stateful window generator for one frame.
 
     Construct with the unpadded frame geometry, a padding mode and the
-    window size, then push real rows in raster order. Each push returns the
-    windows that became complete: past priming, one row of windows per
-    padded row, and the final push adds the bottom padding row's.
+    window size (grid is the frame's window_grid, which rejects a frame
+    that holds no window), then push real rows in raster order. Each push
+    returns the windows that became complete: past priming, one row of
+    windows per padded row, and the final push adds the bottom padding row's.
 
     Storage is one zeroed (K, padded_width, C) ring: padded row y is written
     to ring row y % K, real columns only, so pad columns stay zero and the
@@ -145,23 +149,11 @@ class LineBuffer:
         self.mode = mode
         self.window = window
         self.padded_height, self.padded_width = mode.padded(height, width)
-        if self.padded_width < window or self.padded_height < window:
-            raise ValueError(
-                f"padded frame {self.padded_height}x{self.padded_width} "
-                f"smaller than window {window}"
-            )
+        self.grid = window_grid(self.padded_height, self.padded_width, window)
         self._ring = None        # allocated by the first push, which fixes C
         self._row = mode.pad_top  # padded row the next push writes
         self.first_window_slot = None
         self.frame_complete = False
-
-    @property
-    def priming_slots(self) -> int:
-        """Slots before the first window: (K-1) rows plus K elements."""
-        return priming_slots(self.padded_width, self.window)
-
-    def expected_windows(self) -> int:
-        return math.prod(window_grid(self.padded_height, self.padded_width, self.window))
 
     def _windows(self, y: int) -> np.ndarray:
         """The (n, K, K, C) windows ending on padded row y; none before K-1."""
@@ -202,8 +194,8 @@ def window_stream(input: QTensor, mode: PaddingMode, window: int) -> np.ndarray:
     its windows in raster order, (n, K, K, C).
 
     The one loop that streams a frame through a LineBuffer. It asserts the
-    frame's invariants: the frame completes, yields expected_windows()
-    windows, and yields the first of them after priming_slots slots.
+    frame's invariants: the frame completes, yields one window per cell of
+    its window_grid, and yields the first of them after priming_slots slots.
     """
     data = input.data if isinstance(input, QTensor) else np.asarray(input)
     if data.ndim != 3:
@@ -212,6 +204,6 @@ def window_stream(input: QTensor, mode: PaddingMode, window: int) -> np.ndarray:
     lb = LineBuffer(w, h, mode, window)
     out = np.concatenate([lb.push(row) for row in data])
     assert lb.frame_complete
-    assert len(out) == lb.expected_windows()
-    assert lb.first_window_slot == lb.priming_slots
+    assert len(out) == math.prod(lb.grid)
+    assert lb.first_window_slot == priming_slots(lb.padded_width, window)
     return out

@@ -149,6 +149,13 @@ class TestBench:
         assert (capsys.readouterr().err
                 == "error: --layer out needs an integer, got 'x'\n")
 
+    @pytest.mark.parametrize("op, k", [("conv3x3", 3), ("deconv2x", 2)])
+    def test_layer_without_a_window_is_a_parse_error(self, capsys, op, k):
+        assert _run(["bench", "--layer", f"op={op},in=1x1x1,pad=-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: padded 1x1 too small for a {k}x{k} window\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("out", ["0", "-3"])
     def test_layer_needs_an_output_channel(self, capsys, out):
         assert _run(["bench", "--layer",

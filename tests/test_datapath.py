@@ -1,5 +1,6 @@
 """Layer pipeline: bit-exactness against oracles and the cycle model."""
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from ucda import pearray, qtensor
 from ucda.datapath import (
     ACTIVATIONS,
+    PE_MODES,
     POOLS,
     CapacityError,
     CycleReport,
@@ -25,7 +27,7 @@ from ucda.datapath import (
     pool_act,
     run_layer,
 )
-from ucda.linebuffer import PaddingMode, all_padding_modes
+from ucda.linebuffer import LineBuffer, PaddingMode, all_padding_modes, window_grid
 from ucda.oracle import (
     avgpool_ref,
     bn_act_ref,
@@ -102,6 +104,28 @@ class TestShapes:
     def test_unknown_op_is_named(self):
         with pytest.raises(UnsupportedOp, match="^unknown op 'foo'$"):
             compute_out_shape("foo", (4, 4, 1), PaddingMode.none(), 1)
+
+    @pytest.mark.parametrize("mode", all_padding_modes(),
+                             ids=lambda m: m.short_name() or "none")
+    @pytest.mark.parametrize("op", ["conv3x3", "deconv2x"])
+    def test_frame_without_a_window_has_one_message(self, mode, op):
+        """The window grid, the line buffer and the command's shape reject a
+        padded frame that holds no KxK window with one text."""
+        k = PE_MODES[op].window
+        for h in range(1, 4):
+            for w in range(1, 4):
+                ph, pw = mode.padded(h, w)
+                if ph >= k and pw >= k:
+                    assert LineBuffer(w, h, mode, k).grid == window_grid(ph, pw, k)
+                    continue
+                text = f"padded {ph}x{pw} too small for a {k}x{k} window"
+                for error, build in (
+                        (ValueError, lambda: window_grid(ph, pw, k)),
+                        (ValueError, lambda: LineBuffer(w, h, mode, k)),
+                        (ShapeMismatch, lambda: compute_out_shape(op, (h, w, 1), mode, 1))):
+                    with pytest.raises(error) as e:
+                        build()
+                    assert str(e.value) == text
 
 
 class TestLayerCommand:
@@ -311,6 +335,23 @@ class TestBitExactness:
         cells = _compute_cells(cmd, x, ks, cfg)
         assert cells.dtype == np.int64
         assert np.array_equal(cells, fast)
+
+    @pytest.mark.parametrize("op, shape, cout, mode", [
+        ("deconv2x", (24, 32, 16), 32, "TL"), ("conv3x3", (48, 64, 3), 64, "TBLR")])
+    def test_cells_holds_one_placed_map(self, op, shape, cout, mode):
+        """The cells engine adds every array step into the map it returns:
+        its peak allocation stays within 1.5x that map's bytes."""
+        rng = np.random.default_rng(12)
+        x = QTensorInt8(rng, *shape)
+        ks = _rand_ks(rng, shape[2], cout, rotated=op == "deconv2x")
+        cmd = layer_command(op, shape, cout, PaddingMode.of(mode), CFG)
+        tracemalloc.start()
+        try:
+            acc = _compute_cells(cmd, x, ks, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * acc.nbytes
 
     @given(st.integers(3, 10), st.integers(3, 10), st.integers(1, 12),
            st.integers(1, 12), st.sampled_from(all_padding_modes()),
@@ -681,6 +722,25 @@ class TestAccumulatorProof:
         assert int(conv2d_ref(x, ks, self.OPS["conv3x3"]).max()) <= ACC_MAX
         with pytest.raises(AccumulatorOverflow):
             run_layer(cmd, x, ks, CFG)
+
+    @pytest.mark.parametrize("engine", ["fast", "cells"])
+    def test_depth_pass_overflow_is_caught(self, engine):
+        """Tn = 8192 on 24576 channels of -128: weights 127 on the first two
+        depth passes reach -2,397,044,736 after pass 2, and -128 on the third
+        brings the final sum back to -1,189,085,184, inside int32. Both
+        engines raise on pass 2."""
+        cfg = HwConfig(tn=8192, tm=1)
+        w = np.full((1, 24576, 3, 3), 127, np.int8)
+        w[:, 16384:] = -128
+        x = QTensor(np.full((3, 3, 24576), -128, np.int8), -7)
+        ks = KernelSet(weights=w, bias=np.zeros(1, np.int32),
+                       bn_multiplier=np.ones(1, np.int16),
+                       bn_shift=np.zeros(1, np.uint8), scale_exp=-7)
+        cmd = layer_command("conv3x3", x.shape, 1, PaddingMode.none(), cfg)
+        assert conv2d_ref(x, ks, PaddingMode.none()).tolist() == [[[-1189085184]]]
+        with pytest.raises(AccumulatorOverflow,
+                           match=r"min=-2397044736 max=-2397044736$"):
+            run_layer(cmd, x, ks, cfg, engine=engine)
 
     @pytest.mark.parametrize("op", list(OPS))
     def test_bias_overflow_is_caught(self, op):

@@ -1,4 +1,6 @@
 """Row-stepped K-row line buffer vs the pad-then-slice window oracle."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from ucda.linebuffer import (
     LineBuffer,
     PaddingMode,
     all_padding_modes,
+    priming_slots,
+    window_grid,
     window_stream,
 )
 from ucda.qtensor import QTensor
@@ -39,7 +43,7 @@ def test_configure_geometry_examples():
     assert (lb.padded_height, lb.padded_width) == (6, 6)
     lb = LineBuffer(4, 4, PaddingMode.none(), window=3)
     assert (lb.padded_height, lb.padded_width) == (4, 4)
-    assert lb.expected_windows() == 4  # 2x2 valid positions
+    assert math.prod(window_grid(lb.padded_height, lb.padded_width, 3)) == 4  # 2x2 valid positions
     lb = LineBuffer(60, 45, PaddingMode.of("TL"), window=2)  # width, height
     assert (lb.padded_height, lb.padded_width) == (46, 61)
 
@@ -60,12 +64,12 @@ def test_priming_slot_count():
     # first window appears after (K-1) * paddedWidth + K padded-raster slots
     data = np.arange(1, 17, dtype=np.int8).reshape(4, 4, 1)
     lb = LineBuffer(4, 4, PaddingMode.all_edges(), window=3)
-    assert lb.priming_slots == 2 * 6 + 3
+    assert priming_slots(lb.padded_width, 3) == 2 * 6 + 3
     emitted_at = None
     for row in data:
         if len(lb.push(row)) and emitted_at is None:
             emitted_at = lb.first_window_slot
-    assert emitted_at == lb.priming_slots == 15
+    assert emitted_at == priming_slots(lb.padded_width, 3) == 15
 
 
 def test_tiny_deconv_prepad_window():
@@ -150,7 +154,7 @@ def test_first_window_slot_is_priming(mode, window):
         for row in np.ones((h, w, 1), np.int8):
             lb.push(row)
         assert lb.frame_complete
-        assert lb.first_window_slot == lb.priming_slots
+        assert lb.first_window_slot == priming_slots(lb.padded_width, window)
 
 
 @pytest.mark.parametrize("mode", all_padding_modes(),
