@@ -67,6 +67,8 @@ def _hw_config(pairs) -> HwConfig:
         key = _HW_ALIASES.get(key, key)
         if not sep or key not in names:
             raise NetParseError(f"bad --hw override {pair!r}")
+        if key in kwargs:
+            raise NetParseError(f"--hw field {key!r} given twice")
         kwargs[key] = _int_field("--hw", key, val)
     return HwConfig(**kwargs)
 

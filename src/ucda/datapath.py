@@ -22,12 +22,13 @@ weights and the bias, and range-checks only what the proof does not cover.
 linebuffer.window_stream, the one frame loop, one row per step, and runs
 per row of windows and Tm output tile one PeArray.array_cycle (all Tn x Tm
 elements of one array step at every position of the row, exact int64
-arithmetic, no GEMM); it is the cycle-faithful route and validates the
-fast one. Output-stationary, it adds each step's slot sums in place into
-their patch rows of one placed int64 map. It uses no proof: it range-checks
-that map after every depth pass, and its acc + bias from each channel's min
-and max, and runs the map through the same tail as one band, in the literal
-order requantize -> activation -> pool on the int8 pre-pool map.
+arithmetic, no GEMM); it is the cycle-faithful route, validates the fast
+one and asserts its counted compute and products against layer_report.
+Output-stationary, it adds each step's slot sums in place into their patch
+rows of one placed int64 map. It uses no proof: it range-checks that map
+after every depth pass, and its acc + bias from each channel's min and max,
+and runs the map through the same tail as one band, in the literal order
+requantize -> activation -> pool on the int8 pre-pool map.
 
 The fast engine keeps that order except on max-pooled layers, where it
 pools first: each band (an even number of rows, so no 2x2 block straddles
@@ -263,28 +264,35 @@ def _compute_fast(cmd: LayerCommand, bands, ks: KernelSet) -> np.ndarray:
 def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
                    cfg: HwConfig) -> np.ndarray:
     """Cycle-faithful route: per depth pass, each row of the line buffer's
-    windows feeds the PE array, one array step per Tm tile, and each step's
-    slot sums are added in place into their patch rows of one placed int64
-    accumulator map, which is returned. Every depth pass and the map's
-    acc + bias (from each channel's extremes) are range-checked."""
+    windows feeds the PE array, one array step per Tm tile (tile t on array
+    t % arrays), and each step's slot sums are added in place into their patch
+    rows of one placed int64 map, which is returned. Every depth pass and the
+    map's acc + bias are range-checked, and the busiest array's beats and the
+    products are asserted equal to layer_report's compute and multiplications."""
     h, w, cin = input.shape
     cout = ks.out_channels
     mode = cmd.pe_mode
     k, s = mode.window, mode.patch
     rows, cols = window_grid(*cmd.padding.padded(h, w), k)
     pe = PeArray(cfg)
+    busy = [0] * min(cfg.arrays, _ceil_div(cout, cfg.tm))   # beats per array
     acc = np.zeros((s * rows, s * cols, cout), dtype=np.int64)
     for ci0 in range(0, cin, cmd.tile_depth):
         ci = slice(ci0, ci0 + cmd.tile_depth)
         wins = window_stream(input.data[:, :, ci], cmd.padding, k)
         # per window row, (positions, channels, K, K)
         for y, row in enumerate(wins.reshape(rows, cols, k, k, -1).transpose(0, 1, 4, 2, 3)):
-            for co0 in range(0, cout, cfg.tm):
+            for t, co0 in enumerate(range(0, cout, cfg.tm)):
                 step = pe.array_cycle(mode, row, ks.weights[co0:co0 + cfg.tm, ci])
+                busy[t % len(busy)] += len(row) * mode.beats
                 acc[s * y:s * y + s, :, co0:co0 + cfg.tm] += place_slots(
                     np.moveaxis(step.reshape(1, cols, -1, mode.beats), 3, 0))
         check_accum(acc)
     check_accum(np.stack([acc.min((0, 1)), acc.max((0, 1))]) + ks.bias)
+    rep = layer_report(cmd, cfg)
+    assert (max(busy), pe.multiplications) == (rep.compute_cycles, rep.multiplications), (
+        f"counted {max(busy)} compute cycles and {pe.multiplications} products,"
+        f" layer_report says {rep.compute_cycles} and {rep.multiplications}")
     return acc
 
 

@@ -8,7 +8,6 @@ borders.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, List
 
@@ -62,9 +61,12 @@ class PaddingMode:
         if spec in ("", "-"):
             return cls(frozenset())
         try:
-            return cls(frozenset(_EDGE_CHARS[c] for c in spec))
+            edges = frozenset(_EDGE_CHARS[c] for c in spec)
         except KeyError as e:
             raise ValueError(f"unknown edge letter in {spec!r}") from e
+        if len(edges) < len(spec):
+            raise ValueError(f"repeated edge letter in {spec!r}")
+        return cls(edges)
 
     @classmethod
     def none(cls) -> "PaddingMode":
@@ -152,7 +154,6 @@ class LineBuffer:
         self.grid = window_grid(self.padded_height, self.padded_width, window)
         self._ring = None        # allocated by the first push, which fixes C
         self._row = mode.pad_top  # padded row the next push writes
-        self.first_window_slot = None
         self.frame_complete = False
 
     def _windows(self, y: int) -> np.ndarray:
@@ -160,11 +161,7 @@ class LineBuffer:
         k = self.window
         rows = self._ring[[(y + 1 + i) % k for i in range(k)]]
         win = sliding_window_view(rows, k, axis=1).transpose(1, 0, 3, 2)
-        if y < k - 1:
-            return win[:0]
-        if self.first_window_slot is None:
-            self.first_window_slot = y * self.padded_width + k
-        return win
+        return win[:0] if y < k - 1 else win
 
     def push(self, row) -> np.ndarray:
         """Feed the next real row, (width, C); returns its windows, (n, K, K, C)."""
@@ -190,20 +187,11 @@ class LineBuffer:
 
 
 def window_stream(input: QTensor, mode: PaddingMode, window: int) -> np.ndarray:
-    """Run a whole frame through the line buffer, one row per push; returns
-    its windows in raster order, (n, K, K, C).
-
-    The one loop that streams a frame through a LineBuffer. It asserts the
-    frame's invariants: the frame completes, yields one window per cell of
-    its window_grid, and yields the first of them after priming_slots slots.
-    """
+    """The one loop that streams a frame through a LineBuffer, one row per
+    push; returns the frame's windows in raster order, (n, K, K, C)."""
     data = input.data if isinstance(input, QTensor) else np.asarray(input)
     if data.ndim != 3:
         raise ValueError("expected (h, w, c) input")
     h, w, _ = data.shape
     lb = LineBuffer(w, h, mode, window)
-    out = np.concatenate([lb.push(row) for row in data])
-    assert lb.frame_complete
-    assert len(out) == math.prod(lb.grid)
-    assert lb.first_window_slot == priming_slots(lb.padded_width, window)
-    return out
+    return np.concatenate([lb.push(row) for row in data])

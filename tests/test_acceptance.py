@@ -179,7 +179,7 @@ def test_criterion_08_model_simulator_cross_validation():
         cmd = layer_command("conv3x3", (h, w, cin), cout, mode, CFG,
                             activation=act, out_scale_exp=-6)
         _, rep = run_layer(cmd, _rand_qt(rng, h, w, cin),
-                           _rand_ks(rng, cin, cout), CFG)
+                           _rand_ks(rng, cin, cout), CFG, engine="cells")
         want = conv_cycles_analytic(h, w, cin, cout, mode, CFG)
         assert rep.priming_cycles == want["priming"]
         assert rep.compute_cycles == want["compute"]

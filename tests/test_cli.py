@@ -10,11 +10,14 @@ from ucda import cli, oracle, patchdeconv
 from ucda.controller import (
     LayerSpec,
     NetDescription,
+    default_padding,
     net_to_json,
     weight_image,
 )
+from ucda.datapath import layer_command, run_layer
 from ucda.fileio import read_tensor, tensor_bytes, write_tensor
-from ucda.qtensor import KernelSet, QTensor
+from ucda.pearray import HwConfig
+from ucda.qtensor import KernelSet, QTensor, identity_kernel_set
 
 
 @pytest.fixture(autouse=True)
@@ -90,6 +93,14 @@ class TestBench:
         assert "compute 691200 " in capsys.readouterr().out
         assert _run(["bench", "--layer", layer, "--hw", "arrays=2"]) == 0
         assert "compute 345600 " in capsys.readouterr().out
+        # the cells engine counts the same compute from the array steps it runs
+        for arrays, compute in ((1, 691200), (2, 345600)):
+            cfg = HwConfig(arrays=arrays)
+            cmd = layer_command("conv3x3", (90, 120, 64), 64,
+                                default_padding("conv3x3"), cfg)
+            _, rep = run_layer(cmd, QTensor(np.zeros((90, 120, 64), np.int8), -7),
+                               identity_kernel_set(64, 64), cfg, engine="cells")
+            assert rep.compute_cycles == compute
 
     def test_layer_over_capacity_is_infeasible(self, capsys):
         assert _run(["bench", "--layer", "op=conv3x3,in=8x8x4",
@@ -135,6 +146,23 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.err == "error: activations only follow compute ops\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("pairs, key", [(["tn=4", "tn=8"], "tn"),
+                                            (["clock=100", "clock_hz=200"], "clock_hz")],
+                             ids=["tn", "clock-alias"])
+    def test_repeated_hw_key_is_a_parse_error(self, capsys, pairs, key):
+        args = ["bench"]
+        for pair in pairs:
+            args += ["--hw", pair]
+        assert _run(args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --hw field {key!r} given twice\n"
+
+    def test_repeated_pad_letter_is_a_parse_error(self, capsys):
+        assert _run(["bench", "--layer", "op=conv3x3,in=4x4x4,pad=TT"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "repeated edge letter in 'TT'" in err
+        assert "Traceback" not in err
 
     def test_bad_hw_key(self, capsys):
         assert _run(["bench", "--hw", "lanes=4"]) == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from ucda import pearray, qtensor
+from ucda import datapath, pearray, qtensor
 from ucda.datapath import (
     ACTIVATIONS,
     PE_MODES,
@@ -295,20 +295,23 @@ class TestBitExactness:
     @given(st.sampled_from(["conv3x3", "deconv2x"]), st.integers(1, 7),
            st.integers(1, 7), st.integers(1, 12), st.integers(1, 12),
            st.sampled_from(all_padding_modes()), st.sampled_from([1, 2, 4, 8]),
-           st.sampled_from([1, 2, 4, 8]), st.sampled_from(["none", "relu", "leaky"]),
+           st.sampled_from([1, 2, 4, 8]), st.sampled_from([1, 2, 3, 4]),
+           st.sampled_from(["none", "relu", "leaky"]), st.sampled_from(POOLS),
            st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=100, deadline=None)
     def test_engines_agree_property(self, op, h, w, cin, cout, mode, tn, tm,
-                                    act, seed):
+                                    arrays, act, pool, seed):
         k = 3 if op == "conv3x3" else 2
         assume(h + mode.pad_top + mode.pad_bottom >= k
                and w + mode.pad_left + mode.pad_right >= k)
-        cfg = HwConfig(tn=tn, tm=tm)
+        oh, ow, _ = compute_out_shape(op, (h, w, cin), mode, cout)
+        assume(pool == "none" or (oh % 2 == 0 and ow % 2 == 0))
+        cfg = HwConfig(tn=tn, tm=tm, arrays=arrays)
         rng = np.random.default_rng(seed)
         x = QTensorInt8(rng, h, w, cin)
         ks = _rand_ks(rng, cin, cout, rotated=op == "deconv2x")
         cmd = layer_command(op, (h, w, cin), cout, mode, cfg, activation=act,
-                            out_scale_exp=-6)
+                            pool=pool, out_scale_exp=-6)
         fast, rep_f = run_layer(cmd, x, ks, cfg, engine="fast")
         cells, rep_c = run_layer(cmd, x, ks, cfg, engine="cells")
         assert np.array_equal(fast.data, cells.data)
@@ -335,6 +338,29 @@ class TestBitExactness:
         cells = _compute_cells(cmd, x, ks, cfg)
         assert cells.dtype == np.int64
         assert np.array_equal(cells, fast)
+
+    @pytest.mark.parametrize("field", ["compute_cycles", "multiplications"])
+    @pytest.mark.parametrize("op, mode", [("conv3x3", "TBLR"), ("deconv2x", "TL")])
+    def test_cells_checks_the_closed_form(self, op, mode, field, monkeypatch):
+        """A layer_report that charges one compute cycle or product more than
+        the cells engine runs fails there, naming both counts; the fast
+        engine counts nothing. Four Tm tiles on three arrays: the busiest
+        array runs two."""
+        cfg = HwConfig(tn=4, tm=2, arrays=3)
+        rng = np.random.default_rng(13)
+        x = QTensorInt8(rng, 5, 6, 7)
+        ks = _rand_ks(rng, 7, 7, rotated=op == "deconv2x")
+        cmd = layer_command(op, (5, 6, 7), 7, PaddingMode.of(mode), cfg)
+        rep = layer_report(cmd, cfg)
+        compute, products = rep.compute_cycles, rep.multiplications
+        setattr(rep, field, getattr(rep, field) + 1)
+        monkeypatch.setattr(datapath, "layer_report", lambda cmd, cfg: rep)
+        run_layer(cmd, x, ks, cfg, engine="fast")
+        with pytest.raises(AssertionError) as err:
+            run_layer(cmd, x, ks, cfg, engine="cells")
+        assert str(err.value) == (
+            f"counted {compute} compute cycles and {products} products, layer_report"
+            f" says {rep.compute_cycles} and {rep.multiplications}")
 
     @pytest.mark.parametrize("op, shape, cout, mode", [
         ("deconv2x", (24, 32, 16), 32, "TL"), ("conv3x3", (48, 64, 3), 64, "TBLR")])

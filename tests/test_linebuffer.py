@@ -34,6 +34,9 @@ def test_exactly_13_modes():
 def test_mode_of_rejects_unsupported():
     with pytest.raises(ValueError):
         PaddingMode.of("TB")
+    for spec in ("TT", "TLT", "LRR"):
+        with pytest.raises(ValueError, match=f"repeated edge letter in '{spec}'"):
+            PaddingMode.of(spec)
     assert PaddingMode.of("-") == PaddingMode.none()
     assert PaddingMode.of("TBLR") == PaddingMode.all_edges()
 
@@ -61,15 +64,12 @@ def test_first_window_and_count_full_padding():
 
 
 def test_priming_slot_count():
-    # first window appears after (K-1) * paddedWidth + K padded-raster slots
+    # first window appears after (K-1) * paddedWidth + K padded-raster slots:
+    # the push of padded row K-1, the second real row under a top padding row
     data = np.arange(1, 17, dtype=np.int8).reshape(4, 4, 1)
     lb = LineBuffer(4, 4, PaddingMode.all_edges(), window=3)
-    assert priming_slots(lb.padded_width, 3) == 2 * 6 + 3
-    emitted_at = None
-    for row in data:
-        if len(lb.push(row)) and emitted_at is None:
-            emitted_at = lb.first_window_slot
-    assert emitted_at == priming_slots(lb.padded_width, 3) == 15
+    assert priming_slots(lb.padded_width, 3) == 2 * 6 + 3 == 15
+    assert [len(lb.push(row)) > 0 for row in data] == [False, True, True, True]
 
 
 def test_tiny_deconv_prepad_window():
@@ -109,14 +109,19 @@ def test_emission_cadence_steady_state():
 @pytest.mark.parametrize("window", [2, 3])
 def test_emission_cadence_every_mode(mode, window):
     """Real row y (padded) yields padded_width - K + 1 windows once y >= K-1,
-    and the last push also yields the bottom padding row's."""
-    lb = LineBuffer(5, 4, mode, window)
-    n = lb.padded_width - window + 1
-    want = [n * (mode.pad_top + i >= window - 1) for i in range(4)]
-    want[-1] += n * mode.pad_bottom
-    rows = np.zeros((4, 5, 2), np.int8)
-    assert [lb.push(row).shape for row in rows] == [(c, window, window, 2) for c in want]
-    assert lb.frame_complete
+    and the last push also yields the bottom padding row's; on every frame
+    that holds a window, one-row frames included."""
+    for h, w in ((4, 5), (1, 1), (1, 4), (2, 3), (3, 3), (4, 6)):
+        ph, pw = mode.padded(h, w)
+        if ph < window or pw < window:
+            continue
+        lb = LineBuffer(w, h, mode, window)
+        n = pw - window + 1
+        want = [n * (mode.pad_top + i >= window - 1) for i in range(h)]
+        want[-1] += n * mode.pad_bottom
+        rows = np.zeros((h, w, 2), np.int8)
+        assert [lb.push(row).shape for row in rows] == [(c, window, window, 2) for c in want]
+        assert lb.frame_complete
 
 
 def test_row_of_wrong_width_rejected():
@@ -144,17 +149,21 @@ def test_row_of_other_channel_count_rejected():
 @pytest.mark.parametrize("window", [2, 3])
 def test_first_window_slot_is_priming(mode, window):
     """Counted in padded slots, the first window comes after priming_slots,
-    on every mode, one-row frames included."""
+    on every mode, one-row frames included: it ends K slots into the padded
+    row read off the push that returns it."""
     for h, w in ((1, 1), (1, 4), (2, 3), (3, 3), (4, 6)):
-        ph = h + mode.pad_top + mode.pad_bottom
-        pw = w + mode.pad_left + mode.pad_right
+        ph, pw = mode.padded(h, w)
         if ph < window or pw < window:
             continue
         lb = LineBuffer(w, h, mode, window)
-        for row in np.ones((h, w, 1), np.int8):
-            lb.push(row)
-        assert lb.frame_complete
-        assert lb.first_window_slot == priming_slots(lb.padded_width, window)
+        for i, row in enumerate(np.ones((h, w, 1), np.int8)):
+            win = lb.push(row)
+            if len(win):
+                break
+        # every window ending on a real row holds a real (nonzero) slot in its
+        # last row; one ending on the bottom padding row does not
+        y = mode.pad_top + i + (not win[0, -1].any())
+        assert y * pw + window == priming_slots(pw, window)
 
 
 @pytest.mark.parametrize("mode", all_padding_modes(),

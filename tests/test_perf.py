@@ -73,7 +73,7 @@ class TestAnalyticMirrors:
         rotated = op == "deconv2x"
         _, rep = run_layer(
             cmd, QTensor(np.zeros(shape, np.int8), -7),
-            identity_kernel_set(shape[2], cout, rotated=rotated), CFG)
+            identity_kernel_set(shape[2], cout, rotated=rotated), CFG, engine="cells")
         return rep
 
     @pytest.mark.parametrize("h, w, cin, cout, mode_name, pool", [
