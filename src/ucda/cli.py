@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract: 0 ok, 1 parse error (bad files or
 flags), 2 infeasible (a buffer capacity is exceeded), 3 runtime failure,
-4 comparison mismatch.
+4 comparison mismatch. A file's code follows its role: an input that
+cannot be read exits 1, like a malformed one, and an output that cannot be
+written exits 3.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import dataclasses
 import functools
 import hashlib
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -73,6 +76,14 @@ def _hw_config(pairs) -> HwConfig:
     return HwConfig(**kwargs)
 
 
+def _read(load, *args):
+    """load(*args), which reads an input file; one that cannot be read is a parse error."""
+    try:
+        return load(*args)
+    except OSError as e:
+        raise NetParseError(str(e)) from None
+
+
 def _seed() -> int:
     seed = _int_field("environment variable", "UCDA_SEED",
                       os.environ.get("UCDA_SEED", "0"))
@@ -88,7 +99,7 @@ def _net_for(args):
             raise NetParseError(f"unknown preset {args.preset!r}")
         return segnet_basic_preset()
     if getattr(args, "net", None):
-        return load_net(args.net)
+        return _read(load_net, args.net)
     raise NetParseError("need --net FILE or --preset NAME")
 
 
@@ -123,8 +134,7 @@ def _load_params(net, args):
         return sets
     if not getattr(args, "weights", None):
         raise NetParseError("need --weights FILE or --random-weights")
-    with open(args.weights, "rb") as f:
-        kinds, sets = parse_weight_image(f.read())
+    kinds, sets = parse_weight_image(_read(pathlib.Path(args.weights).read_bytes))
     want = [(s.kind, l[0][2], l[1][2])
             for s, l in zip(net.layers, net.chain()) if s.kind in COMPUTE_OPS]
     got = [(k, ks.in_channels, ks.out_channels) for k, ks in zip(kinds, sets)]
@@ -139,7 +149,7 @@ def _load_input(net, args) -> QTensor:
         return _random_input(net, _seed())
     if not getattr(args, "input", None):
         raise NetParseError("need --input FILE or --random-input")
-    t = fileio.read_tensor(args.input)
+    t = _read(fileio.read_tensor, args.input)
     if t.shape != net.input_shape:
         raise NetParseError(
             f"input tensor is {t.shape}, net wants {net.input_shape}")
@@ -320,13 +330,13 @@ def cmd_convert(args) -> int:
     if src_image == dst_image:
         raise NetParseError("exactly one side of the conversion must be .ppm/.pgm")
     if src_image:
-        t = (fileio.ppm_to_tensor(src) if args.scale_exp is None
-             else fileio.ppm_to_tensor(src, args.scale_exp))
+        scale = () if args.scale_exp is None else (args.scale_exp,)
+        t = _read(fileio.ppm_to_tensor, src, *scale)
         fileio.write_tensor(dst, t)
     else:
         if args.scale_exp is not None:
             raise NetParseError("--scale-exp applies only to PPM/PGM input")
-        fileio.tensor_to_ppm(dst, fileio.read_tensor(src))
+        fileio.tensor_to_ppm(dst, _read(fileio.read_tensor, src))
     print(f"wrote {dst}")
     return EXIT_OK
 
@@ -407,7 +417,7 @@ def main(argv=None) -> int:
     except MemoryError as e:
         print("error:", str(e) or "out of memory", file=sys.stderr)
         return EXIT_RUNTIME
-    except (ValueError, FileNotFoundError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as e:

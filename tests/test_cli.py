@@ -1,6 +1,7 @@
 """Front-end behavior: exit codes, output contracts, artifact files."""
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -381,6 +382,52 @@ class TestExitCodes:
                      "--random-input", "--out-tensor", tmp_path,
                      "--out-perf", tmp_path / "p.json"]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    @staticmethod
+    def _argv(tmp_path, argv):
+        """argv with {t} made tmp_path, which holds the small net's net.json,
+        in.pgm, in.tensor and a directory for each DIR argument."""
+        (tmp_path / "in.pgm").write_bytes(b"P5\n1 1\n255\n\x90")
+        write_tensor(tmp_path / "in.tensor", QTensor(np.zeros((2, 2, 1), np.int8), -7))
+        argv = [a.format(t=tmp_path) for a in argv]
+        for a in argv:
+            if a.startswith(f"{tmp_path}/DIR"):
+                os.mkdir(a)
+        return argv
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "--net", "{t}/DIR"],
+        ["run", "--net", "{t}/net.json", "--weights", "{t}/DIR", "--random-input",
+         "--out-tensor", "{t}/o.tensor", "--out-perf", "{t}/p.json"],
+        ["run", "--net", "{t}/net.json", "--random-weights", "--input", "{t}/DIR",
+         "--out-tensor", "{t}/o.tensor", "--out-perf", "{t}/p.json"],
+        ["convert", "{t}/DIR.pgm", "{t}/o.tensor"],
+        ["convert", "{t}/DIR.tensor", "{t}/o.pgm"],
+    ], ids=["net", "weights", "input", "convert-image", "convert-tensor"])
+    def test_unreadable_input_is_a_parse_error(self, small_net, tmp_path,
+                                               capsys, argv):
+        argv = self._argv(tmp_path, argv)
+        before = sorted(tmp_path.iterdir())
+        assert _run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and "Is a directory" in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--net", "{t}/net.json", "--random-weights", "--random-input",
+         "--out-tensor", "{t}/missing/x.tensor", "--out-perf", "{t}/p.json"],
+        ["compile", "--net", "{t}/net.json", "--out", "{t}/missing/p.txt"],
+        ["convert", "{t}/in.pgm", "{t}/missing/x.tensor"],
+        ["convert", "{t}/in.tensor", "{t}/missing/x.pgm"],
+    ], ids=["run", "compile", "convert-image", "convert-tensor"])
+    def test_missing_output_directory_is_a_runtime_error(self, small_net, tmp_path,
+                                                         capsys, argv):
+        argv = self._argv(tmp_path, argv)
+        before = sorted(tmp_path.iterdir())
+        assert _run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and "No such file or directory" in err
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestRun:
