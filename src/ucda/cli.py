@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import hashlib
 import os
@@ -200,6 +201,17 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
+def _check_writable(*paths) -> None:
+    """Raise, creating nothing, the OSError that opening an output would."""
+    for path in paths:
+        parent = os.path.dirname(path) or "."
+        for bad, code in ((not os.path.isdir(parent), errno.ENOENT),
+                          (os.path.isdir(path), errno.EISDIR),
+                          (not os.access(parent, os.W_OK), errno.EACCES)):
+            if bad:
+                raise OSError(code, os.strerror(code), path)
+
+
 def cmd_run(args) -> int:
     net = _net_for(args)
     cfg = _hw_config(args.hw)
@@ -207,6 +219,7 @@ def cmd_run(args) -> int:
     x = _load_input(net, args)
     program = compile_network(net, cfg)
     trace = []
+    _check_writable(args.out_tensor, args.out_perf)
     out, total = execute(program, sets, x, cfg, trace=trace)
     fileio.write_tensor(args.out_tensor, out)
     report = perf.perf_report(total, cfg, trace)

@@ -1,46 +1,35 @@
 """Per-layer streaming pipeline with cycle accounting.
 
-run_layer executes one register-file command: window generation over the
-padded input, multiply-accumulate on the PE array, the folded
-batch-norm/activation tail (qtensor.apply_activation, qtensor.pool2x2), and
-the optional pooling stage, everything bit-exact against the straight-line
-reference implementations. layer_report gives the same command's capacity
-check and cycle report from its shapes alone, without running any data.
+run_layer executes one register-file command, bit-exact against the
+straight-line references: windows over the padded input, multiply-accumulate
+on the PE array, the folded batch-norm/activation tail and optional pooling.
+layer_report gives its capacity check and cycle report from shapes alone.
 
-A compute op is its PE mode (PE_MODES); window, patch side and beats come
-from the mode's routing table. Two engines produce identical placed
-accumulator maps, each value with acc + bias inside int32, and one tail
-narrows them: bias added in int32 and qtensor.requantize_array to q8, which
-need not range-check an int32 map.
-'fast' runs accumulator_bands (the command validated, its input padded, then
-pearray.accumulate_bands; patchdeconv.deconv_full runs it too): one exact
-GEMM per routing slot over bands of window rows (a few MiB of operands and
-float64 output each), every band narrowed to int8 at once. The kernel
-proves, once per layer, the int32 bound of acc and of acc + bias from the
-weights and the bias, and range-checks only what the proof does not cover.
-'cells' streams each depth pass of the input through the line buffer with
-linebuffer.window_stream, the one frame loop, one row per step, and runs
-per row of windows and Tm output tile one PeArray.array_cycle (all Tn x Tm
-elements of one array step at every position of the row, exact int64
-arithmetic, no GEMM); it is the cycle-faithful route, validates the fast
-one and asserts its counted compute and products against layer_report.
-Output-stationary, it adds each step's slot sums in place into their patch
-rows of one placed int64 map. It uses no proof: it range-checks that map
-after every depth pass, and its acc + bias from each channel's min and max,
-and runs the map through the same tail as one band, in the literal order
-requantize -> activation -> pool on the int8 pre-pool map.
+A compute op is its PE mode (PE_MODES), whose routing table gives window,
+patch side and beats. Both engines yield placed accumulator bands, (first
+output row, band) with acc and acc + bias inside int32, and one tail
+narrows each band at once (bias added in int32, qtensor.requantize_array).
+Only a last band of odd height has odd rows: no 2x2 pool block straddles two.
+'fast' is accumulator_bands (also run by patchdeconv.deconv_full): one exact
+GEMM per routing slot over bands of window rows, the int32 bounds of acc and
+acc + bias proven once per layer from weights and bias, and only what the
+proof leaves open range-checked.
+'cells' is the cycle-faithful route that validates it. The frame streams
+once through the line buffer (linebuffer.window_stream); each row of windows
+runs every depth pass and Tm tile as one PeArray.array_cycle (exact int64,
+no GEMM), added in place into its patch rows of a band of two window rows
+(output-stationary). It proves nothing: it range-checks those rows after
+every pass and a band's acc + bias before yielding it, and asserts its
+counted priming, compute and products against layer_report.
 
-The fast engine keeps that order except on max-pooled layers, where it
-pools first: each band (an even number of rows, so no 2x2 block straddles
-two) is reduced 2x2 per channel on its float accumulators, then narrowed,
-then activated. This is exact because acc -> acc + bias -> requantize ->
-relu/leaky is monotone per channel: non-decreasing in acc for a multiplier
->= 0, non-increasing below 0, constant at 0. So the block max of the
-literal tail is the tail of the block's max accumulator where the
-multiplier is >= 0 and of its min where it is negative, and only a quarter
-of the values are requantized. Every pre-pool acc + bias is still inside
-int32, proven or checked by the kernel before pooling. Rounding does not
-commute with averaging, so avg pooling keeps the literal order.
+On max-pooled layers the tail pools each band 2x2 per channel, then narrows
+and activates. This is exact because acc -> acc + bias -> requantize ->
+relu/leaky is monotone per channel (non-decreasing for a multiplier >= 0,
+non-increasing below 0): the block max of the literal tail is the tail of
+the block's max accumulator, or of its min under a negative multiplier.
+Rounding does not commute with averaging, so avg pooling keeps the literal
+order. The oracle chain (oracle.reference_layer) runs the literal order
+requantize -> activation -> pool and stays the independent check of this.
 
 Cycle model per layer (layer_report; linebuffer.priming_slots, window_grid and
 PaddingMode.padded give the line-buffer terms, qtensor.WEIGHT_ENTRY the weight bits):
@@ -201,10 +190,8 @@ def layer_command(op: str, in_shape, out_channels: int, mode: PaddingMode,
 
 
 def pool_act(data: np.ndarray, pool: str = "none", act: str = "none") -> np.ndarray:
-    """Activation-then-pool tail on a q8 stream; both stages bypassable.
-
-    int8 in, int8 out; with both stages bypassed it returns data itself.
-    """
+    """Activation-then-pool tail on a q8 stream, int8 in and out; with both
+    stages bypassed it returns data itself."""
     out = apply_activation(np.asarray(data), act)
     if pool != "none":
         try:
@@ -212,13 +199,6 @@ def pool_act(data: np.ndarray, pool: str = "none", act: str = "none") -> np.ndar
         except ValueError as e:
             raise ShapeMismatch(str(e)) from e
     return out
-
-
-def _narrow(acc: np.ndarray, ks: KernelSet) -> np.ndarray:
-    """Placed accumulators whose acc + bias is known to lie inside int32 ->
-    the bias added in int32, then requantized q8 rows."""
-    return requantize_array(np.add(acc, ks.bias, dtype=np.int32, casting="unsafe"),
-                            ks.bn_multiplier, ks.bn_shift)
 
 
 def _maxpool_acc(acc: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
@@ -233,13 +213,9 @@ def _maxpool_acc(acc: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
 
 def accumulator_bands(cmd: LayerCommand, input: QTensor, ks: KernelSet,
                       cfg: HwConfig):
-    """The fast engine's accumulator stage for a compute command.
-
-    Validates the command against input, kernels and config at the call
-    (ShapeMismatch), pads the input by cmd.padding and returns
-    pearray.accumulate_bands over it: (first output row, placed band) pairs,
-    every band's acc and acc + bias inside int32, the bias not added.
-    """
+    """The fast engine: validates the command against input, kernels and
+    config at the call (ShapeMismatch), pads the input by cmd.padding and
+    returns pearray.accumulate_bands over it, the bias not added."""
     _validate(cmd, input, ks, cfg)
     padded = np.pad(input.data, (
         (cmd.padding.pad_top, cmd.padding.pad_bottom),
@@ -248,52 +224,55 @@ def accumulator_bands(cmd: LayerCommand, input: QTensor, ks: KernelSet,
     return accumulate_bands(cmd.pe_mode, padded, ks.weights, ks.bias, cmd.tile_depth)
 
 
-def _compute_fast(cmd: LayerCommand, bands, ks: KernelSet) -> np.ndarray:
-    """The layer's q8 output, each of its accumulator_bands narrowed at once;
-    a max-pooled layer pools each band's accumulators before narrowing."""
+def _narrow_bands(cmd: LayerCommand, bands, ks: KernelSet) -> np.ndarray:
+    """The layer's q8 output from either engine's accumulator bands: each band
+    narrowed at once (bias added in int32, then requantized), a max-pooled
+    layer's pooled first; then the activation and any other pool."""
     pooled = cmd.pool == "max"
     out = np.empty(compute_out_shape(cmd.op, cmd.in_shape, cmd.padding, ks.out_channels,
                                      "max" if pooled else "none"), dtype=np.int8)
     for y, acc in bands:
         if pooled:
             y, acc = y // 2, _maxpool_acc(acc, ks.bn_multiplier)
-        out[y:y + len(acc)] = _narrow(acc, ks)
+        out[y:y + len(acc)] = requantize_array(
+            np.add(acc, ks.bias, dtype=np.int32, casting="unsafe"),
+            ks.bn_multiplier, ks.bn_shift)
     return pool_act(out, "none" if pooled else cmd.pool, cmd.activation)
 
 
-def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet,
-                   cfg: HwConfig) -> np.ndarray:
-    """Cycle-faithful route: per depth pass, each row of the line buffer's
-    windows feeds the PE array, one array step per Tm tile (tile t on array
-    t % arrays), and each step's slot sums are added in place into their patch
-    rows of one placed int64 map, which is returned. Every depth pass and the
-    map's acc + bias are range-checked, and the busiest array's beats and the
-    products are asserted equal to layer_report's compute and multiplications."""
-    h, w, cin = input.shape
-    cout = ks.out_channels
-    mode = cmd.pe_mode
-    k, s = mode.window, mode.patch
-    rows, cols = window_grid(*cmd.padding.padded(h, w), k)
+def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet, cfg: HwConfig):
+    """Cycle-faithful accumulator_bands, two window rows a band: Tm tile t of
+    a depth pass runs on array t % arrays. After the last band, the counted
+    priming, busiest array's beats and products must equal layer_report's."""
+    cout, mode = ks.out_channels, cmd.pe_mode
+    s = mode.patch
+    rows = window_grid(*cmd.padding.padded(*input.shape[:2]), mode.window)[0]
     pe = PeArray(cfg)
     busy = [0] * min(cfg.arrays, _ceil_div(cout, cfg.tm))   # beats per array
-    acc = np.zeros((s * rows, s * cols, cout), dtype=np.int64)
-    for ci0 in range(0, cin, cmd.tile_depth):
-        ci = slice(ci0, ci0 + cmd.tile_depth)
-        wins = window_stream(input.data[:, :, ci], cmd.padding, k)
-        # per window row, (positions, channels, K, K)
-        for y, row in enumerate(wins.reshape(rows, cols, k, k, -1).transpose(0, 1, 4, 2, 3)):
+    for y, (slots, row) in enumerate(window_stream(input, cmd.padding, mode.window)):
+        if y % 2 == 0:
+            band = np.zeros((2 * s, s * len(row), cout), dtype=np.int64)
+        if y == 0:
+            priming = slots
+        patch = band[s * (y % 2):s * (y % 2) + s]
+        row = row.transpose(0, 3, 1, 2)   # (positions, channels, K, K)
+        for ci0 in range(0, input.shape[2], cmd.tile_depth):
+            ci = slice(ci0, ci0 + cmd.tile_depth)
             for t, co0 in enumerate(range(0, cout, cfg.tm)):
-                step = pe.array_cycle(mode, row, ks.weights[co0:co0 + cfg.tm, ci])
+                step = pe.array_cycle(mode, row[:, ci], ks.weights[co0:co0 + cfg.tm, ci])
                 busy[t % len(busy)] += len(row) * mode.beats
-                acc[s * y:s * y + s, :, co0:co0 + cfg.tm] += place_slots(
-                    np.moveaxis(step.reshape(1, cols, -1, mode.beats), 3, 0))
-        check_accum(acc)
-    check_accum(np.stack([acc.min((0, 1)), acc.max((0, 1))]) + ks.bias)
+                patch[:, :, co0:co0 + cfg.tm] += place_slots(
+                    step.reshape(1, len(row), -1, mode.beats).transpose(3, 0, 1, 2))
+            check_accum(patch)
+        if y % 2 or y == rows - 1:
+            band = band[:s * (y % 2 + 1)]
+            check_accum(band + ks.bias)
+            yield s * (y - y % 2), band
     rep = layer_report(cmd, cfg)
-    assert (max(busy), pe.multiplications) == (rep.compute_cycles, rep.multiplications), (
-        f"counted {max(busy)} compute cycles and {pe.multiplications} products,"
-        f" layer_report says {rep.compute_cycles} and {rep.multiplications}")
-    return acc
+    counted = (priming, max(busy), pe.multiplications)
+    want = (rep.priming_cycles, rep.compute_cycles, rep.multiplications)
+    assert counted == want, ("counted {} priming cycles, {} compute cycles and {} products,"
+                             " layer_report says {}, {} and {}".format(*counted, *want))
 
 
 def _validate(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,
@@ -396,12 +375,10 @@ def run_layer(cmd: LayerCommand, input: QTensor, weights: KernelSet | None,
         raise ValueError(f"unknown engine {engine!r}")
     _validate(cmd, input, weights, cfg)
     report = layer_report(cmd, cfg)
-    if cmd.op in COMPUTE_OPS and engine == "fast":
-        bands = accumulator_bands(cmd, input, weights, cfg)
-        out = QTensor(_compute_fast(cmd, bands, weights), cmd.out_scale_exp)
-    elif cmd.op in COMPUTE_OPS:
-        q = _narrow(_compute_cells(cmd, input, weights, cfg), weights)
-        out = QTensor(pool_act(q, cmd.pool, cmd.activation), cmd.out_scale_exp)
+    if cmd.op in COMPUTE_OPS:
+        bands = (accumulator_bands if engine == "fast" else _compute_cells)(
+            cmd, input, weights, cfg)
+        out = QTensor(_narrow_bands(cmd, bands, weights), cmd.out_scale_exp)
     elif cmd.op in POOL_OPS:
         out = QTensor(pool_act(input.data, POOL_OPS[cmd.op]), input.scale_exp)
     else:  # identity

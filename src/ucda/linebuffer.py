@@ -186,12 +186,20 @@ class LineBuffer:
         return np.concatenate(out)
 
 
-def window_stream(input: QTensor, mode: PaddingMode, window: int) -> np.ndarray:
+def window_stream(input: QTensor, mode: PaddingMode, window: int):
     """The one loop that streams a frame through a LineBuffer, one row per
-    push; returns the frame's windows in raster order, (n, K, K, C)."""
+    push (the last also streams the bottom padding row). Yields per row of
+    windows, in raster order, the padded slots streamed when its first window
+    completed and its windows, (n, K, K, C)."""
     data = input.data if isinstance(input, QTensor) else np.asarray(input)
     if data.ndim != 3:
         raise ValueError("expected (h, w, c) input")
-    h, w, _ = data.shape
-    lb = LineBuffer(w, h, mode, window)
-    return np.concatenate([lb.push(row) for row in data])
+    lb = LineBuffer(data.shape[1], data.shape[0], mode, window)
+    pw, cols = lb.padded_width, lb.grid[1]
+    streamed = mode.pad_top * pw
+    for row in data:
+        wins = lb.push(row)
+        streamed += pw * (1 + (lb.frame_complete and mode.pad_bottom))
+        n = len(wins) // cols   # rows of windows, ending on the last n padded rows
+        for i in range(n):
+            yield streamed - (n - i) * pw + window, wins[i * cols:(i + 1) * cols]

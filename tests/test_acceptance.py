@@ -62,7 +62,7 @@ def test_criterion_01_patch_deconv_equivalence():
         cmd = layer_command("deconv2x", x.shape, ks.out_channels, PaddingMode.of("TL"), CFG)
         naive = deconv_naive(x, ks)
         fast = np.concatenate([acc for _, acc in accumulator_bands(cmd, x, ks, CFG)])
-        cells = _compute_cells(cmd, x, ks, CFG)
+        cells = np.concatenate([acc for _, acc in _compute_cells(cmd, x, ks, CFG)])
         for acc in (fast, cells):
             # accumulator precision: integer-valued floats and int64 are exact
             assert np.array_equal(acc + ks.bias.astype(np.int64), naive)  # tolerance 0
@@ -165,7 +165,8 @@ def test_criterion_07_line_buffer_exhaustive():
             for h in range(3, 13):
                 for w in range(3, 13):
                     data = rng.integers(-128, 128, (h, w, 1)).astype(np.int8)
-                    got = window_stream(QTensor(data, 0), mode, window)
+                    got = np.concatenate(
+                        [row for _, row in window_stream(QTensor(data, 0), mode, window)])
                     want = windows_by_slicing(data, pads, window)
                     assert len(got) == len(want)
                     for g, x in zip(got, want):

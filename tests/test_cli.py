@@ -416,10 +416,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["run", "--net", "{t}/net.json", "--random-weights", "--random-input",
          "--out-tensor", "{t}/missing/x.tensor", "--out-perf", "{t}/p.json"],
+        ["run", "--net", "{t}/net.json", "--random-weights", "--random-input",
+         "--out-tensor", "{t}/x.tensor", "--out-perf", "{t}/missing/p.json"],
         ["compile", "--net", "{t}/net.json", "--out", "{t}/missing/p.txt"],
         ["convert", "{t}/in.pgm", "{t}/missing/x.tensor"],
         ["convert", "{t}/in.tensor", "{t}/missing/x.pgm"],
-    ], ids=["run", "compile", "convert-image", "convert-tensor"])
+    ], ids=["run", "run-perf", "compile", "convert-image", "convert-tensor"])
     def test_missing_output_directory_is_a_runtime_error(self, small_net, tmp_path,
                                                          capsys, argv):
         argv = self._argv(tmp_path, argv)

@@ -74,7 +74,7 @@ def test_priming_slot_count():
 
 def test_tiny_deconv_prepad_window():
     t = QTensor(np.array([[[3], [4]], [[5], [6]]], np.int8), 0)
-    ws = window_stream(t, PaddingMode.of("TL"), 2)
+    ws = np.concatenate([row for _, row in window_stream(t, PaddingMode.of("TL"), 2)])
     assert len(ws) == 4
     assert np.array_equal(ws[0][:, :, 0], [[0, 0], [0, 3]])
     assert np.array_equal(ws[3][:, :, 0], [[3, 4], [5, 6]])
@@ -82,7 +82,7 @@ def test_tiny_deconv_prepad_window():
 
 def test_no_padding_window2_count():
     t = QTensor(np.zeros((5, 7, 2), np.int8), 0)
-    assert len(window_stream(t, PaddingMode.none(), 2)) == 4 * 6
+    assert sum(len(row) for _, row in window_stream(t, PaddingMode.none(), 2)) == 4 * 6
 
 
 def test_push_after_complete_rejected():
@@ -169,10 +169,26 @@ def test_first_window_slot_is_priming(mode, window):
 @pytest.mark.parametrize("mode", all_padding_modes(),
                          ids=lambda m: m.short_name() or "none")
 @pytest.mark.parametrize("window", [2, 3])
+def test_window_stream_counts_priming(mode, window):
+    """window_stream's first yield, the slots streamed when the first window
+    completed, is priming_slots on every frame of 1-4 rows and columns that
+    holds a window."""
+    for h in range(1, 5):
+        for w in range(1, 5):
+            ph, pw = mode.padded(h, w)
+            if ph < window or pw < window:
+                continue
+            slots, _ = next(window_stream(np.ones((h, w, 1), np.int8), mode, window))
+            assert slots == priming_slots(pw, window), (h, w)
+
+
+@pytest.mark.parametrize("mode", all_padding_modes(),
+                         ids=lambda m: m.short_name() or "none")
+@pytest.mark.parametrize("window", [2, 3])
 def test_window_stream_matches_slicing_oracle(mode, window):
     rng = np.random.default_rng(42)
     t = QTensor(rng.integers(-128, 128, (8, 8, 3)).astype(np.int8), 0)
-    got = window_stream(t, mode, window)
+    got = np.concatenate([row for _, row in window_stream(t, mode, window)])
     want = windows_by_slicing(t.data, _pads(mode), window)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -190,7 +206,7 @@ def test_window_stream_property(h, w, c, mode, window, seed):
         return
     rng = np.random.default_rng(seed)
     t = QTensor(rng.integers(-128, 128, (h, w, c)).astype(np.int8), 0)
-    got = window_stream(t, mode, window)
+    got = np.concatenate([row for _, row in window_stream(t, mode, window)])
     want = windows_by_slicing(t.data, _pads(mode), window)
     assert len(got) == len(want)
     for g, ww in zip(got, want):
