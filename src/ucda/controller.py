@@ -135,10 +135,6 @@ class NetDescription:
             shape, scale = nxt, out_scale
         return out
 
-    def output_shape(self) -> tuple:
-        links = self.chain()
-        return links[-1][1] if links else self.input_shape
-
 
 def default_padding(kind: str) -> PaddingMode:
     """Edge padding a net stage (and `ucda bench --layer`) uses for a kind."""
@@ -435,7 +431,8 @@ def pack_weights(net: NetDescription, weights, bn_params=None, biases=None):
     at scale 1). bn_params: matching list of BnParams or None (identity).
     biases: matching list of real bias vectors or None. Returns
     (weight image bytes, kernel sets). Deconvolution kernels rotate here,
-    at pack time.
+    at pack time. A layer fuse_bn cannot fold raises fuse_bn's error class
+    (ValueError or RequantOverflow), its message prefixed with the layer.
     """
     compute = [(i, spec, link) for i, (spec, link)
                in enumerate(zip(net.layers, net.chain()))
@@ -467,7 +464,7 @@ def pack_weights(net: NetDescription, weights, bn_params=None, biases=None):
             mult, shift, bias32 = fuse_bn(bn.gamma, bn.beta, bn.mean, bn.var, bn.eps,
                                           in_scale, w_scale, out_scale)
         except ValueError as e:
-            raise ValueError(f"layer {idx} {e}") from e
+            raise type(e)(f"layer {idx} {e}") from e
         if b is not None:
             bias32 += round_half_away(np.asarray(b, dtype=np.float64)
                                       / 2.0 ** (in_scale + w_scale))

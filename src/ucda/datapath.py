@@ -7,8 +7,9 @@ layer_report gives its capacity check and cycle report from shapes alone.
 
 A compute op is its PE mode (PE_MODES), whose routing table gives window,
 patch side and beats. Both engines yield placed accumulator bands, (first
-output row, band) with acc and acc + bias inside int32, and one tail
-narrows each band at once (bias added in int32, qtensor.requantize_array).
+output row, band) with acc and acc + bias inside int32, and one tail takes
+each band to its final int8 rows as it arrives (bias added in int32,
+qtensor.requantize_array, activation, pool), so no stage holds the layer.
 Only a last band of odd height has odd rows: no 2x2 pool block straddles two.
 'fast' is accumulator_bands (also run by patchdeconv.deconv_full): one exact
 GEMM per routing slot over bands of window rows, the int32 bounds of acc and
@@ -225,19 +226,20 @@ def accumulator_bands(cmd: LayerCommand, input: QTensor, ks: KernelSet,
 
 
 def _narrow_bands(cmd: LayerCommand, bands, ks: KernelSet) -> np.ndarray:
-    """The layer's q8 output from either engine's accumulator bands: each band
-    narrowed at once (bias added in int32, then requantized), a max-pooled
-    layer's pooled first; then the activation and any other pool."""
-    pooled = cmd.pool == "max"
-    out = np.empty(compute_out_shape(cmd.op, cmd.in_shape, cmd.padding, ks.out_channels,
-                                     "max" if pooled else "none"), dtype=np.int8)
+    """The layer's q8 output from either engine's accumulator bands, each band
+    taken through the whole tail as it arrives: a max-pooled layer's pooled
+    first, then the bias added in int32, requantized, activated and any
+    average pool."""
+    f = 1 if cmd.pool == "none" else 2
+    out = np.empty(cmd.out_shape, dtype=np.int8)
     for y, acc in bands:
-        if pooled:
-            y, acc = y // 2, _maxpool_acc(acc, ks.bn_multiplier)
-        out[y:y + len(acc)] = requantize_array(
-            np.add(acc, ks.bias, dtype=np.int32, casting="unsafe"),
-            ks.bn_multiplier, ks.bn_shift)
-    return pool_act(out, "none" if pooled else cmd.pool, cmd.activation)
+        if cmd.pool == "max":
+            acc = _maxpool_acc(acc, ks.bn_multiplier)
+        q = requantize_array(np.add(acc, ks.bias, dtype=np.int32, casting="unsafe"),
+                             ks.bn_multiplier, ks.bn_shift)
+        q = pool_act(q, "avg" if cmd.pool == "avg" else "none", cmd.activation)
+        out[y // f:y // f + len(q)] = q
+    return out
 
 
 def _compute_cells(cmd: LayerCommand, input: QTensor, ks: KernelSet, cfg: HwConfig):

@@ -7,11 +7,10 @@ a 16-bit multiplier carrying 15 fractional bits. Rounding is
 round-half-away-from-zero everywhere a real value meets an integer grid.
 requantize (Python integers) states the rule; requantize_array, the one
 array form, computes it in float64, which is exact over the whole 32-bit
-accumulator and 16-bit multiplier domain (see its docstring). It walks the
-map in blocks of rows through two reused float64 scratch blocks of at most
-BLOCK_BYTES each, so beyond its input it holds only the int8 result and
-those two blocks. The activation and pooling tail stays in int8 (int16 for
-the 2x2 average's sums).
+accumulator and 16-bit multiplier domain (see its docstring), in one pass
+over what it is given: callers hand it one band of a layer at a time, so
+the band bounds its float64 temporaries. The activation and pooling tail
+stays in int8 (int16 for the 2x2 average's sums).
 """
 from __future__ import annotations
 
@@ -28,9 +27,6 @@ SCALE_EXP_MAX = 0
 REQUANT_FRAC_BITS = 15
 # leaky ReLU scales negative values by 2**-LEAKY_SHIFT (a fixed slope of 1/8)
 LEAKY_SHIFT = 3
-# byte budget of each of requantize_array's two float64 scratch blocks; it
-# bounds the requantize tail's memory and never changes its results
-BLOCK_BYTES = 512 << 10
 
 
 class AccumulatorOverflow(OverflowError):
@@ -119,30 +115,16 @@ def requantize_array(acc, multiplier, shift) -> np.ndarray:
     and v +- 0.5 is an integer over 2**(15 + shift) of at most 47 bits, so
     no step rounds and the truncation is the integer half-away rounding.
 
-    acc is walked as (rows, C) in blocks of rows; each block is computed in
-    two float64 scratch blocks of at most BLOCK_BYTES each (at least one
-    row), allocated once per call, and stored into the int8 result. Beyond
-    its input the call thus holds the int8 result plus two blocks, never a
-    float64 copy of the whole map.
+    Beyond its input the call holds the int8 result and two float64 arrays
+    of acc's size; every caller passes one band of a layer, not a whole map.
     """
     acc = check_accum(np.asarray(acc))
     scale = np.ldexp(np.asarray(multiplier, dtype=np.float64),
                      -(REQUANT_FRAC_BITS + np.asarray(shift, dtype=np.int64)))
-    out = np.empty(acc.shape, dtype=np.int8)
-    rows_in = acc.reshape(-1, scale.size)   # a scalar scale is one channel
-    rows_out = out.reshape(rows_in.shape)
-    step = max(1, BLOCK_BYTES // (8 * rows_in.shape[1]))
-    v = np.empty((min(step, len(rows_in)), rows_in.shape[1]))
-    half = np.empty_like(v)
-    for r0 in range(0, len(rows_in), step):
-        a = rows_in[r0:r0 + step]
-        vb, hb = v[:len(a)], half[:len(a)]
-        np.multiply(a, scale, out=vb)
-        np.copysign(0.5, vb, out=hb)
-        vb += hb
-        np.trunc(vb, out=vb)
-        rows_out[r0:r0 + len(a)] = np.clip(vb, Q8_MIN, Q8_MAX, out=vb)
-    return out
+    v = np.asarray(acc * scale)
+    v += np.copysign(0.5, v)
+    np.trunc(v, out=v)
+    return np.clip(v, Q8_MIN, Q8_MAX, out=v).astype(np.int8)
 
 
 def apply_activation(q: np.ndarray, act: str) -> np.ndarray:
@@ -227,18 +209,6 @@ class QTensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @classmethod
-    def from_real(cls, real, scale_exp: int) -> "QTensor":
-        return cls(quantize_array(real, scale_exp), scale_exp)
-
-    def to_real(self) -> np.ndarray:
-        return dequantize(self)
-
-
-def dequantize(t: QTensor) -> np.ndarray:
-    """Recover real values: data * 2**scale_exp, float64."""
-    return t.data.astype(np.float64) * 2.0 ** t.scale_exp
 
 
 @dataclass(frozen=True, eq=False)

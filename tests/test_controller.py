@@ -3,18 +3,18 @@ import hashlib
 import math
 import struct
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import _rand_params, nets
 from ucda import oracle
 from ucda.cli import _random_params
 from ucda.controller import (
     _LAYER_FIELD_TYPES,
-    BnParams,
     ExecutionError,
     LayerSpec,
     NetDescription,
@@ -35,33 +35,19 @@ from ucda.controller import (
 )
 from ucda.datapath import (
     CapacityError,
+    ShapeMismatch,
     check_layer_capacity,
     layer_command,
     layer_report,
     run_layer,
 )
 from ucda.linebuffer import PaddingMode
-from ucda.pearray import HwConfig
+from ucda.pearray import HwConfig, RequantOverflow
 from ucda.qtensor import KernelSet, QTensor, identity_kernel_set, quantize_array
 
 
 def _net(layers, shape=(8, 8, 2), scale=-7):
     return NetDescription(shape, scale, layers)
-
-
-def _rand_params(net, seed):
-    rng = np.random.default_rng(seed)
-    weights, bns, biases = [], [], []
-    for spec, (ins, outs, _, _) in zip(net.layers, net.chain()):
-        if spec.kind not in ("conv3x3", "deconv2x"):
-            continue
-        cin, cout = ins[2], outs[2]
-        weights.append(rng.normal(0.0, 0.2, (cout, cin, 3, 3)))
-        bns.append(BnParams(
-            gamma=rng.uniform(0.5, 1.5, cout), beta=rng.uniform(-0.5, 0.5, cout),
-            mean=rng.uniform(-0.2, 0.2, cout), var=rng.uniform(0.25, 1.0, cout)))
-        biases.append(rng.uniform(-0.1, 0.1, cout))
-    return weights, bns, biases
 
 
 class TestLayerSpec:
@@ -116,31 +102,7 @@ class TestNetDescription:
     def test_output_shape(self):
         net = _net([LayerSpec("conv3x3", 4, pool="max"),
                     LayerSpec("deconv2x", 6)])
-        assert net.output_shape() == (8, 8, 6)
-
-
-@st.composite
-def nets(draw):
-    """Valid nets of up to three stages over a small input, every stage
-    kind and attachment drawn."""
-    layers = []
-    for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["conv3x3", "deconv2x", "maxpool",
-                                     "avgpool", "identity"]))
-        if kind in ("conv3x3", "deconv2x"):
-            layers.append(LayerSpec(
-                kind, draw(st.integers(1, 16)),
-                draw(st.sampled_from(["none", "relu", "leaky"])),
-                draw(st.sampled_from(["none", "max", "avg"])),
-                draw(st.one_of(st.none(), st.integers(-16, 0)))))
-        else:
-            layers.append(LayerSpec(kind, draw(st.integers(1, 16))))
-    shape = tuple(draw(st.sampled_from([2, 4, 8])) for _ in range(2))
-    try:
-        return NetDescription((*shape, draw(st.integers(1, 4))),
-                              draw(st.integers(-16, 0)), layers)
-    except NetParseError:
-        assume(False)
+        assert net.chain()[-1][1] == (8, 8, 6)
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +246,7 @@ class TestPreset:
         assert net.input_shape == (360, 480, 3)
         assert net.stage_count() == 12
         assert len(net.layers) == 9
-        assert net.output_shape() == (360, 480, 12)
+        assert net.chain()[-1][1] == (360, 480, 12)
 
     def test_bottleneck_spatial(self):
         heights = [link[1][0] for link in segnet_basic_preset().chain()]
@@ -530,7 +492,7 @@ class TestPackWeights:
         # unit multiplier at matching scales cannot fit in q1.15
         net = _net([LayerSpec("conv3x3", 1)], shape=(4, 4, 1))
         w = np.ones((1, 1, 3, 3), dtype=np.int8)
-        with pytest.raises(ValueError, match="layer 0 channel 0"):
+        with pytest.raises(RequantOverflow, match="layer 0 channel 0"):
             pack_weights(net, [w])
 
     def test_random_segnet_image_is_pinned(self):
@@ -642,6 +604,48 @@ class TestExecute:
         fast, _ = execute(p, sets, x, engine="fast")
         cells, _ = execute(p, sets, x, engine="cells")
         assert np.array_equal(fast.data, cells.data)
+
+    @pytest.mark.parametrize("cfg", [HwConfig(tn=4, tm=8), HwConfig(tn=8, tm=4)],
+                             ids=["tn", "tm"])
+    def test_program_runs_only_at_its_unroll(self, cfg):
+        _, p, sets, x = self._compiled()   # compiled at tn = tm = 8
+        want = f"command compiled for unroll (8, 8), config is {(cfg.tn, cfg.tm)}"
+        with pytest.raises(ShapeMismatch) as err:
+            run_layer(p.commands[0], x, sets[0], cfg)
+        assert str(err.value) == want
+        with pytest.raises(ExecutionError) as err:
+            execute(p, sets, x, cfg)
+        assert str(err.value) == f"command 0 (conv3x3): {want}"
+
+    @given(nets(), st.sampled_from([1, 2, 4, 8]), st.sampled_from([1, 2, 4, 8]),
+           st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_engines_and_oracle_agree_on_any_net(self, net, tn, tm, arrays, seed):
+        """Every stage's output is equal on fast, on cells and in the
+        oracle chain, and each command's cycle report on both engines.
+        Gammas of either sign reach the max-pool tail's min path."""
+        cfg = HwConfig(tn=tn, tm=tm, arrays=arrays)
+        rng = np.random.default_rng(seed)
+        weights, bns, biases = _rand_params(net, seed)
+        bns = [replace(bn, gamma=bn.gamma * rng.choice([-1, 1], bn.gamma.size))
+               for bn in bns]
+        try:
+            _, sets = pack_weights(net, weights, bns, biases)
+        except RequantOverflow:
+            assume(False)
+        x = QTensor(rng.integers(-128, 128, net.input_shape, dtype=np.int8),
+                    net.input_scale_exp)
+        p = compile_network(net, cfg)
+        traces = {"fast": [], "cells": []}
+        for engine, trace in traces.items():
+            execute(p, sets, x, cfg, engine=engine, trace=trace)
+        refs = reference_composition(net, sets, x)
+        assert len(traces["fast"]) == len(traces["cells"]) == len(refs)
+        for f, c, ref in zip(*traces.values(), refs):
+            assert np.array_equal(f.output.data, ref.data), f"layer {f.index}: fast"
+            assert np.array_equal(c.output.data, ref.data), f"layer {f.index}: cells"
+            assert f.output.scale_exp == c.output.scale_exp == ref.scale_exp
+            assert f.report == c.report, f"layer {f.index} cycle report differs"
 
 
 class TestReferenceComposition:
