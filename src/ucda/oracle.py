@@ -29,7 +29,7 @@ even number of rows, so no 2x2 pooling block straddles two. conv2d_ref and
 deconv_naive assemble the same bands into a whole int32 map. So a
 reference stage holds its int8 input and output, the padded input (conv)
 and one band's working set: BAND_BYTES bounds the band's im2col block and
-sums, and so requantize_array's temporaries (two float64 values a sum).
+sums, and so requantize_array's temporary (one float64 value a sum).
 No full int32 or zero-inserted map is built.
 
 OpCounters counts multiplications only: deconv_naive and reference_layer

@@ -6,14 +6,15 @@ back to 8 bits is a multiply/shift/round/saturate step (requantization) with
 a 16-bit multiplier carrying 15 fractional bits. Rounding is
 round-half-away-from-zero everywhere a real value meets an integer grid.
 requantize (Python integers) states the rule; requantize_array, the one
-array form, computes it in float64, which is exact over the whole 32-bit
-accumulator and 16-bit multiplier domain (see its docstring), in one pass
-over what it is given: callers hand it one band of a layer at a time, so
-the band bounds its float64 temporaries. The activation and pooling tail
-stays in int8 (int16 for the 2x2 average's sums).
+array form, computes it in float64 as one multiply by a nudged per-channel
+scale, a clip and rint, exact over the whole 32-bit accumulator and 16-bit
+multiplier domain (see its docstring). Callers hand it one band of a layer
+at a time, so the band bounds its one float64 temporary. The activation
+and pooling tail stays in int8 (int16 for the 2x2 average's sums).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,22 +110,41 @@ def requantize_array(acc, multiplier, shift) -> np.ndarray:
     int16-valued array (C,), shift: array (C,) in [0, 31]; scalars are one
     channel broadcast over all of acc. Returns int8 in acc's shape.
 
-    Runs in float64 as trunc(v + copysign(0.5, v)), v = acc * mult /
-    2**(15 + shift), and equals requantize exactly: |acc * mult| <= 2**46
-    is an integer float64 holds, scaling it by a power of two is exact,
-    and v +- 0.5 is an integer over 2**(15 + shift) of at most 47 bits, so
-    no step rounds and the truncation is the integer half-away rounding.
+    One rounding pass in float64: v = acc * s', clipped to [Q8_MIN, Q8_MAX]
+    and rounded by rint, where s' = m * 2**-S + sign(m) * 2**-(S + 32) for
+    multiplier m and S = 15 + shift. It equals requantize exactly:
+    - s' = (m * 2**32 + sign(m)) * 2**-(S + 32) has at most 48 significant
+      bits, so it is exact in float64.
+    - For accumulator A, v's exact value is A * m * 2**-S plus the nudge
+      A * sign(m) * 2**-(S + 32), which has the sign of A * m and a size in
+      (0, 2**-(S + 1)] (|A| <= 2**31) whenever A * m != 0.
+    - A converts to float64 exactly, and the product rounds once, by at
+      most 2**-53 * |A * s'| < |A| * 2**-(S + 37), as |s'| <= 2**(15 - S) *
+      (1 + 2**-47): less than a thirty-second of the nudge.
+    - So an exact tie k + 1/2 lands strictly on its side away from zero,
+      less than 2**-S past it, and rint rounds it away from zero.
+    - Every other A * m * 2**-S is a multiple of 2**-S at least 2**-S from
+      every half-integer; it moves by less than that, so rint rounds it as
+      the exact value rounds.
+    - Clipping to integer bounds commutes with rint, and A = 0 or m = 0
+      gives a zero.
+    The multiply runs over rows of acc's last two axes with the scale tiled
+    across a row, so numpy's inner loops span whole rows, not one channel.
 
-    Beyond its input the call holds the int8 result and two float64 arrays
-    of acc's size; every caller passes one band of a layer, not a whole map.
+    Beyond its input the call holds the int8 result, one float64 array of
+    acc's size and the tiled row scale; every caller passes one band of a
+    layer, not a whole map.
     """
     acc = check_accum(np.asarray(acc))
-    scale = np.ldexp(np.asarray(multiplier, dtype=np.float64),
+    m = np.asarray(multiplier, dtype=np.float64)
+    scale = np.ldexp(m + np.sign(m) * 2.0 ** -32,
                      -(REQUANT_FRAC_BITS + np.asarray(shift, dtype=np.int64)))
-    v = np.asarray(acc * scale)
-    v += np.copysign(0.5, v)
-    np.trunc(v, out=v)
-    return np.clip(v, Q8_MIN, Q8_MAX, out=v).astype(np.int8)
+    row = acc.shape[-2:]
+    rows = acc.reshape(math.prod(acc.shape[:-2]), math.prod(row))
+    v = rows * np.tile(np.broadcast_to(scale, row[-1:]), row[:-1])
+    np.clip(v, Q8_MIN, Q8_MAX, out=v)
+    np.rint(v, out=v)
+    return v.astype(np.int8).reshape(acc.shape)
 
 
 def apply_activation(q: np.ndarray, act: str) -> np.ndarray:

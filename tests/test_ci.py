@@ -2,6 +2,10 @@
 import pathlib
 import re
 
+import pytest
+
+from mutants import MUTANTS, REPO
+
 WORKFLOW = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
 
 
@@ -42,3 +46,17 @@ def test_run_lines_reads_block_and_inline_scripts():
             "        ! indented\n"
             "  - name: ! not a script\n")
     assert [n for n, line in run_lines(text) if line.startswith("! ")] == [2, 5, 8]
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: f"{m.file}:{m.old.split()[0]}")
+def test_each_mutant_applies_once_and_names_existing_tests(mutant):
+    # a refactor that moves or rewrites the mutated text orphans the entry
+    counts = {str(f.relative_to(REPO)): f.read_text().count(mutant.old)
+              for f in (REPO / "src").rglob("*.py")}
+    assert {f: n for f, n in counts.items() if n} == {mutant.file: 1}
+    assert mutant.new != mutant.old
+    for node in mutant.tests:
+        path, *names = node.split("::")
+        text = (REPO / path).read_text()
+        for name in names:
+            assert re.search(rf"^\s*(def|class) {name}\b", text, re.M), node

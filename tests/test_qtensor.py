@@ -145,6 +145,33 @@ class TestRequantizeArray:
         assert len(cases) > 1000
         self._check(*zip(*cases))
 
+    def test_ties_of_every_multiplier_class(self):
+        # m = 2**j * o with o odd: A * m / 2**S (S = 15 + shift) is k + 1/2
+        # exactly when A = 2**(S - 1 - j) * o**-1 (mod 2**(S - j)); take the
+        # ties nearest 0, ACC_MIN and ACC_MAX on both sides of zero
+        rng = np.random.default_rng(31)
+        cases = []
+        for shift in range(32):
+            sh = 15 + shift
+            for j in range(16):
+                odd = {1, 3, (1 << (15 - j)) - 1 | 1,
+                       *(int(o) | 1 for o in rng.integers(0, 1 << (15 - j), 4))}
+                for mult in (s * (o << j) for o in odd for s in (1, -1)):
+                    if not -32768 <= mult <= 32767:
+                        continue
+                    cases += [(a, mult, shift) for a in (ACC_MIN, ACC_MAX)]
+                    if j >= sh:
+                        continue   # A * m is a multiple of 2**S: no ties
+                    period = 1 << (sh - j)
+                    tie = (pow(mult >> j, -1, period) << (sh - 1 - j)) % period
+                    for t in (tie, tie - period, ACC_MAX - (ACC_MAX - tie) % period,
+                              ACC_MIN + (tie - ACC_MIN) % period):
+                        assert (t * mult) % (1 << sh) == 1 << (sh - 1)
+                        cases += [(t + d, mult, shift) for d in (-1, 0, 1)
+                                  if ACC_MIN <= t + d <= ACC_MAX]
+        assert len(cases) > 50000
+        self._check(*zip(*cases))
+
     def test_corners(self):
         extremes = [(a, m, s) for a in (ACC_MIN, ACC_MIN + 1, -1, 0, 1, ACC_MAX)
                     for m in (-32768, -32767, -1, 0, 1, 32767) for s in (0, 1, 30, 31)]
@@ -157,6 +184,12 @@ class TestRequantizeArray:
     def test_scalar_input(self):
         assert int(requantize_array(np.int64(-300), np.int16(16384), 1)) == \
             requantize(-300, 16384, 1)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 4), (2, 0, 4)])
+    def test_zero_size_input(self, shape):
+        got = requantize_array(np.zeros(shape, np.int32), np.ones(4, np.int16),
+                               np.zeros(4, np.uint8))
+        assert got.dtype == np.int8 and got.shape == shape
 
     def test_out_of_range_raises(self):
         for acc in (ACC_MAX + 1, ACC_MIN - 1):
@@ -193,7 +226,7 @@ def _requant_cases(draw):
     return acc, mult, shift
 
 
-class TestRequantizeBlocks:
+class TestRequantizeAnyRank:
     """requantize_array against the scalar rule over any rank and dtype."""
 
     @staticmethod
@@ -250,6 +283,18 @@ class TestTailMemory:
             peak = _traced_peak(run_layer, cmd, x, ks, HwConfig())
             held.append(peak - math.prod(cmd.out_shape))
         assert held[1] <= 1.25 * held[0]
+
+    def test_requantize_holds_one_float64_band(self):
+        """Beyond its input, requantize_array holds at most one float64
+        array of the band's size, the int8 result and the row scale."""
+        rng = np.random.default_rng(8)
+        acc = rng.integers(-(1 << 20), 1 << 20, (12, 480, 64), dtype=np.int32)
+        mult = rng.integers(-32768, 32768, 64).astype(np.int16)
+        shift = rng.integers(0, 32, 64).astype(np.uint8)
+        requantize_array(acc, mult, shift)   # one-off first-call allocations
+        row_scale = 480 * 64 * 8
+        assert _traced_peak(requantize_array, acc, mult, shift) <= \
+            acc.size * 8 + acc.size + row_scale
 
     def test_leaky_and_avg_pool_stay_narrow(self):
         q = np.random.default_rng(5).integers(-128, 128, (128, 128, 64), dtype=np.int8)
