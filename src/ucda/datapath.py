@@ -8,8 +8,8 @@ layer_report gives its capacity check and cycle report from shapes alone.
 A compute op is its PE mode (PE_MODES), whose routing table gives window,
 patch side and beats. Both engines yield placed accumulator bands, (first
 output row, band) with acc and acc + bias inside int32, and one tail takes
-each band to its final int8 rows as it arrives (bias added in int32,
-qtensor.requantize_array, activation, pool), so no stage holds the layer.
+each band to its final int8 rows as it arrives (bias added in int32, one
+qtensor.Requantizer per layer, activation, pool), so no stage holds the layer.
 Only a last band of odd height has odd rows: no 2x2 pool block straddles two.
 'fast' is accumulator_bands (also run by patchdeconv.deconv_full): one exact
 GEMM per routing slot over bands of window rows, the int32 bounds of acc and
@@ -55,10 +55,10 @@ from .pearray import HwConfig, PeArray, PeMode, accumulate_bands, place_slots
 from .qtensor import (
     KernelSet,
     QTensor,
+    Requantizer,
     apply_activation,
     check_accum,
     pool2x2,
-    requantize_array,
     weight_entry,
 )
 
@@ -232,11 +232,11 @@ def _narrow_bands(cmd: LayerCommand, bands, ks: KernelSet) -> np.ndarray:
     average pool."""
     f = 1 if cmd.pool == "none" else 2
     out = np.empty(cmd.out_shape, dtype=np.int8)
+    requantizer = Requantizer(ks.bn_multiplier, ks.bn_shift)
     for y, acc in bands:
         if cmd.pool == "max":
             acc = _maxpool_acc(acc, ks.bn_multiplier)
-        q = requantize_array(np.add(acc, ks.bias, dtype=np.int32, casting="unsafe"),
-                             ks.bn_multiplier, ks.bn_shift)
+        q = requantizer.narrow(np.add(acc, ks.bias, dtype=np.int32, casting="unsafe"))
         q = pool_act(q, "avg" if cmd.pool == "avg" else "none", cmd.activation)
         out[y // f:y // f + len(q)] = q
     return out

@@ -23,13 +23,14 @@ every band. A band reads its input rows from the zero-padded int8 map
 zero-inserted map (deconv).
 
 reference_layer, the stage controller.reference_composition runs, narrows
-each band as it arrives, in this literal order: requantize_array, then
-apply_activation (both through bn_act_ref), then pool2x2. Bands have an
-even number of rows, so no 2x2 pooling block straddles two. conv2d_ref and
-deconv_naive assemble the same bands into a whole int32 map. So a
-reference stage holds its int8 input and output, the padded input (conv)
-and one band's working set: BAND_BYTES bounds the band's im2col block and
-sums, and so requantize_array's temporary (one float64 value a sum).
+each band as it arrives, in this literal order: requantize (one
+qtensor.Requantizer per layer, bn_act_ref's arithmetic), then
+apply_activation, then pool2x2. Bands have an even number of rows, so no
+2x2 pooling block straddles two. conv2d_ref and deconv_naive assemble the
+same bands into a whole int32 map. So a reference stage holds its int8
+input and output, the padded input (conv) and one band's working set:
+BAND_BYTES bounds the band's im2col block and sums, and so the
+requantizer's temporary (one float64 value a sum).
 No full int32 or zero-inserted map is built.
 
 OpCounters counts multiplications only: deconv_naive and reference_layer
@@ -49,6 +50,7 @@ from .qtensor import (
     ACC_MAX,
     KernelSet,
     QTensor,
+    Requantizer,
     apply_activation,
     check_accum,
     pool2x2,
@@ -125,8 +127,7 @@ def _gemm_bands(rows_of, oh: int, ow: int, weights: np.ndarray,
             block[:, :, 3 * u * cin:3 * (u + 1) * cin] = runs[u:u + n]
         acc = block.reshape(n * ow, k) @ wmat
         if in_range:
-            acc = acc.astype(np.int32)
-            acc += b
+            acc = np.add(acc, b, dtype=np.int32, casting="unsafe")
         else:
             acc = check_accum(np.add(acc, b)).astype(np.int32)
         yield r0, acc.reshape(n, ow, cout)
@@ -259,8 +260,9 @@ def reference_layer(x: QTensor, ks: KernelSet, kind: str, activation: str,
     if oh % f or ow % f:
         raise ValueError(f"pooling needs even dims, got {oh}x{ow}")
     out = np.empty((oh // f, ow // f, ks.out_channels), dtype=np.int8)
+    requantizer = Requantizer(ks.bn_multiplier, ks.bn_shift)
     for r0, acc in bands:
-        q = bn_act_ref(acc, ks.bn_multiplier, ks.bn_shift, activation).data
+        q = apply_activation(requantizer.narrow(acc), activation)
         if f == 2:
             q = pool2x2(q, pool)
         out[r0 // f:r0 // f + len(q)] = q

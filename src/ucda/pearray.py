@@ -93,6 +93,22 @@ _GATHER = {m: (tuple(np.array([p for p, _ in flat]).T),
            for m, flat in _FLAT.items()}
 
 
+def _rectangle(slot) -> tuple:
+    """(first row, first column, rows, columns) of the window positions a
+    routing slot reads, which accumulate_bands gathers with one strided
+    copy: they must be a rectangle listed in raster order."""
+    pos = [p for p, _ in slot]
+    (r0, c0), (r1, c1) = pos[0], pos[-1]
+    rect = (r0, c0, r1 - r0 + 1, c1 - c0 + 1)
+    if pos != [(r0 + i, c0 + j) for i in range(rect[2]) for j in range(rect[3])]:
+        raise ValueError(f"routing slot positions {pos} are not a raster-ordered rectangle")
+    return rect
+
+
+# accumulate_bands: each slot's window rectangle
+_RECTS = {m: tuple(_rectangle(slot) for slot in r) for m, r in _ROUTING.items()}
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -197,7 +213,10 @@ def accumulate_bands(mode: PeMode, padded: np.ndarray, weights: np.ndarray,
     weights: (cout, cin, 3, 3), pre-rotated for deconvolution; bias: (cout,)
     int32, not added. Yields (first output row, placed band (rows, wp', cout))
     of exact integer floats. Each routing slot is one GEMM over its stacked
-    (position, tap) pairs.
+    (position, tap) pairs. A slot's window positions are a rectangle in
+    raster order (checked at import), so per band its operand block is one
+    copy, into the GEMM's dtype, of a strided view of the band's input rows
+    (rows * ww, taps * channels); a channel tile is made contiguous first.
 
     This is the one place that proves the accumulator range, once per call,
     from the weights: with int8 inputs (|x| <= 128) every partial sum of any
@@ -214,12 +233,13 @@ def accumulate_bands(mode: PeMode, padded: np.ndarray, weights: np.ndarray,
     before it is yielded. So every band yielded has acc and acc + bias
     inside int32, and a caller may add the bias in int32.
 
-    A band's working set, its gathered operand block (one slot at a time)
-    and its float64 output rows, is kept near BAND_BYTES, so a caller that
-    narrows each band at once never holds a full-map float temporary. Every
-    placed band but a last one of odd height has an even row count (an odd
-    conv band takes one more window row; a deconv patch is two output rows),
-    so no 2x2 pooling block straddles two bands.
+    A band's working set, one slot's gathered block at a time (none is
+    kept across bands) and its float64 output rows, is kept near
+    BAND_BYTES, so a caller that narrows each band at once never holds a
+    full-map float temporary. Every placed band but a last one of odd
+    height has an even row count (an odd conv band takes one more window
+    row; a deconv patch is two output rows), so no 2x2 pooling block
+    straddles two bands.
     """
     hp, wp, cin = padded.shape
     cout = weights.shape[0]
@@ -244,12 +264,16 @@ def accumulate_bands(mode: PeMode, padded: np.ndarray, weights: np.ndarray,
         bh = min(rows, wh - y0)
         slots = np.empty((mode.beats, bh * ww, cout), dtype=dtype)
         for ci0, tile_mats in mats:
-            tile = padded[y0:y0 + bh + k - 1, :, ci0:ci0 + depth]
-            for acc, route, b in zip(slots, mode.routing, tile_mats):
-                ops = np.empty((bh, ww, len(route), tile.shape[2]), dtype=dtype)
-                for j, ((r, c), _) in enumerate(route):
-                    ops[:, :, j, :] = tile[r:r + bh, c:c + ww]
-                a = ops.reshape(bh * ww, -1)
+            # C order, so the columns of a window row are one run of values
+            tile = np.ascontiguousarray(padded[y0:y0 + bh + k - 1, :, ci0:ci0 + depth])
+            sy, sx, sc = tile.strides
+            for acc, (r0, c0, nr, nc), b in zip(slots, _RECTS[mode], tile_mats):
+                # view[y, x, i, j * ct + c] = tile[y + r0 + i, x + c0 + j, c], the
+                # slot's (position, channel) operands of window (y, x) in raster
+                # order; numpy checks that the view stays inside the tile
+                view = np.ndarray((bh, ww, nr, nc * tile.shape[2]), tile.dtype, tile,
+                                  r0 * sy + c0 * sx, (sy, sx, sy, sc))
+                a = view.astype(dtype, order="C").reshape(bh * ww, -1)
                 if ci0:
                     acc += a @ b
                 else:

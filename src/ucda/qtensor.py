@@ -8,9 +8,10 @@ round-half-away-from-zero everywhere a real value meets an integer grid.
 requantize (Python integers) states the rule; requantize_array, the one
 array form, computes it in float64 as one multiply by a nudged per-channel
 scale, a clip and rint, exact over the whole 32-bit accumulator and 16-bit
-multiplier domain (see its docstring). Callers hand it one band of a layer
-at a time, so the band bounds its one float64 temporary. The activation
-and pooling tail stays in int8 (int16 for the 2x2 average's sums).
+multiplier domain (see its docstring). A Requantizer builds that scale once
+per layer and is handed the layer one band at a time, so the band bounds
+its one float64 temporary. The activation and pooling tail stays in int8
+(int16 for the 2x2 average's sums).
 """
 from __future__ import annotations
 
@@ -38,10 +39,15 @@ def round_half_away(x) -> np.ndarray:
     """Round to the nearest integer with ties away from zero.
 
     Accepts scalars or arrays, returns int64. This is the single rounding
-    rule used by quantization, requantization and batch-norm folding.
+    rule used by quantization, requantization and batch-norm folding. It is
+    exact for every finite float64: modf splits x exactly into an integer
+    and a fraction of its sign, the fraction alone decides the step away
+    from zero, and a step is only taken when |x| < 2**52, where it is exact.
+    (Flooring x + 0.5 would not be: x + 0.5 rounds first, which takes
+    0.49999999999999994 to 1 and 2**52 + 1 to 2**52 + 2.)
     """
-    x = np.asarray(x, dtype=np.float64)
-    r = np.where(x >= 0.0, np.floor(x + 0.5), np.ceil(x - 0.5))
+    frac, whole = np.modf(np.asarray(x, dtype=np.float64))
+    r = whole + (frac >= 0.5) - (frac <= -0.5)
     # keep the int64 cast defined for huge magnitudes (callers clamp later)
     return np.clip(r, -(2.0 ** 62), 2.0 ** 62).astype(np.int64)
 
@@ -108,7 +114,9 @@ def requantize_array(acc, multiplier, shift) -> np.ndarray:
     32-bit accumulator range (check_accum, on the whole array, which an
     int32 or narrower map passes by its type alone). multiplier:
     int16-valued array (C,), shift: array (C,) in [0, 31]; scalars are one
-    channel broadcast over all of acc. Returns int8 in acc's shape.
+    channel broadcast over all of acc. Returns int8 in acc's shape. This is
+    a one-shot Requantizer; a layer narrowed band by band builds one
+    Requantizer and hands it each band.
 
     One rounding pass in float64: v = acc * s', clipped to [Q8_MIN, Q8_MAX]
     and rounded by rint, where s' = m * 2**-S + sign(m) * 2**-(S + 32) for
@@ -132,19 +140,39 @@ def requantize_array(acc, multiplier, shift) -> np.ndarray:
     across a row, so numpy's inner loops span whole rows, not one channel.
 
     Beyond its input the call holds the int8 result, one float64 array of
-    acc's size and the tiled row scale; every caller passes one band of a
-    layer, not a whole map.
+    acc's size and the tiled row scale; the engines and the oracle hand
+    their Requantizer one band of a layer at a time, not a whole map.
     """
-    acc = check_accum(np.asarray(acc))
-    m = np.asarray(multiplier, dtype=np.float64)
-    scale = np.ldexp(m + np.sign(m) * 2.0 ** -32,
-                     -(REQUANT_FRAC_BITS + np.asarray(shift, dtype=np.int64)))
-    row = acc.shape[-2:]
-    rows = acc.reshape(math.prod(acc.shape[:-2]), math.prod(row))
-    v = rows * np.tile(np.broadcast_to(scale, row[-1:]), row[:-1])
-    np.clip(v, Q8_MIN, Q8_MAX, out=v)
-    np.rint(v, out=v)
-    return v.astype(np.int8).reshape(acc.shape)
+    return Requantizer(multiplier, shift).narrow(acc)
+
+
+class Requantizer:
+    """requantize_array for one layer's multiplier and shift, handed the
+    layer's accumulators one band at a time: the nudged per-channel scale
+    s' is built once, and its tiling across a row (a band's last two axes)
+    is kept per row shape once a second band of that shape arrives. A
+    single band drops its tiled row before its int8 result is made, so a
+    one-shot call holds no more than requantize_array's docstring says."""
+
+    def __init__(self, multiplier, shift):
+        m = np.asarray(multiplier, dtype=np.float64)
+        self.scale = np.ldexp(m + np.sign(m) * 2.0 ** -32,
+                              -(REQUANT_FRAC_BITS + np.asarray(shift, dtype=np.int64)))
+        self._rows = {}   # row shape -> s' tiled across such a row, or None once seen
+
+    def narrow(self, acc) -> np.ndarray:
+        """requantize_array(acc, multiplier, shift) for one band acc."""
+        acc = check_accum(np.asarray(acc))
+        row = acc.shape[-2:]
+        tiled = self._rows.get(row)
+        if tiled is None:
+            tiled = np.tile(np.broadcast_to(self.scale, row[-1:]), row[:-1])
+            self._rows[row] = tiled if row in self._rows else None
+        v = acc.reshape(math.prod(acc.shape[:-2]), math.prod(row)) * tiled
+        del tiled   # an unkept row scale goes before the int8 result is made
+        np.clip(v, Q8_MIN, Q8_MAX, out=v)
+        np.rint(v, out=v)
+        return v.astype(np.int8).reshape(acc.shape)
 
 
 def apply_activation(q: np.ndarray, act: str) -> np.ndarray:

@@ -58,6 +58,23 @@ MUTANTS = (
            "in_range = bias_bound <= ACC_MAX - acc_bound",
            "in_range = bias_bound <= ACC_MAX - acc_bound + 1",
            ("tests/test_oracle.py::TestRangeProof::test_edge_is_tight_and_one_past_overflows",)),
+    # accumulate_bands gathers each slot one column right of its rectangle
+    Mutant("src/ucda/pearray.py",
+           "r0 * sy + c0 * sx, (sy, sx, sy, sc))", "r0 * sy + (c0 + 1) * sx, (sy, sx, sy, sc))",
+           ("tests/test_datapath.py::TestAccumulatorProof::test_minimum_bands_match",
+            "tests/test_datapath.py::TestAccumulatorProof::"
+            "test_failed_proof_on_strided_channel_tiles_equals_cells")),
+    # the Requantizer finds a tiled row by channel count alone
+    Mutant("src/ucda/qtensor.py",
+           "        tiled = self._rows.get(row)\n"
+           "        if tiled is None:\n"
+           "            tiled = np.tile(np.broadcast_to(self.scale, row[-1:]), row[:-1])\n"
+           "            self._rows[row] = tiled if row in self._rows else None\n",
+           "        tiled = self._rows.get(row[-1:])\n"
+           "        if tiled is None:\n"
+           "            tiled = np.tile(np.broadcast_to(self.scale, row[-1:]), row[:-1])\n"
+           "            self._rows[row[-1:]] = tiled if row[-1:] in self._rows else None\n",
+           ("tests/test_qtensor.py::test_one_requantizer_over_bands_of_two_row_widths",)),
 )
 
 

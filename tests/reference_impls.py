@@ -5,6 +5,7 @@ ints, explicit zero insertion, real-valued arithmetic — and avoids the
 package's compute modules entirely so a shared bug cannot cancel out.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -12,8 +13,11 @@ from ucda.pearray import RequantOverflow
 
 
 def rhafz(x: float) -> int:
-    """Round half away from zero."""
-    return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
+    """Round half away from zero, exactly: on x's rational value (adding
+    0.5 in floating point first rounds 0.49999999999999994 up to 1)."""
+    f = Fraction(x)
+    r = math.floor(abs(f) + Fraction(1, 2))
+    return r if f >= 0 else -r
 
 
 def clamp8(v: int) -> int:

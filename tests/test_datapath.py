@@ -776,6 +776,32 @@ class TestAccumulatorProof:
                            match=r"min=-2397044736 max=-2397044736$"):
             run_layer(cmd, x, ks, cfg, engine=engine)
 
+    @given(st.sampled_from(list(OPS)), st.sampled_from([2, 4]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_failed_proof_on_strided_channel_tiles_equals_cells(self, op, tn, data):
+        """The tiled path, forced on small maps by a weight_bound past
+        ACC_MAX (its real trigger needs cin > 14,563), at tile_depth < cin
+        with cin no multiple of it: every channel tile is a strided slice of
+        the padded map, and the fast engine's bands equal the cells
+        engine's."""
+        cin = tn * data.draw(st.integers(1, 2)) + data.draw(st.integers(1, tn - 1))
+        cout = data.draw(st.integers(1, 5))
+        h, w = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        band_bytes = data.draw(st.sampled_from([1, pearray.BAND_BYTES]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+        x = QTensorInt8(rng, h, w, cin)
+        ks = _rand_ks(rng, cin, cout, rotated=op == "deconv2x")
+        cfg = HwConfig(tn=tn, tm=4)
+        cmd = layer_command(op, x.shape, cout, self.OPS[op], cfg)
+        assert cmd.tile_depth == tn < cin and cin % tn
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pearray, "weight_bound", lambda wk: np.full(len(wk), ACC_MAX + 1))
+            mp.setattr(pearray, "BAND_BYTES", band_bytes)
+            fast = np.concatenate([acc for _, acc in accumulator_bands(cmd, x, ks, cfg)])
+        cells = np.concatenate([acc for _, acc in _compute_cells(cmd, x, ks, cfg)])
+        assert fast.dtype == np.float64
+        assert np.array_equal(fast, cells)
+
     @pytest.mark.parametrize("op", list(OPS))
     def test_bias_overflow_is_caught(self, op):
         cmd, x, ks = self._case(op, np.full((1, 1, 3, 3), -128), bias=ACC_MAX)

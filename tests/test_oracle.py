@@ -22,6 +22,7 @@ from ucda.qtensor import (
     AccumulatorOverflow,
     KernelSet,
     QTensor,
+    Requantizer,
     check_accum,
     requantize,
 )
@@ -207,15 +208,16 @@ def _extremes(rng, shape):
 
 def _streamed_acc(x, ks, kind):
     """The int32 map reference_layer narrows, gathered band by band from
-    its calls to bn_act_ref, and the layer's output."""
+    its per-band requantize calls, and the layer's output."""
     bands = []
+    narrow = Requantizer.narrow
 
-    def spy(acc, *args, **kwargs):
+    def spy(self, acc):
         bands.append(acc)
-        return bn_act_ref(acc, *args, **kwargs)
+        return narrow(self, acc)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "bn_act_ref", spy)
+        mp.setattr(Requantizer, "narrow", spy)
         out = reference_layer(x, ks, kind, "none", "none", 0)
     assert all(b.dtype == np.int32 for b in bands)
     return np.concatenate(bands), out

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ucda import pearray
 from ucda.oracle import conv2d_ref
 from ucda.pearray import HwConfig, PeArray, PeMode, RequantOverflow, fuse_bn
 from ucda.qtensor import KernelSet, QTensor, requantize
@@ -74,6 +75,30 @@ def test_routing_table_structure(mode):
     assert sorted(tap for _, tap in pairs) == [(u, v) for u in range(3) for v in range(3)]
     assert mode.beats == len(mode.routing) == mode.patch ** 2
     assert all(0 <= r < mode.window and 0 <= c < mode.window for (r, c), _ in pairs)
+
+
+@pytest.mark.parametrize("mode", list(PeMode))
+def test_routing_slots_are_raster_rectangles(mode):
+    """accumulate_bands gathers each slot with one strided copy: a slot's
+    window positions fill their bounding box, listed in raster order, and
+    the rectangles derived at import are those boxes."""
+    for slot, rect in zip(mode.routing, pearray._RECTS[mode], strict=True):
+        rows, cols = zip(*(pos for pos, _ in slot))
+        r0, c0 = min(rows), min(cols)
+        box = (r0, c0, max(rows) - r0 + 1, max(cols) - c0 + 1)
+        assert [pos for pos, _ in slot] == [(r0 + i, c0 + j) for i in range(box[2])
+                                            for j in range(box[3])]
+        assert rect == box
+
+
+@pytest.mark.parametrize("positions", [
+    [(0, 1), (0, 0)],                   # out of raster order
+    [(0, 0), (0, 1), (1, 0)],           # not a whole rectangle
+    [(0, 0), (1, 1)]],                  # a diagonal
+    ids=["reversed", "l-shape", "diagonal"])
+def test_a_slot_that_is_no_raster_rectangle_fails_loudly(positions):
+    with pytest.raises(ValueError, match="not a raster-ordered rectangle"):
+        pearray._rectangle([(pos, (0, 0)) for pos in positions])
 
 
 class TestArrayCycle:
@@ -268,6 +293,8 @@ def _bn_layers(draw):
           0.0, (0, 0, 0)))                         # ties; 32767.5 at shift 1
 @example(([(1 - 2.0 ** -16, 0.0, 0.0, 1.0)], 0.0, (0, 0, 0)))  # 32767.5 at shift 0
 @example(([(1.0, 0.0, 0.0, -1e-5)], 1e-5, (-7, 0, 0)))  # var + eps == 0
+# a bias past 2**52, where adding 0.5 before the floor rounds 2k+1 to 2k+2
+@example(([(1.1368510299814005e-13, 512.0, 1.0, 1.0)], 0.0, (0, 0, -18)))
 @settings(max_examples=400)
 def test_fuse_bn_matches_scalar_reference(layer):
     """The layer fold equals the per-channel scalar fold channel by channel,

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ucda.datapath import layer_command, run_layer
@@ -17,6 +17,7 @@ from ucda.qtensor import (
     AccumulatorOverflow,
     KernelSet,
     QTensor,
+    Requantizer,
     apply_activation,
     check_accum,
     identity_kernel_set,
@@ -33,15 +34,32 @@ from reference_impls import avgpool_loops, clamp8, maxpool_loops, rhafz
 
 def test_round_half_away_table():
     cases = {0.0: 0, 0.49: 0, 0.5: 1, 1.5: 2, 2.5: 3,
-             -0.5: -1, -1.5: -2, -2.5: -3, -0.49: 0}
+             -0.5: -1, -1.5: -2, -2.5: -3, -0.49: 0,
+             # rounding x + 0.5 first took the float just below 1/2 to 1
+             # and 2**52 + 1 to 2**52 + 2
+             0.49999999999999994: 0, -0.49999999999999994: 0,
+             2.0 ** 52 + 1: 2 ** 52 + 1, -(2.0 ** 52 + 1): -(2 ** 52 + 1),
+             2.0 ** 52 - 0.5: 2 ** 52, -(2.0 ** 52 - 0.5): -(2 ** 52)}
     for x, want in cases.items():
         assert round_half_away(np.array([x]))[0] == want, x
+        assert round_half_away(x) == want, x
+
+
+@given(st.floats(-(2.0 ** 62), 2.0 ** 62, allow_nan=False))
+@example(0.49999999999999994)
+@example(-(2.0 ** 52 + 1))
+@settings(max_examples=500)
+def test_round_half_away_matches_exact_rounding(x):
+    # rhafz rounds x's exact value as a fractions.Fraction
+    assert round_half_away(x) == rhafz(x)
 
 
 def test_quantize_examples():
     assert quantize(0.0, -7) == 0
     assert quantize(0.5, -7) == 64
     assert quantize(2.0, -7) == 127  # saturates, 256 would be the raw value
+    assert quantize(0.49999999999999994 * 2 ** -7, -7) == 0
+    assert quantize(-0.49999999999999994 * 2 ** -7, -7) == 0
 
 
 @given(st.integers(-128, 127), st.integers(-16, 0))
@@ -260,6 +278,19 @@ def _traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_one_requantizer_over_bands_of_two_row_widths():
+    """A Requantizer keeps one tiled row per row shape: bands of two widths
+    in any order (each width seen more than once) narrow as
+    requantize_array narrows each band on its own."""
+    rng = np.random.default_rng(11)
+    mult = rng.integers(-32768, 32768, 5).astype(np.int16)
+    shift = rng.integers(0, 32, 5).astype(np.uint8)
+    requantizer = Requantizer(mult, shift)
+    for rows, width in [(2, 3), (3, 3), (2, 6), (1, 6), (2, 3), (4, 6)]:
+        band = rng.integers(-(1 << 24), 1 << 24, (rows, width, 5), dtype=np.int32)
+        assert np.array_equal(requantizer.narrow(band), requantize_array(band, mult, shift))
 
 
 class TestTailMemory:
