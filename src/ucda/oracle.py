@@ -9,14 +9,21 @@ arithmetic itself is shared with the datapath (qtensor.pool2x2 and
 qtensor.apply_activation); tests/reference_impls.py checks it on its own.
 
 Both convolutions end in one valid 3x3 convolution, computed as a banded
-im2col GEMM by one band generator: per band of output rows, the nine taps
-form one (rows*ow, 9*cin) matrix, gathered with one strided copy per
-kernel row, that meets the (9*cin, cout) weights in a single product. Two
+im2col GEMM by one band generator. Per band of output rows, one strided
+copy stacks the band's input rows r, r+1 and r+2 at every column q of the
+input width ow + 2, a (rows*(ow+2), 3*cin) block. One GEMM meets the
+(3*cin, 3*cout) weights, one plane of cout sums for each kernel column v,
+and output column x adds plane v at its column x + v, two adds a band.
+A layer with 3*cin < cout, where copying all nine taps moves fewer values
+than three planes of sums, keeps the (rows*ow, 9*cin) block and the
+(9*cin, cout) weights instead; both are one code path, kv kernel columns
+along K and 3 // kv along N, with kv read from the layer's shape. Two
 proofs from the layer's shape and bias, reading no weights, keep it exact:
-every partial sum of the 9*cin int8 products is at most 9*cin*2**14 in
-magnitude, so the GEMM runs in float32 when that is at most 2**24 (cin <=
-113) and in float64 otherwise; and when every |bias| is at most ACC_MAX
-minus that bound, each band is cast to int32 and the bias added there.
+every partial sum of the 9*cin int8 products, those of one plane and the
+plane sums included, is at most 9*cin*2**14 in magnitude, so the GEMM runs
+in float32 when that is at most 2**24 (cin <= 113) and in float64
+otherwise; and when every |bias| is at most ACC_MAX minus that bound, each
+band is cast to int32 and the bias added there.
 A layer outside the second proof adds its bias in float64 and range-checks
 every band. A band reads its input rows from the zero-padded int8 map
 (conv) or from one reused buffer holding only its own rows of the
@@ -29,8 +36,8 @@ apply_activation, then pool2x2. Bands have an even number of rows, so no
 2x2 pooling block straddles two. conv2d_ref and deconv_naive assemble the
 same bands into a whole int32 map. So a reference stage holds its int8
 input and output, the padded input (conv) and one band's working set:
-BAND_BYTES bounds the band's im2col block and sums, and so the
-requantizer's temporary (one float64 value a sum).
+BAND_BYTES bounds the band's im2col block and planes of sums, and so
+the requantizer's temporary (one float64 value a sum).
 No full int32 or zero-inserted map is built.
 
 OpCounters counts multiplications only: deconv_naive and reference_layer
@@ -44,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .qtensor import (
     ACC_MAX,
@@ -58,9 +64,10 @@ from .qtensor import (
 )
 
 _EDGES = ("top", "bottom", "left", "right")
-# working set of one band of output rows in _gemm_bands, counted at 8
-# bytes per value whether the band's GEMM runs in float32 or float64; it
-# bounds the oracle's memory and never changes its results
+# working set of one band of output rows in _gemm_bands, its im2col block
+# plus its GEMM's planes of sums, counted at 8 bytes per value whether the
+# GEMM runs in float32 or float64; it bounds the oracle's memory and never
+# changes its results
 BAND_BYTES = 4 << 20
 
 
@@ -86,15 +93,22 @@ def _gemm_bands(rows_of, oh: int, ow: int, weights: np.ndarray,
     """Yield (r0, band): the exact int32 rows r0.. of a 3x3 valid
     convolution, bias included, one band at a time.
 
-    rows_of(r0, n) returns the n + 2 input rows that output rows r0 to
-    r0 + n - 1 read. Banded im2col: a window's taps (u, 0..2) are one run
-    of 3*cin values of input row r + u, already in the weight matrix's
-    (u, v, ci) order, so per kernel row one strided view of the rows is
-    copied into a reused (rows, ow, 9*cin) block of the GEMM's dtype.
+    rows_of(r0, n) returns the n + 2 input rows, ow + 2 columns wide, that
+    output rows r0 to r0 + n - 1 read. Banded im2col, kv of the three
+    kernel columns along K and nv = 3 // kv along N: block[r, q] holds input
+    rows r..r+2 at columns q..q+kv-1, a run of kv*cin values of each row,
+    for q over ow + nv - 1 columns. It is one strided copy of the band's
+    rows into a reused block of the GEMM's dtype. One GEMM meets the
+    (3*kv*cin, nv*cout) weights, K = (u, j, ci) and N = (v, co) for kernel
+    column v*kv + j, and output column x sums the planes p[:, x + v, v].
+    Per GEMM row the nine-tap block (kv = 3) moves 9*cin + cout values and
+    the stacked one (kv = 1) 3*cin + 3*cout, so kv = 3 only when
+    3*cin < cout.
 
     Both proofs read only the shape and the bias. Every partial sum of the
-    k = 9*cin int8 products has magnitude at most k*2**14: float32 holds
-    it exactly, in any summation order, when k*2**14 <= 2**24 (cin <= 113),
+    k = 9*cin int8 products has magnitude at most k*2**14, a plane's
+    3*kv*cin products and the plane sums included: float32 holds it
+    exactly, in any summation order, when k*2**14 <= 2**24 (cin <= 113),
     else the GEMM runs in float64. When every |bias| <= ACC_MAX - k*2**14,
     acc + bias lies inside int32, so a band is cast to int32 and the bias
     added there. Otherwise the bias is added in float64 (exact, far below
@@ -107,30 +121,38 @@ def _gemm_bands(rows_of, oh: int, ow: int, weights: np.ndarray,
     acc_bound = k << 14
     # float32 holds every integer of magnitude up to 2**24 exactly
     dtype = np.float32 if acc_bound <= 1 << 24 else np.float64
-    wmat = weights.transpose(2, 3, 1, 0).reshape(k, cout).astype(dtype)
+    kv = 3 if 3 * cin < cout else 1
+    nv = 3 // kv
+    wq = ow + nv - 1              # block columns: ow and one per extra plane
+    # wmat[(u, j, ci), (v, co)] = weights[co, ci, u, v * kv + j]
+    wmat = (weights.reshape(cout, cin, 3, nv, kv).transpose(2, 4, 1, 3, 0)
+            .reshape(3 * kv * cin, nv * cout).astype(dtype))
     bias_bound = int(np.abs(bias, dtype=np.int64).max(initial=0))
     in_range = bias_bound <= ACC_MAX - acc_bound
     b = bias.astype(np.int32 if in_range else np.float64)
-    # the band's im2col block and sums at 8 bytes a value; an even count, so
-    # a band holds whole 2x2 pooling blocks and starts on a data row of a
+    # the band's im2col block and planes at 8 bytes a value; an even count,
+    # so a band holds whole 2x2 pooling blocks and starts on a data row of a
     # zero-inserted map
-    rows = BAND_BYTES // (8 * ow * (k + cout))
+    rows = BAND_BYTES // (8 * wq * (3 * kv * cin + nv * cout))
     rows = max(2, rows - rows % 2)
-    cols = np.empty((min(rows, oh), ow, k), dtype=dtype)
+    cols = np.empty((min(rows, oh), wq, 3, kv * cin), dtype=dtype)
     for r0 in range(0, oh, rows):
         n = min(rows, oh - r0)
         src, block = np.ascontiguousarray(rows_of(r0, n)), cols[:n]
-        # runs[r, x] is input row r's columns x..x+2, every channel of each
-        runs = as_strided(src, (n + 2, ow, 3 * cin), src.strides,
-                          writeable=False)
-        for u in range(3):
-            block[:, :, 3 * u * cin:3 * (u + 1) * cin] = runs[u:u + n]
-        acc = block.reshape(n * ow, k) @ wmat
+        sy, sx, sc = src.strides
+        # block[r, q, u, j * cin + c] = src[r + u, q + j, c]; numpy checks
+        # that the view stays inside the band's rows
+        block[...] = np.ndarray(block.shape, src.dtype, src, 0, (sy, sx, sy, sc))
+        p = (block.reshape(n * wq, -1) @ wmat).reshape(n, wq, nv, cout)
+        acc = p[:, :ow, 0]
+        for v in range(1, nv):
+            # the first add makes the band's sums, the next adds in place
+            acc = np.add(acc, p[:, v:v + ow, v], out=acc if v > 1 else None)
         if in_range:
             acc = np.add(acc, b, dtype=np.int32, casting="unsafe")
         else:
             acc = check_accum(np.add(acc, b)).astype(np.int32)
-        yield r0, acc.reshape(n, ow, cout)
+        yield r0, acc
     if counters is not None:
         counters.multiplications += 9 * oh * ow * cin * cout
 

@@ -58,6 +58,12 @@ MUTANTS = (
            "in_range = bias_bound <= ACC_MAX - acc_bound",
            "in_range = bias_bound <= ACC_MAX - acc_bound + 1",
            ("tests/test_oracle.py::TestRangeProof::test_edge_is_tight_and_one_past_overflows",)),
+    # the oracle sums each stacked plane one column left of its shift
+    Mutant("src/ucda/oracle.py",
+           "p[:, v:v + ow, v]", "p[:, v - 1:v - 1 + ow, v]",
+           ("tests/test_oracle.py::TestBands::test_banded_equals_loops",
+            "tests/test_oracle.py::TestRowRunGather::test_narrow_maps_equal_loops",
+            "tests/test_oracle.py::TestGemmDtype::test_float64_layer_in_stacked_bands")),
     # accumulate_bands gathers each slot one column right of its rectangle
     Mutant("src/ucda/pearray.py",
            "r0 * sy + c0 * sx, (sy, sx, sy, sc))", "r0 * sy + (c0 + 1) * sx, (sy, sx, sy, sc))",

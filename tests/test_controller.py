@@ -678,9 +678,11 @@ class TestReferenceComposition:
             -128, 128, (h, w, cin)).astype(np.int8), -7)
         monkeypatch.setattr(oracle, "BAND_BYTES", 1)     # bands of two rows
         outputs = h // 2 * (w // 2) * mid + h * w * cout
-        # a band's working set as BAND_BYTES counts it, at 8 bytes a value:
-        # the deconv's (9*mid + cout)-wide im2col block and sums
-        band = 2 * w * (9 * mid + cout) * 8
+        # a band's working set as BAND_BYTES counts it, at 8 bytes a value,
+        # the larger of the two layers': the deconv's stacked block of 3*mid
+        # and its three planes of cout sums, w + 2 columns a row of each
+        band = 2 * (w + 2) * 3 * (mid + cout) * 8
+        assert band > 2 * w * (9 * cin + mid) * 8     # the conv's nine-tap one
         inserted = 4 * (w + 2) * mid
         bound = outputs + x.data.nbytes + 2 * band + inserted
         pre_pool = h * w * mid * 4

@@ -1,4 +1,6 @@
 """Reference layer ops against independently written loop implementations."""
+import ast
+import pathlib
 import re
 
 import numpy as np
@@ -136,13 +138,20 @@ class TestDeconvNaive:
 def _band_bytes(rows, ow, cin, cout):
     """BAND_BYTES that gives bands of `rows` output rows, rounded down to an
     even count of at least two: the band's working set, at 8 bytes a
-    value, is its (rows*ow, 9*cin) im2col block plus its sums."""
-    return rows * 8 * ow * (9 * cin + cout)
+    value, is its im2col block plus its GEMM's planes of sums. That is a
+    (rows*ow, 9*cin) block and cout sums a row when 3*cin < cout, else a
+    (rows*(ow+2), 3*cin) block and three planes of cout sums."""
+    if 3 * cin < cout:
+        return rows * 8 * ow * (9 * cin + cout)
+    return rows * 8 * (ow + 2) * 3 * (cin + cout)
 
 
 class TestBands:
+    """Both block layouts, the nine-tap one (3*cin < cout) and the stacked
+    one, in bands of any even height, against the loop references."""
+
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3),
-           st.integers(1, 3), st.integers(1, 13), st.integers(0, 2 ** 31 - 1))
+           st.integers(1, 10), st.integers(1, 13), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_banded_equals_loops(self, h, w, cin, cout, rows, seed):
         rng = np.random.default_rng(seed)
@@ -160,6 +169,36 @@ class TestBands:
             mp.setattr(oracle, "BAND_BYTES", _band_bytes(rows, 2 * w, cin, cout))
             got = deconv_naive(x, _ks(wk, b, rotated=True))
             assert np.array_equal(got, ref.deconv_loops(x.data, wk, b))
+
+    # cin = 2: cout = 6 is the widest stacked layer, cout = 7 the narrowest
+    # nine-tap one
+    @pytest.mark.parametrize("cout", [6, 7], ids=["stacked", "nine-tap"])
+    @pytest.mark.parametrize("kind", ["conv3x3", "deconv2x"])
+    def test_both_sides_of_the_layout_rule(self, monkeypatch, kind, cout):
+        rng = np.random.default_rng(cout)
+        cin, h, w = 2, 5, 4
+        x = _rand_tensor(rng, h, w, cin)
+        wk = rng.integers(-128, 128, (cout, cin, 3, 3)).astype(np.int8)
+        b = rng.integers(-1000, 1000, cout)
+        ks = _ks(wk, b, rotated=kind == "deconv2x")
+        if kind == "conv3x3":
+            ow, run = w, lambda: conv2d_ref(x, ks, ALL)
+            want = ref.conv3x3_loops(x.data, wk, b, (1, 1, 1, 1))
+        else:
+            ow, run = 2 * w, lambda: deconv_naive(x, ks)
+            want = ref.deconv_loops(x.data, wk, b)
+        monkeypatch.setattr(oracle, "BAND_BYTES", _band_bytes(4, ow, cin, cout))
+        assert np.array_equal(run(), want)
+        narrowed = bn_act_ref(np.array(want), ks.bn_multiplier, ks.bn_shift)
+        heights = []
+        narrow = Requantizer.narrow
+        monkeypatch.setattr(Requantizer, "narrow", lambda self, acc: (
+            heights.append(len(acc)) or narrow(self, acc)))
+        out = reference_layer(x, ks, kind, "none", "none", 0)
+        assert np.array_equal(out.data, narrowed.data)
+        # bands of 4 rows, as the layout's working set gives: a conv's last
+        # band has one row, a deconv's two
+        assert heights == ([4, 1] if kind == "conv3x3" else [4, 4, 2])
 
     def test_tiny_budget_still_runs_one_row_bands(self, monkeypatch):
         rng = np.random.default_rng(10)
@@ -199,6 +238,28 @@ class TestGemmDtype:
         monkeypatch.setattr(oracle, "BAND_BYTES", _band_bytes(2, w, cin, cout))
         acc = conv2d_ref(QTensor(x, 0), _ks(wk, b), ALL)
         assert acc.tolist() == ref.conv3x3_loops(x, wk, b, (1, 1, 1, 1))
+
+    @pytest.mark.parametrize("kind", ["conv3x3", "deconv2x"])
+    def test_float64_layer_in_stacked_bands(self, monkeypatch, kind):
+        # cin = 114, cout = 2: the stacked layout in float64. As above, the
+        # output whose corner tap meets a 1 sums to 1025 * 2**14 + 1, which
+        # float32 rounds; one such output in each of the conv's first two
+        # bands, and its last band of one row is ragged
+        h, w, cin, cout = 5, 6, 114, 2
+        x = np.full((h, w, cin), -128, np.int8)
+        x[2, 2, -1] = x[4, 5, -1] = 1
+        wk = np.full((cout, cin, 3, 3), -128, np.int8)
+        wk[:, -1, -1, -1] = 1
+        ks = _ks(wk, rotated=kind == "deconv2x")
+        if kind == "conv3x3":
+            ow, run = w, lambda: conv2d_ref(QTensor(x, 0), ks, ALL)
+            want = ref.conv3x3_loops(x, wk, [0, 0], (1, 1, 1, 1))
+            assert [want[y][c][0] for y, c in ((1, 1), (3, 4))] == [16_793_601] * 2
+        else:
+            ow, run = 2 * w, lambda: deconv_naive(QTensor(x, 0), ks)
+            want = ref.deconv_loops(x, wk, [0, 0])
+        monkeypatch.setattr(oracle, "BAND_BYTES", _band_bytes(2, ow, cin, cout))
+        assert run().tolist() == want
 
 
 def _extremes(rng, shape):
@@ -306,8 +367,10 @@ class TestRangeProof:
 
 
 class TestRowRunGather:
-    """The im2col block is gathered one kernel row at a time, each window's
-    three taps a run of 3*cin input values."""
+    """The im2col block is one strided copy of the band's input rows, each
+    (row, column) of it kv columns of one input row, a run of kv*cin input
+    values: narrow, strided and reversed input maps gather the same values
+    as a contiguous one."""
 
     @pytest.mark.parametrize("view", [False, True], ids=["contiguous", "view"])
     @pytest.mark.parametrize("w", [1, 2, 3])
@@ -520,3 +583,36 @@ def test_determinism():
     a = conv2d_ref(x, ks, ALL)
     b = conv2d_ref(x, ks, ALL)
     assert np.array_equal(a, b)
+
+
+def ucda_imports(source: str) -> set:
+    """The ucda modules a module's source imports, each by its first name
+    below the package ("ucda" for the package itself)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".") for a in node.names]
+            found |= {n[1] if len(n) > 1 else n[0] for n in names if n[0] == "ucda"}
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "ucda":
+                continue
+            below = parts[1:] if node.level == 0 else [p for p in parts if p]
+            found |= {below[0]} if below else {a.name for a in node.names}
+    return found
+
+
+def test_ucda_imports_reads_every_import_form():
+    source = ("import numpy\nimport ucda\nimport ucda.pearray as pa\n"
+              "from ucda import datapath\nfrom ucda.linebuffer import window_grid\n"
+              "from . import controller\nfrom .qtensor import ACC_MAX\n"
+              "from numpy import ndarray\n"
+              "def f():\n    from .patchdeconv import deconv_full\n")
+    assert ucda_imports(source) == {"ucda", "pearray", "datapath", "linebuffer",
+                                    "controller", "qtensor", "patchdeconv"}
+
+
+def test_oracle_imports_only_qtensor():
+    # an independent check: the reference never reads the routing tables or
+    # the engine's gather
+    assert ucda_imports(pathlib.Path(oracle.__file__).read_text()) == {"qtensor"}
